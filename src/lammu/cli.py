@@ -16,9 +16,9 @@ from importlib import resources
 from .grammar import (LanguageViolation, ParseError, parse_judgment,
                       parse_term, print_judgment, print_term,
                       print_type)
-from .iu import (InvalidNode, NotPureLambda, SearchBudget, check_derivation,
-                 derivation_from_json, derivation_to_json, derive,
-                 embed_simple)
+from .iu import (InvalidNode, MalformedCertificate, NotPureLambda,
+                 SearchBudget, check_derivation, derivation_from_json,
+                 derivation_to_json, derive)
 from .metatheory import (demo_erasing_failure, suite_struct_subst,
                          suite_subject_expansion, suite_subject_reduction,
                          suite_term_subst)
@@ -59,6 +59,15 @@ def _read_source(arg: str | None) -> str:
     return arg
 
 
+def _write_cert(path: str | None, d) -> None:
+    """Write ``d``'s certificate to ``path`` (stdout for -); no path, no-op."""
+    if path == "-":
+        print(derivation_to_json(d))
+    elif path:
+        with open(path, "w") as fh:
+            fh.write(derivation_to_json(d) + "\n")
+
+
 def cmd_fmt(args) -> int:
     term = parse_term(_read_source(args.term))
     print(print_term(term))
@@ -92,13 +101,7 @@ def cmd_check_simple(args) -> int:
         _bad(f"invalid: {e}")
         return EXIT_FAIL
     _ok(f"valid: {print_judgment(gamma, term, ty, delta)}")
-    if args.cert:
-        cert = derivation_to_json(embed_simple(d))
-        if args.cert == "-":
-            print(cert)
-        else:
-            with open(args.cert, "w") as fh:
-                fh.write(cert + "\n")
+    _write_cert(args.cert, d)
     return EXIT_OK
 
 
@@ -121,13 +124,7 @@ def cmd_check_iu(args) -> int:
         _bad("not found" + (" (budget exhausted)" if budget.exhausted else ""))
         return EXIT_BUDGET if budget.exhausted else EXIT_FAIL
     _ok(f"found: {print_judgment(gamma, term, ty, delta)}")
-    if args.cert:
-        cert = derivation_to_json(d)
-        if args.cert == "-":
-            print(cert)
-        else:
-            with open(args.cert, "w") as fh:
-                fh.write(cert + "\n")
+    _write_cert(args.cert, d)
     return EXIT_OK
 
 
@@ -184,6 +181,13 @@ def cmd_examples(args) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="lammu",
@@ -198,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("term", nargs="?")
     s.add_argument("--rules", default="beta,mu,renaming",
                    help="comma separated rule names (default beta,mu,renaming)")
-    s.add_argument("--fuel", type=int, default=1000)
+    s.add_argument("--fuel", type=positive_int, default=1000)
     s.add_argument("--trace", action="store_true",
                    help="print every step with its position and rule")
     s.set_defaults(func=cmd_reduce)
@@ -206,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("check-simple", help="check a judgment in the simple system")
     s.add_argument("judgment", nargs="?")
     s.add_argument("--cert", metavar="FILE",
-                   help="also write the embedded derivation certificate")
+                   help="also write the derivation certificate")
     s.set_defaults(func=cmd_check_simple)
 
     s = sub.add_parser("infer-simple", help="infer a principal simple typing")
@@ -249,6 +253,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ParseError, LanguageViolation, json.JSONDecodeError) as e:
         _bad(f"parse error: {e}")
+        return EXIT_USAGE
+    except MalformedCertificate as e:
+        _bad(f"malformed certificate: {e}")
         return EXIT_USAGE
     except NotPureLambda as e:
         _bad(str(e))

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 from .iu import (Derivation, Judgment, SearchBudget, check_derivation, derive,
                  inter_elim, weaken)
-from .reduction import (redexes, step, subst_structural, subst_term, subterm_at)
+from .reduction import (redexes, replace_at, step, subst_structural,
+                        subst_term, subterm_at)
 from .syntax import Abs, App, Mu, Term, Var, alpha_eq, free_term_vars
 from .typelang import (Arrow, Bottom, Inter, TVar, Top, TypeExpr, Union,
                        canonicalize, inter_parts, is_strict, subtype,
@@ -71,21 +72,22 @@ def top_typed(gamma: dict, term: Term, delta: dict) -> Derivation:
     return Derivation("InterI", Judgment(dict(gamma), term, Top, dict(delta)))
 
 
+def _var_at(gamma: dict, y: str, c: TypeExpr, delta: dict) -> Derivation:
+    """The lookup of ``y`` at ``c``: one projection per component of ``c``."""
+    j = Judgment(dict(gamma), Var(y), c, dict(delta))
+    if isinstance(c, Inter):
+        prems = tuple(
+            Derivation("InterE", Judgment(dict(gamma), Var(y), p, dict(delta)))
+            for p in c.parts)
+        return Derivation("InterI", j, prems)
+    return Derivation("InterE", j)
+
+
 def var_typed(gamma: dict, ty: TypeExpr, delta: dict) -> Derivation | None:
     """A variable derivation at ``ty``, if some environment entry covers it."""
-    want = inter_parts(ty) if isinstance(ty, Inter) else (ty,)
     for x, entry in gamma.items():
-        comps = inter_parts(entry)
-        if all(p in comps for p in want):
-            j = Judgment(dict(gamma), Var(x), ty, dict(delta))
-            if isinstance(ty, Inter):
-                prems = tuple(
-                    Derivation("InterE", Judgment(dict(gamma), Var(x), p, dict(delta)))
-                    for p in ty.parts)
-                return Derivation("InterI", j, prems)
-            return Derivation("InterE", j)
-    if ty == Top and gamma:
-        return top_typed(gamma, Var(next(iter(gamma))), delta)
+        if all(p in inter_parts(entry) for p in inter_parts(ty)):
+            return _var_at(gamma, x, ty, delta)
     return None
 
 
@@ -99,8 +101,39 @@ def project(d: Derivation, ty: TypeExpr) -> Derivation:
     raise ConstructionMiss(f"cannot project {ty!r} out of {have!r}")
 
 
-def _weaken_to(d: Derivation, gamma: dict, delta: dict) -> Derivation:
-    return weaken(d, gamma, delta)
+def _node(d: Derivation, term: Term, premises, *, rule: str | None = None,
+          gamma: dict | None = None, delta: dict | None = None) -> Derivation:
+    """``d``'s node rebuilt over ``term`` and ``premises``; it keeps its type
+    and, unless they are given, its rule and environments."""
+    j = d.conclusion
+    return Derivation(rule or d.rule,
+                      Judgment(dict(j.gamma if gamma is None else gamma), term,
+                               j.ty, dict(j.delta if delta is None else delta)),
+                      tuple(premises))
+
+
+def _apply_arrows(fun: Derivation, arg_for: dict[TypeExpr, Derivation],
+                  n_term: Term) -> Derivation:
+    """Apply ``fun``, which concludes a union of arrows, to N.
+
+    ``arg_for`` maps each arrow (up to equivalence) to a derivation of N at
+    its source; those are weakened to ``fun``'s environments."""
+    c = fun.conclusion
+    parts = union_parts(c.ty)
+    if not parts or not all(isinstance(p, Arrow) for p in parts):
+        raise ConstructionMiss("premise below the freed name is not a"
+                               " nonempty union of arrows")
+
+    def match(arrow: Arrow) -> Derivation:
+        for a, dn in arg_for.items():
+            if type_equiv(arrow, a):
+                return weaken(dn, c.gamma, c.delta)
+        raise ConstructionMiss("premise arrow matches no argument derivation")
+
+    args = tuple(match(p) for p in parts)
+    app_ty = canonicalize(Union(tuple(p.right for p in parts)))
+    return Derivation("ArrowE", Judgment(dict(c.gamma), App(c.term, n_term),
+                                         app_ty, dict(c.delta)), (fun, *args))
 
 
 # -- generator ----------------------------------------------------------------
@@ -291,13 +324,10 @@ def subst_derivation(dM: Derivation, x: str, dN: Derivation) -> Derivation:
         gamma = {y: t for y, t in j.gamma.items() if y != x}
         term = subst_term(j.term, x, n_term)
         if d.rule == "InterE" and isinstance(j.term, Var) and j.term.name == x:
-            out = project(dN, j.ty)
-            return _weaken_to(out, gamma, dict(j.delta))
+            return weaken(project(dN, j.ty), gamma, dict(j.delta))
         if isinstance(j.term, Abs) and j.term.var == x:
             raise ConstructionMiss("binder shadows the substituted variable")
-        prems = tuple(go(p) for p in d.premises)
-        return Derivation(d.rule, Judgment(gamma, term, j.ty, dict(j.delta)),
-                          prems, dict(d.side))
+        return _node(d, term, map(go, d.premises), gamma=gamma)
 
     return go(dM)
 
@@ -312,46 +342,18 @@ def struct_subst_derivation(dM: Derivation, alpha: str,
 
     ``arg_for`` maps each arrow of the union to a derivation of N at its
     source; ``new_union`` is the union of the targets."""
-    some = next(iter(arg_for.values()))
-    n_term = some.conclusion.term
-
-    def match_arg(arrow: Arrow) -> Derivation:
-        for a, dn in arg_for.items():
-            if subtype(arrow, a) and subtype(a, arrow):
-                return dn
-        raise ConstructionMiss("premise arrow matches no argument derivation")
-
-    def fix_delta(delta: dict) -> dict:
-        out = {b: t for b, t in delta.items() if b != alpha}
-        out[g] = new_union
-        return out
+    n_term = next(iter(arg_for.values())).conclusion.term
 
     def go(d: Derivation) -> Derivation:
         j = d.conclusion
         term = subst_structural(j.term, alpha, n_term, g)
-        delta = fix_delta(j.delta)
+        delta = {**{b: t for b, t in j.delta.items() if b != alpha}, g: new_union}
         if isinstance(j.term, Mu) and j.term.bound == alpha:
             raise ConstructionMiss("binder shadows the substituted name")
         if d.rule == "UnionE_named" and j.term.named == alpha:
-            body = go(d.premises[0])
-            parts = union_parts(body.conclusion.ty)
-            if not parts or not all(isinstance(p, Arrow) for p in parts):
-                raise ConstructionMiss("premise below the freed name is not a"
-                                       " nonempty union of arrows")
-            inner_gamma = dict(body.conclusion.gamma)
-            inner_delta = dict(body.conclusion.delta)
-            args = tuple(
-                _weaken_to(match_arg(p), inner_gamma, inner_delta) for p in parts)
-            app_ty = canonicalize(Union(tuple(p.right for p in parts)))
-            app_term = App(body.conclusion.term, n_term)
-            app = Derivation("ArrowE",
-                             Judgment(inner_gamma, app_term, app_ty, inner_delta),
-                             (body, *args))
-            return Derivation("UnionE_named",
-                              Judgment(dict(j.gamma), term, j.ty, delta), (app,))
-        prems = tuple(go(p) for p in d.premises)
-        return Derivation(d.rule, Judgment(dict(j.gamma), term, j.ty, delta),
-                          prems, dict(d.side))
+            app = _apply_arrows(go(d.premises[0]), arg_for, n_term)
+            return _node(d, term, (app,), delta=delta)
+        return _node(d, term, map(go, d.premises), delta=delta)
 
     return go(dM)
 
@@ -369,12 +371,10 @@ def rename_name_derivation(d: Derivation, g: str, b: str) -> Derivation:
             raise ConstructionMiss("binder shadows the renamed name")
         delta = {a: t for a, t in j.delta.items() if a != g}
         term = rename_name(j.term, g, b)
-        prems = tuple(go(p) for p in d.premises)
         rule = d.rule
         if isinstance(j.term, Mu) and j.term.named == g:
             rule = "UnionE_self" if b == j.term.bound else "UnionE_named"
-        return Derivation(rule, Judgment(dict(j.gamma), term, j.ty, delta),
-                          prems, dict(d.side))
+        return _node(d, term, map(go, d.premises), rule=rule, delta=delta)
 
     return go(d)
 
@@ -389,9 +389,7 @@ def rename_var_derivation(d: Derivation, y: str, x: str) -> Derivation:
             raise ConstructionMiss(f"{y} is not in the environment")
         gamma = {**j.gamma, x: j.gamma[y]}
         term = subst_term(j.term, y, Var(x))
-        prems = tuple(go(p) for p in d.premises)
-        return Derivation(d.rule, Judgment(gamma, term, j.ty, dict(j.delta)),
-                          prems, dict(d.side))
+        return _node(d, term, map(go, d.premises), gamma=gamma)
 
     return go(d)
 
@@ -419,7 +417,7 @@ def _sr_local_beta(d: Derivation, expected: Term) -> Derivation:
         out = Derivation(out.rule,
                          Judgment(out.conclusion.gamma, out.conclusion.term,
                                   j.ty, out.conclusion.delta),
-                         out.premises, dict(out.side))
+                         out.premises)
     return out
 
 
@@ -432,40 +430,14 @@ def _sr_local_mu(d: Derivation, expected: Term) -> Derivation:
     if fun.rule not in ("UnionE_named", "UnionE_self"):
         raise ConstructionMiss("the function premise is not a context switch node")
     red = j.term.fun
-    fparts = union_parts(fun.conclusion.ty)
-    arg_for = {}
-    for arrow, ap in zip(fparts, node.premises[1:]):
-        arg_for[arrow] = ap
+    arg_for = dict(zip(union_parts(fun.conclusion.ty), node.premises[1:]))
     g = expected.bound
-    body = fun.premises[0]
-    new_delta = {**j.delta, g: j.ty}
+    hat = struct_subst_derivation(fun.premises[0], red.bound, arg_for, g, j.ty)
     if red.named == red.bound:
-        hat = struct_subst_derivation(body, red.bound, arg_for, g, j.ty)
-        parts = union_parts(hat.conclusion.ty)
-        if not parts or not all(isinstance(p, Arrow) for p in parts):
-            raise ConstructionMiss("self-named premise is not a union of arrows")
-        inner_gamma = dict(hat.conclusion.gamma)
-        inner_delta = dict(hat.conclusion.delta)
-
-        def match(arrow):
-            for a, dn in arg_for.items():
-                if subtype(arrow, a) and subtype(a, arrow):
-                    return _weaken_to(dn, inner_gamma, inner_delta)
-            raise ConstructionMiss("arrow matches no argument premise")
-
-        args = tuple(match(p) for p in parts)
-        app_ty = canonicalize(Union(tuple(p.right for p in parts)))
-        app_term = App(hat.conclusion.term, j.term.arg)
-        app = Derivation("ArrowE",
-                         Judgment(inner_gamma, app_term, app_ty, inner_delta),
-                         (hat, *args))
-        term = Mu(g, g, app_term)
-        return Derivation("UnionE_self",
-                          Judgment(dict(j.gamma), term, j.ty, dict(j.delta)), (app,))
-    hat = struct_subst_derivation(body, red.bound, arg_for, g, j.ty)
-    term = Mu(g, red.named, hat.conclusion.term)
-    return Derivation("UnionE_named",
-                      Judgment(dict(j.gamma), term, j.ty, dict(j.delta)), (hat,))
+        app = _apply_arrows(hat, arg_for, j.term.arg)
+        return _node(d, Mu(g, g, app.conclusion.term), (app,), rule="UnionE_self")
+    return _node(d, Mu(g, red.named, hat.conclusion.term), (hat,),
+                 rule="UnionE_named")
 
 
 def _sr_local_renaming(d: Derivation, expected: Term) -> Derivation:
@@ -476,13 +448,10 @@ def _sr_local_renaming(d: Derivation, expected: Term) -> Derivation:
     inner = _unwrap(node.premises[0])
     if inner.rule not in ("UnionE_named", "UnionE_self"):
         raise ConstructionMiss("the body is not a context switch node")
-    outer_term, inner_term = j.term, j.term.body
-    renamed = rename_name_derivation(inner.premises[0],
-                                     inner_term.bound, outer_term.named)
-    new_named = expected.named
-    rule = "UnionE_self" if new_named == expected.bound else "UnionE_named"
-    return Derivation(rule, Judgment(dict(j.gamma), expected, j.ty,
-                                     dict(j.delta)), (renamed,))
+    renamed = rename_name_derivation(inner.premises[0], j.term.body.bound,
+                                     j.term.named)
+    rule = "UnionE_self" if expected.named == expected.bound else "UnionE_named"
+    return _node(d, expected, (renamed,), rule=rule)
 
 
 _SR_LOCAL = {"beta": _sr_local_beta, "mu": _sr_local_mu,
@@ -502,33 +471,15 @@ def sr_step(d: Derivation, pos: tuple[int, ...], rule: str) -> Derivation:
         i, rest = pos[0], pos[1:]
         if d.rule in ("Thin", "Weaken", "InterI"):
             prems = tuple(go(p, pos) for p in d.premises)
-            term = prems[0].conclusion.term if prems else j.term
-            return Derivation(d.rule, Judgment(dict(j.gamma), term, j.ty,
-                                               dict(j.delta)), prems, dict(d.side))
-        if d.rule == "ArrowI" and i == 0:
-            p = go(d.premises[0], rest)
-            term = Abs(j.term.var, p.conclusion.term)
-        elif d.rule in ("UnionE_named", "UnionE_self") and i == 0:
-            p = go(d.premises[0], rest)
-            term = Mu(j.term.bound, j.term.named, p.conclusion.term)
-            return Derivation(d.rule, Judgment(dict(j.gamma), term, j.ty,
-                                               dict(j.delta)), (p,), dict(d.side))
-        elif d.rule == "ArrowE" and i == 0:
-            p = go(d.premises[0], rest)
-            term = App(p.conclusion.term, j.term.arg)
-            return Derivation(d.rule, Judgment(dict(j.gamma), term, j.ty,
-                                               dict(j.delta)),
-                              (p, *d.premises[1:]), dict(d.side))
-        elif d.rule == "ArrowE" and i == 1:
-            aps = tuple(go(p, rest) for p in d.premises[1:])
-            term = App(j.term.fun, aps[0].conclusion.term)
-            return Derivation(d.rule, Judgment(dict(j.gamma), term, j.ty,
-                                               dict(j.delta)),
-                              (d.premises[0], *aps), dict(d.side))
+            return _node(d, prems[0].conclusion.term if prems else j.term, prems)
+        if d.rule == "ArrowE" and i == 1:
+            prems = (d.premises[0], *(go(p, rest) for p in d.premises[1:]))
+        elif d.rule in ("ArrowI", "ArrowE", "UnionE_named", "UnionE_self") and i == 0:
+            prems = (go(d.premises[0], rest), *d.premises[1:])
         else:
             raise ConstructionMiss(f"no premise {i} under rule {d.rule}")
-        return Derivation(d.rule, Judgment(dict(j.gamma), term, j.ty,
-                                           dict(j.delta)), (p,), dict(d.side))
+        # premise i types the child at i: the function, or the first argument
+        return _node(d, replace_at(j.term, (i,), prems[i].conclusion.term), prems)
 
     out = go(d, pos)
     if out.conclusion.term != whole:
@@ -546,7 +497,7 @@ def se_beta_vacuous(d: Derivation, rng: random.Random,
     """Wrap M as (\\x.M)Q with x unused; Q only needs the empty intersection."""
     j = d.conclusion
     q = rng.choice(_TOP_ARGS)
-    inner = _weaken_to(d, {**j.gamma, fresh: Top}, dict(j.delta))
+    inner = weaken(d, {**j.gamma, fresh: Top}, dict(j.delta))
     fun_ty = Arrow(Top, j.ty)
     fun = Derivation("ArrowI", Judgment(dict(j.gamma), Abs(fresh, j.term),
                                         fun_ty, dict(j.delta)), (inner,))
@@ -566,23 +517,11 @@ def se_beta_var(d: Derivation, y: str,
     fun = Derivation("ArrowI",
                      Judgment(dict(j.gamma), Abs(fresh, renamed.conclusion.term),
                               Arrow(c, j.ty), dict(j.delta)), (renamed,))
-    arg = var_typed(j.gamma, c, j.delta)
-    if arg is None or arg.conclusion.term != Var(y):
-        arg = _var_at(j.gamma, y, c, j.delta)
+    arg = _var_at(j.gamma, y, c, j.delta)
     term = App(fun.conclusion.term, Var(y))
     exp = Derivation("ArrowE", Judgment(dict(j.gamma), term, j.ty,
                                         dict(j.delta)), (fun, arg))
     return exp, d, "beta"
-
-
-def _var_at(gamma: dict, y: str, c: TypeExpr, delta: dict) -> Derivation:
-    j = Judgment(dict(gamma), Var(y), c, dict(delta))
-    if isinstance(c, Inter):
-        prems = tuple(
-            Derivation("InterE", Judgment(dict(gamma), Var(y), p, dict(delta)))
-        for p in c.parts)
-        return Derivation("InterI", j, prems)
-    return Derivation("InterE", j)
 
 
 def se_mu_named(d: Derivation, rng: random.Random, alpha: str,
@@ -599,7 +538,7 @@ def se_mu_named(d: Derivation, rng: random.Random, alpha: str,
         delta[beta] = s
     b_goal = _F1
     fun_ty = Arrow(Top, b_goal)
-    inner = _weaken_to(d, dict(j.gamma), {**delta, alpha: fun_ty})
+    inner = weaken(d, dict(j.gamma), {**delta, alpha: fun_ty})
     fun = Derivation("UnionE_named",
                      Judgment(dict(j.gamma), Mu(alpha, beta, j.term), fun_ty,
                               dict(delta)), (inner,))
@@ -608,7 +547,7 @@ def se_mu_named(d: Derivation, rng: random.Random, alpha: str,
     term = App(fun.conclusion.term, q)
     exp = Derivation("ArrowE", Judgment(dict(j.gamma), term, b_goal,
                                         dict(delta)), (fun, arg))
-    red_inner = _weaken_to(d, dict(j.gamma), {**delta, gname: b_goal})
+    red_inner = weaken(d, dict(j.gamma), {**delta, gname: b_goal})
     red = Derivation("UnionE_named",
                      Judgment(dict(j.gamma), Mu(gname, beta, j.term), b_goal,
                               dict(delta)), (red_inner,))
@@ -622,11 +561,11 @@ def se_mu_self(d: Derivation, alpha: str, gname: str,
     if not isinstance(j.ty, Arrow):
         raise ConstructionMiss("needs an arrow-typed subject")
     u = j.ty
-    inner = _weaken_to(d, dict(j.gamma), {**j.delta, alpha: u})
+    inner = weaken(d, dict(j.gamma), {**j.delta, alpha: u})
     fun = Derivation("UnionE_self",
                      Judgment(dict(j.gamma), Mu(alpha, alpha, j.term), u,
                               dict(j.delta)), (inner,))
-    arg0 = _weaken_to(arg, dict(j.gamma), dict(j.delta))
+    arg0 = weaken(arg, dict(j.gamma), dict(j.delta))
     term = App(fun.conclusion.term, arg0.conclusion.term)
     exp = Derivation("ArrowE", Judgment(dict(j.gamma), term, u.right,
                                         dict(j.delta)), (fun, arg0))
@@ -634,8 +573,8 @@ def se_mu_self(d: Derivation, alpha: str, gname: str,
     app = Derivation("ArrowE",
                      Judgment(dict(j.gamma),
                               App(j.term, arg0.conclusion.term), u.right, d2),
-                     (_weaken_to(d, dict(j.gamma), d2),
-                      _weaken_to(arg, dict(j.gamma), d2)))
+                     (weaken(d, dict(j.gamma), d2),
+                      weaken(arg, dict(j.gamma), d2)))
     red = Derivation("UnionE_self",
                      Judgment(dict(j.gamma), Mu(gname, gname, app.conclusion.term),
                               u.right, dict(j.delta)), (app,))
@@ -656,7 +595,7 @@ def se_renaming(d: Derivation, alpha: str,
         delta[beta] = s
     b_goal = _F1
     d_in = {**delta, alpha: b_goal}
-    inner_body = _weaken_to(d, dict(j.gamma), {**d_in, gname: s})
+    inner_body = weaken(d, dict(j.gamma), {**d_in, gname: s})
     inner = Derivation("UnionE_named",
                        Judgment(dict(j.gamma), Mu(gname, beta, j.term), s,
                                 dict(d_in)), (inner_body,))
@@ -664,7 +603,7 @@ def se_renaming(d: Derivation, alpha: str,
                      Judgment(dict(j.gamma),
                               Mu(alpha, beta, inner.conclusion.term), b_goal,
                               dict(delta)), (inner,))
-    red_inner = _weaken_to(d, dict(j.gamma), dict(d_in))
+    red_inner = weaken(d, dict(j.gamma), dict(d_in))
     red = Derivation("UnionE_named",
                      Judgment(dict(j.gamma), Mu(alpha, beta, j.term), b_goal,
                               dict(delta)), (red_inner,))

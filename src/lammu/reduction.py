@@ -15,7 +15,6 @@ from .syntax import (Abs, App, Mu, Term, Var, all_identifiers, free_names,
                      free_term_vars, fresh)
 
 RULES = ("beta", "mu", "renaming", "erasing", "eta_mu")
-COMPUTATIONAL = ("beta", "mu")
 
 Position = tuple[int, ...]
 
@@ -224,11 +223,9 @@ def step(m: Term, at: Position, rule: str) -> Term:
     return replace_at(m, at, _contract(sub, rule, all_identifiers(m)))
 
 
-def normalize(m: Term, enabled: set[str], strategy: str = "leftmost_outermost",
-              fuel: int = 1000) -> ReductionTrace:
-    """Repeatedly contract the first redex until none remain or fuel runs out."""
-    if strategy != "leftmost_outermost":
-        raise ValueError(f"unknown strategy: {strategy!r}")
+def normalize(m: Term, enabled: set[str], fuel: int = 1000) -> ReductionTrace:
+    """Repeatedly contract the leftmost-outermost redex until none remain or
+    fuel runs out."""
     if fuel < 1:
         raise ValueError("fuel must be positive")
     trace = ReductionTrace(m)

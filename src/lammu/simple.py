@@ -7,25 +7,13 @@ first-order unification, so a failure points at the first violated rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .iu import Derivation, Judgment
 from .syntax import Abs, App, Mu, Term, Var, free_term_vars
 from .typelang import Arrow, TVar, TypeExpr, well_formed
 
-
-@dataclass
-class SimpleJudgment:
-    gamma: dict[str, TypeExpr]
-    term: Term
-    ty: TypeExpr
-    delta: dict[str, TypeExpr]
-
-
-@dataclass
-class SimpleDerivation:
-    rule: str                     # Ax, ->I, ->E, mu
-    judgment: SimpleJudgment
-    premises: tuple["SimpleDerivation", ...] = ()
+# Every simple rule is an intersection-union rule with n = 1, so checking
+# builds ``iu.Derivation`` trees directly.
+SimpleJudgment = Judgment
 
 
 class CheckFailure(Exception):
@@ -94,67 +82,67 @@ class _Solver:
         raise CheckFailure(rule, f"type clash: {detail}")
 
 
-@dataclass
-class _Skeleton:
-    rule: str
-    gamma: dict[str, TypeExpr]
-    term: Term
-    ty: TypeExpr
-    delta: dict[str, TypeExpr]
-    premises: list["_Skeleton"] = field(default_factory=list)
-
-
 def _walk(s: _Solver, term: Term, gamma: dict[str, TypeExpr],
           delta: dict[str, TypeExpr], goal: TypeExpr,
-          free_delta: dict[str, TypeExpr] | None) -> _Skeleton:
+          free_delta: dict[str, TypeExpr] | None) -> Derivation:
     """Emit and solve constraints; ``free_delta`` collects types for free
-    names when inferring (None means free names must already be in delta)."""
+    names when inferring (None means free names must already be in delta).
+    The tree's types still hold unsolved metavariables until ``_freeze``."""
+    j = Judgment(gamma, term, goal, delta)
     if isinstance(term, Var):
         if term.name not in gamma:
             raise CheckFailure("Ax", f"variable {term.name} not in environment")
         s.unify(gamma[term.name], goal, "Ax", f"variable {term.name}")
-        return _Skeleton("Ax", gamma, term, goal, delta)
+        return Derivation("InterE", j)
     if isinstance(term, Abs):
         a, b = s.meta(), s.meta()
         s.unify(goal, Arrow(a, b), "->I", "abstraction needs an arrow type")
         gamma2 = {**gamma, term.var: a}
         prem = _walk(s, term.body, gamma2, delta, b, free_delta)
-        return _Skeleton("->I", gamma, term, goal, delta, [prem])
+        return Derivation("ArrowI", j, (prem,))
     if isinstance(term, App):
         a = s.meta()
         pf = _walk(s, term.fun, gamma, delta, Arrow(a, goal), free_delta)
         pa = _walk(s, term.arg, gamma, delta, a, free_delta)
-        return _Skeleton("->E", gamma, term, goal, delta, [pf, pa])
+        return Derivation("ArrowE", j, (pf, pa))
     if isinstance(term, Mu):
         delta2 = {**delta, term.bound: goal}
         if term.named in delta2:
             body_goal = delta2[term.named]
         elif free_delta is not None:
             body_goal = free_delta.setdefault(term.named, s.meta())
-            delta2 = {**delta2}
         else:
             raise CheckFailure("mu", f"free name {term.named} not in environment")
         prem = _walk(s, term.body, gamma, delta2, body_goal, free_delta)
-        return _Skeleton("mu", gamma, term, goal, delta, [prem])
+        rule = "UnionE_self" if term.named == term.bound else "UnionE_named"
+        return Derivation(rule, j, (prem,))
     raise TypeError(f"not a term: {term!r}")
 
 
-def _freeze(s: _Solver, sk: _Skeleton, fill: dict[str, TypeExpr]) -> SimpleDerivation:
+def _finisher(s: _Solver, name):
+    """Resolve types fully, naming the i-th unsolved metavariable ``name(i)``."""
+    fill: dict[str, TypeExpr] = {}
+
     def final(t: TypeExpr) -> TypeExpr:
         t = s.deep_resolve(t)
         if _is_meta(t):
-            return fill.setdefault(t.name, TVar(f"T{len(fill) + 1}"))
+            return fill.setdefault(t.name, name(len(fill)))
         if isinstance(t, Arrow):
             return Arrow(final(t.left), final(t.right))
         return t
 
-    j = SimpleJudgment({x: final(t) for x, t in sk.gamma.items()}, sk.term,
-                       final(sk.ty), {a: final(t) for a, t in sk.delta.items()})
-    return SimpleDerivation(sk.rule, j, tuple(_freeze(s, p, fill) for p in sk.premises))
+    return final
 
 
-def _validate_curry(d: SimpleDerivation) -> None:
-    j = d.judgment
+def _freeze(final, d: Derivation) -> Derivation:
+    j = d.conclusion
+    out = Judgment({x: final(t) for x, t in j.gamma.items()}, j.term,
+                   final(j.ty), {a: final(t) for a, t in j.delta.items()})
+    return Derivation(d.rule, out, tuple(_freeze(final, p) for p in d.premises))
+
+
+def _validate_curry(d: Derivation) -> None:
+    j = d.conclusion
     for t in [j.ty, *j.gamma.values(), *j.delta.values()]:
         if not well_formed(t, "curry"):
             raise CheckFailure("types", "bot may not appear left of an arrow")
@@ -162,15 +150,16 @@ def _validate_curry(d: SimpleDerivation) -> None:
         _validate_curry(p)
 
 
-def check_simple(j: SimpleJudgment) -> SimpleDerivation:
-    """Check a fully given judgment; returns the derivation or raises
-    CheckFailure naming the first violated rule."""
+def check_simple(j: SimpleJudgment) -> Derivation:
+    """Check a fully given judgment; returns its single-premise
+    intersection-union derivation or raises CheckFailure naming the first
+    violated rule."""
     for t in [j.ty, *j.gamma.values(), *j.delta.values()]:
         if not well_formed(t, "curry"):
             raise CheckFailure("types", "judgment types must be curry types")
     s = _Solver()
-    sk = _walk(s, j.term, dict(j.gamma), dict(j.delta), j.ty, None)
-    d = _freeze(s, sk, {})
+    d = _freeze(_finisher(s, lambda i: TVar(f"T{i + 1}")),
+                _walk(s, j.term, dict(j.gamma), dict(j.delta), j.ty, None))
     _validate_curry(d)
     return d
 
@@ -187,16 +176,7 @@ def infer_simple(m: Term):
         _walk(s, m, gamma, {}, goal, free_delta)
     except CheckFailure as e:
         raise UntypableError(str(e)) from e
-    fill: dict[str, TypeExpr] = {}
-
-    def final(t: TypeExpr) -> TypeExpr:
-        t = s.deep_resolve(t)
-        if _is_meta(t):
-            return fill.setdefault(t.name, _var_name(len(fill)))
-        if isinstance(t, Arrow):
-            return Arrow(final(t.left), final(t.right))
-        return t
-
+    final = _finisher(s, _var_name)
     g = {x: final(t) for x, t in gamma.items()}
     ty = final(goal)
     d = {a: final(t) for a, t in free_delta.items()}

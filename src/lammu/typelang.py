@@ -62,8 +62,6 @@ class Union(TypeExpr):
 Top = Inter(())
 Bottom = Union(())
 
-LANGUAGES = ("curry", "strict", "iu")
-
 
 def inter_parts(t: TypeExpr) -> tuple[TypeExpr, ...]:
     """View ``t`` as an intersection; a single strict type is a 1-intersection."""
@@ -211,26 +209,14 @@ def type_equiv(a: TypeExpr, b: TypeExpr) -> bool:
     return _leq(ca, cb) and _leq(cb, ca)
 
 
-LeftEnv = dict[str, TypeExpr]
-RightEnv = dict[str, TypeExpr]
-
-
-def env_leq_left(g: LeftEnv, g2: LeftEnv) -> bool:
+def env_leq_left(g: dict[str, TypeExpr], g2: dict[str, TypeExpr]) -> bool:
     """``g <= g2`` on left environments: g2's bindings are all weakened in g."""
     return all(x in g and subtype(g[x], a2) for x, a2 in g2.items())
 
 
-def env_leq_right(d: RightEnv, d2: RightEnv) -> bool:
+def env_leq_right(d: dict[str, TypeExpr], d2: dict[str, TypeExpr]) -> bool:
     """``d <= d2`` on right environments; note the direction flip."""
     return all(a in d2 and subtype(t, d2[a]) for a, t in d.items())
-
-
-def env_equiv_left(g: LeftEnv, g2: LeftEnv) -> bool:
-    return set(g) == set(g2) and all(type_equiv(g[x], g2[x]) for x in g)
-
-
-def env_equiv_right(d: RightEnv, d2: RightEnv) -> bool:
-    return set(d) == set(d2) and all(type_equiv(d[a], d2[a]) for a in d)
 
 
 def subexpressions(t: TypeExpr) -> Iterable[TypeExpr]:

@@ -46,7 +46,7 @@ def test_peirce_reproduction():
             "|- \\x.mu a.[a](x (\\y.mu b.[a] y)) : ((A -> B) -> A) -> A |",
             language="curry")
         d = check_simple(SimpleJudgment(gamma, term, ty, delta))
-        assert d.judgment.term == term and d.judgment.ty == ty
+        assert d.conclusion.term == term and d.conclusion.ty == ty
         cert = _load_cert("peirce")
         check_derivation(cert)
         assert cert.conclusion.term == term

@@ -1,10 +1,12 @@
 import io
+from importlib import resources
 
 import pytest
 
 from lammu.cli import main
 
 PEIRCE = "|- \\x.mu a.[a](x (\\y.mu b.[a] y)) : ((A -> B) -> A) -> A |"
+DNE = "|- \\y.mu a.['b](y (\\x.mu d.[a] x)) : ((A -> bot) -> bot) -> A | 'b:bot"
 
 
 class TestFmt:
@@ -34,6 +36,12 @@ class TestReduce:
 
     def test_fuel_exhaustion(self, capsys):
         assert main(["reduce", "--fuel", "3", "(\\x.x x) (\\x.x x)"]) == 3
+
+    def test_fuel_must_be_positive(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["reduce", "--fuel", "0", "x"])
+        assert e.value.code == 2
+        assert "--fuel" in capsys.readouterr().err
 
     def test_unknown_rule(self):
         assert main(["reduce", "--rules", "zeta", "x"]) == 2
@@ -79,6 +87,32 @@ class TestCertificates:
         capsys.readouterr()
         assert main(["verify", str(cert)]) == 0
         assert "valid" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, judgment", [("peirce", PEIRCE), ("dne", DNE)])
+    def test_check_simple_writes_the_bundled_bytes(self, name, judgment,
+                                                   capsys, tmp_path):
+        cert = tmp_path / "out.json"
+        assert main(["check-simple", "--cert", str(cert), judgment]) == 0
+        bundled = resources.files("lammu").joinpath(f"certs/{name}.json")
+        assert cert.read_bytes() == bundled.read_bytes()
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"rule": "InterE"}', "'judgment'"),
+        ('{"judgment": "x:A |- x : A |"}', "'rule'"),
+        ('{"rule": "InterI", "judgment": "x:A |- x : A |",'
+         ' "premises": [{"rule": "InterE"}]}', "'judgment'"),
+        ('{"rule": 1, "judgment": "x:A |- x : A |"}', "'rule'"),
+        ('{"rule": "InterE", "judgment": ["x:A |- x : A |"]}', "'judgment'"),
+        ('{"rule": "InterE", "judgment": "x:A |- x : A |", "premises": {}}',
+         "'premises'"),
+        ("[1]", "object"),
+    ])
+    def test_verify_rejects_malformed_certificates(self, text, field, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["verify", "-"]) == 2
+        err = capsys.readouterr().err
+        assert "malformed certificate" in err and field in err
 
     def test_verify_rejects_tampering(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"

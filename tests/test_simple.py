@@ -1,6 +1,7 @@
 import pytest
 
 from lammu.grammar import parse_judgment, parse_term
+from lammu.iu import check_derivation
 from lammu.simple import (CheckFailure, SimpleJudgment, UntypableError,
                           check_simple, infer_simple, instance_of)
 from lammu.typelang import Arrow, Bottom, TVar
@@ -17,12 +18,22 @@ class TestCheck:
     def test_peirce(self):
         d = _check("|- \\x.mu a.[a](x (\\y.mu b.[a] y)) "
                    ": ((A -> B) -> A) -> A |")
-        assert d.judgment.ty == Arrow(Arrow(Arrow(A, B), A), A)
+        assert d.conclusion.ty == Arrow(Arrow(Arrow(A, B), A), A)
 
     def test_double_negation(self):
         d = _check("|- \\y.mu a.['b](y (\\x.mu d.[a] x)) "
                    ": ((A -> bot) -> bot) -> A | 'b:bot")
-        assert d.judgment.delta == {"b": Bottom}
+        assert d.conclusion.delta == {"b": Bottom}
+
+    def test_builds_iu_derivations(self):
+        # the simple rules are the n = 1 intersection-union rules, so the
+        # result checks in the iu system with no embedding step
+        for text in ("|- \\x.mu a.[a](x (\\y.mu b.[a] y)) "
+                     ": ((A -> B) -> A) -> A |",
+                     "|- \\y.mu a.['b](y (\\x.mu d.[a] x)) "
+                     ": ((A -> bot) -> bot) -> A | 'b:bot",
+                     "x:A -> B, y:A |- x y : B |"):
+            check_derivation(_check(text))
 
     def test_axiom_and_arrows(self):
         _check("x:A |- x : A |")
