@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (valid, found, suite clean), 1 failure (invalid, not
 found, untypable, suite failures), 2 usage or parse errors, 3 search or fuel
-budget exhausted.  Set LAMMU_COLOR=1 to colorize verdicts.
+budget exhausted, or input nested too deeply to decide.  Set LAMMU_COLOR=1 to
+colorize verdicts.
 """
 
 from __future__ import annotations
@@ -263,6 +264,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         _bad(str(e))
         return EXIT_USAGE
+    except RecursionError:
+        # the recursive parsers, printers and checkers ran out of stack: the
+        # input is neither accepted nor rejected
+        _bad("undecided: input nested too deeply")
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -339,14 +339,10 @@ def print_type(t: TypeExpr) -> str:
     return go(t, "top")
 
 
-def print_env_left(gamma: dict[str, TypeExpr]) -> str:
-    return ", ".join(f"{x}:{print_type(t)}" for x, t in sorted(gamma.items()))
-
-
-def print_env_right(delta: dict[str, TypeExpr]) -> str:
-    return ", ".join(f"{a}:{print_type(t)}" for a, t in sorted(delta.items()))
+def print_env(env: dict[str, TypeExpr]) -> str:
+    return ", ".join(f"{x}:{print_type(t)}" for x, t in sorted(env.items()))
 
 
 def print_judgment(gamma, term, ty, delta) -> str:
-    return (f"{print_env_left(gamma)} |- {print_term(term)} : "
-            f"{print_type(ty)} | {print_env_right(delta)}").strip()
+    return (f"{print_env(gamma)} |- {print_term(term)} : "
+            f"{print_type(ty)} | {print_env(delta)}").strip()

@@ -33,6 +33,9 @@ RULES = ("InterE", "InterI", "ArrowI", "ArrowE",
 
 @dataclass
 class Judgment:
+    """``gamma |- term : ty | delta``.  Judgments share environment dicts
+    (a premise often holds its conclusion's), so treat ``gamma`` and ``delta``
+    as read-only: extend one as ``{**gamma, x: t}``, never in place."""
     gamma: dict[str, TypeExpr]
     term: Term
     ty: TypeExpr

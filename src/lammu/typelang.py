@@ -83,35 +83,24 @@ def _wf_curry(t: TypeExpr) -> bool:
     return False
 
 
-def _wf_strict_s(t: TypeExpr) -> bool:
-    if isinstance(t, TVar):
-        return True
-    if isinstance(t, Arrow):
-        return _wf_strict_i(t.left) and _wf_strict_s(t.right)
-    return False
-
-
-def _wf_strict_i(t: TypeExpr) -> bool:
-    if isinstance(t, Inter):
-        return all(_wf_strict_s(p) for p in t.parts)
-    return _wf_strict_s(t)
-
-
-def _wf_iu_s(t: TypeExpr) -> bool:
+def _wf_iu_s(t: TypeExpr, unions: bool = True) -> bool:
+    """Is ``t`` a strict type of the iu language, or with ``unions`` false,
+    of the strict language (which is iu without unions)?"""
     if isinstance(t, TVar):
         return True
     if isinstance(t, Union):
         # no union of intersections, but unions of unions are fine
-        return all(not isinstance(p, Inter) and _wf_iu_s(p) for p in t.parts)
+        return unions and all(not isinstance(p, Inter) and _wf_iu_s(p)
+                              for p in t.parts)
     if isinstance(t, Arrow):
-        return _wf_iu_i(t.left) and _wf_iu_s(t.right)
+        return _wf_iu_i(t.left, unions) and _wf_iu_s(t.right, unions)
     return False
 
 
-def _wf_iu_i(t: TypeExpr) -> bool:
+def _wf_iu_i(t: TypeExpr, unions: bool = True) -> bool:
     if isinstance(t, Inter):
-        return all(_wf_iu_s(p) for p in t.parts)
-    return _wf_iu_s(t)
+        return all(_wf_iu_s(p, unions) for p in t.parts)
+    return _wf_iu_s(t, unions)
 
 
 def well_formed(t: TypeExpr, language: str) -> bool:
@@ -119,7 +108,7 @@ def well_formed(t: TypeExpr, language: str) -> bool:
     if language == "curry":
         return _wf_curry(t)
     if language == "strict":
-        return _wf_strict_i(t)
+        return _wf_iu_i(t, unions=False)
     if language == "iu":
         return _wf_iu_i(t)
     raise ValueError(f"unknown type language: {language!r}")

@@ -108,6 +108,8 @@ def test_subject_reduction_suite():
     assert report.run == 500
     assert report.fail == 0, report.failures
     assert report.budget_miss == 0
+    assert report.summary() == ("SUITE subject-reduction RUN 500 FAIL 0"
+                                " BUDGET_MISS 0")
     assert t.elapsed < 300
 
 
@@ -116,6 +118,8 @@ def test_subject_expansion_suite():
         report = suite_subject_expansion(seed=2024, cases=500)
     assert report.run == 500
     assert report.fail == 0, report.failures
+    assert report.summary() == ("SUITE subject-expansion RUN 500 FAIL 0"
+                                " BUDGET_MISS 1")
     assert t.elapsed < 300
 
 
@@ -125,6 +129,7 @@ def test_substitution_lemma_suites(suite):
         report = suite(seed=2024, cases=300)
     assert report.run == 300
     assert report.fail == 0, report.failures
+    assert report.summary() == f"SUITE {report.name} RUN 300 FAIL 0 BUDGET_MISS 0"
     assert report.budget_miss <= 0.05 * report.run
     if report.budget_miss:
         doubled = suite(seed=2024, cases=300,

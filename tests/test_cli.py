@@ -136,6 +136,22 @@ class TestCertificates:
         assert main(["verify", "/no/such/file.json"]) == 2
 
 
+class TestDeepInput:
+    """Input nested past the recursion limit leaves the verdict undecided
+    (exit 3), never a definite "invalid"."""
+
+    def test_verify_deep_certificate(self, monkeypatch):
+        text = '{"rule": "InterE", "judgment": "x:A |- x : A |"}'
+        for _ in range(900):
+            text = ('{"rule": "Thin", "judgment": "x:A |- x : A |",'
+                    ' "premises": [' + text + ']}')
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["verify", "-"]) in (0, 3)
+
+    def test_fmt_deep_application_chain(self):
+        assert main(["fmt", "f (" * 600 + "x" + ")" * 600]) in (0, 3)
+
+
 class TestExamplesAndSuites:
     @pytest.mark.parametrize("name", ["peirce", "dne", "no-choice", "erasing"])
     def test_examples(self, name, capsys):

@@ -1,14 +1,17 @@
+import hashlib
 import random
 
-from lammu.iu import check_derivation, derive
+from lammu import metatheory
+from lammu.iu import (Derivation, Judgment, check_derivation,
+                      derivation_to_json, derive, weaken)
 from lammu.metatheory import (base_environments,
                               demo_erasing_failure, gen_typed_judgment,
-                              se_beta_vacuous, sr_step, subst_derivation,
-                              suite_struct_subst, suite_subject_expansion,
-                              suite_subject_reduction, suite_term_subst,
-                              top_typed, var_typed)
+                              rename_name_derivation, se_beta_vacuous,
+                              sr_step, subst_derivation, suite_struct_subst,
+                              suite_subject_expansion, suite_subject_reduction,
+                              suite_term_subst, top_typed, var_typed)
 from lammu.reduction import redexes, step, subst_term
-from lammu.syntax import Var, alpha_eq
+from lammu.syntax import Mu, Var, alpha_eq
 from lammu.typelang import Top, TVar, Union, type_equiv
 
 A1, A2 = TVar("A1"), TVar("A2")
@@ -72,6 +75,20 @@ class TestTransforms:
             assert type_equiv(out.conclusion.ty, d.conclusion.ty)
             checked += 1
 
+    def test_renaming_keeps_wrapper_rules(self):
+        # mu a.['g] x under a Weaken wrapper; renaming g to b retargets the
+        # context switch and leaves the wrapper a Weaken node
+        delta = {"g": A1, "b": A1}
+        node = Derivation(
+            "UnionE_named", Judgment({"x": A1}, Mu("a", "g", Var("x")), A2, delta),
+            (Derivation("InterE",
+                        Judgment({"x": A1}, Var("x"), A1, {**delta, "a": A2})),))
+        wrapped = weaken(node, {"x": A1, "y": A2}, delta)
+        out = rename_name_derivation(wrapped, "g", "b")
+        check_derivation(out)
+        assert out.rule == "Weaken"
+        assert out.conclusion.term == Mu("a", "b", Var("x"))
+
     def test_beta_expansion(self):
         rng = random.Random(5)
         gamma, delta = base_environments()
@@ -101,6 +118,30 @@ class TestSuites:
     def test_subject_expansion_small(self):
         report = suite_subject_expansion(seed=3, cases=60)
         assert report.fail == 0
+
+    def test_output_is_pinned(self, monkeypatch):
+        """The certificates the four suites check at seed 3, their summaries
+        and the generated derivations for seeds 0-99 hash to a fixed value, so
+        a change to a construction or to the order of random draws fails."""
+        h = hashlib.sha256()
+        checked = []
+
+        def check_and_record(d):
+            checked.append(d)
+            h.update(derivation_to_json(d).encode() + b"\n")
+            check_derivation(d)
+
+        monkeypatch.setattr(metatheory, "check_derivation", check_and_record)
+        for suite, cases in ((suite_term_subst, 40), (suite_struct_subst, 40),
+                             (suite_subject_reduction, 60),
+                             (suite_subject_expansion, 60)):
+            h.update(suite(seed=3, cases=cases).summary().encode() + b"\n")
+        for seed in range(100):
+            d = gen_typed_judgment(random.Random(seed))
+            h.update(derivation_to_json(d).encode() + b"\n")
+        assert len(checked) == 348
+        assert h.hexdigest() == ("ac15a4d84c1f8a8bf5ddf1b1036830ba"
+                                 "5b473291fe83e89a25f2054cdafffa23")
 
     def test_report_rendering(self):
         report = suite_term_subst(seed=1, cases=5)
