@@ -313,7 +313,7 @@ def weaken(d: Derivation, gamma: dict[str, TypeExpr],
         raise PreconditionViolation("old right environment is not below the new one")
     if gamma == j.gamma and delta == j.delta:
         return d
-    return Derivation("Weaken", Judgment(dict(gamma), j.term, j.ty, dict(delta)), (d,))
+    return Derivation("Weaken", Judgment(gamma, j.term, j.ty, delta), (d,))
 
 
 # -- bounded search -----------------------------------------------------------

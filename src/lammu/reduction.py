@@ -5,10 +5,18 @@ rules ``renaming``, ``erasing`` and ``eta_mu``.  Redex positions are paths of
 child indices (Abs/Mu body = 0, App fun = 0, arg = 1).  Fresh names are drawn
 deterministically from the identifiers of the term at hand, so reduction is a
 pure function.
+
+``iter_redexes`` finds redexes lazily, leftmost-outermost first, by a preorder
+walk with an explicit stack: ``normalize`` takes its first item and
+``redexes`` lists them all.  ``step`` checks only the redex it is given.  The
+substitutions hand back every subterm in which the substituted variable or
+name is not free as it is, so one step walks the term a bounded number of
+times instead of rescanning each subterm for free variables.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .syntax import (Abs, App, Mu, Term, Var, all_identifiers, free_names,
@@ -39,6 +47,13 @@ class ReductionTrace:
 
 
 def subterm_at(m: Term, pos: Position) -> Term:
+    return _spine(m, pos)[-1]
+
+
+def _spine(m: Term, pos: Position) -> list[Term]:
+    """The subterms on the way from ``m`` down to position ``pos``, both
+    ends included."""
+    out = [m]
     for i in pos:
         if isinstance(m, (Abs, Mu)) and i == 0:
             m = m.body
@@ -48,72 +63,87 @@ def subterm_at(m: Term, pos: Position) -> Term:
             m = m.arg
         else:
             raise IndexError(f"no subterm at {pos}")
-    return m
+        out.append(m)
+    return out
 
 
 def replace_at(m: Term, pos: Position, new: Term) -> Term:
-    if not pos:
-        return new
-    i, rest = pos[0], pos[1:]
-    if isinstance(m, Abs) and i == 0:
-        return Abs(m.var, replace_at(m.body, rest, new))
-    if isinstance(m, Mu) and i == 0:
-        return Mu(m.bound, m.named, replace_at(m.body, rest, new))
-    if isinstance(m, App) and i == 0:
-        return App(replace_at(m.fun, rest, new), m.arg)
-    if isinstance(m, App) and i == 1:
-        return App(m.fun, replace_at(m.arg, rest, new))
-    raise IndexError(f"no subterm at {pos}")
+    spine = _spine(m, pos)
+    for parent, i in zip(reversed(spine[:-1]), reversed(pos)):
+        if isinstance(parent, Abs):
+            new = Abs(parent.var, new)
+        elif isinstance(parent, Mu):
+            new = Mu(parent.bound, parent.named, new)
+        elif i == 0:
+            new = App(new, parent.arg)
+        else:
+            new = App(parent.fun, new)
+    return new
 
 
 def rename_name(m: Term, g: str, b: str) -> Term:
     """M[b/g]: retarget every free named occurrence [g] to [b].
 
     Stops at rebindings of ``g``; capture-avoiding with respect to ``b``.
+    Returns ``m`` itself when ``g`` is not free in it.
     """
-    if g not in free_names(m):
-        return m
     if isinstance(m, Var):
         return m
     if isinstance(m, Abs):
-        return Abs(m.var, rename_name(m.body, g, b))
+        body = rename_name(m.body, g, b)
+        return m if body is m.body else Abs(m.var, body)
     if isinstance(m, App):
-        return App(rename_name(m.fun, g, b), rename_name(m.arg, g, b))
+        f, a = rename_name(m.fun, g, b), rename_name(m.arg, g, b)
+        return m if f is m.fun and a is m.arg else App(f, a)
     if isinstance(m, Mu):
         if m.bound == g:
             return m
         if m.bound == b:
+            if m.named != g and g not in free_names(m.body):
+                return m
             b2 = fresh(all_identifiers(m) | {g, b}, m.bound)
             named = b2 if m.named == m.bound else m.named
             return rename_name(Mu(b2, named, rename_name(m.body, m.bound, b2)), g, b)
-        named = b if m.named == g else m.named
-        return Mu(m.bound, named, rename_name(m.body, g, b))
+        body = rename_name(m.body, g, b)
+        if m.named == g:
+            return Mu(m.bound, b, body)
+        return m if body is m.body else Mu(m.bound, m.named, body)
     raise TypeError(f"not a term: {m!r}")
 
 
 def subst_term(m: Term, x: str, n: Term) -> Term:
-    """Capture-avoiding M[N/x]."""
+    """Capture-avoiding M[N/x].  Subterms in which ``x`` is not free come
+    back as they are, so a substitution that renames no binder costs time
+    linear in M."""
     fvn = free_term_vars(n)
     fnn = free_names(n)
 
     def go(m: Term) -> Term:
-        if x not in free_term_vars(m):
-            return m
         if isinstance(m, Var):
-            return n
+            return n if m.name == x else m
         if isinstance(m, App):
-            return App(go(m.fun), go(m.arg))
+            f, a = go(m.fun), go(m.arg)
+            return m if f is m.fun and a is m.arg else App(f, a)
         if isinstance(m, Abs):
+            if m.var == x:
+                return m
             if m.var in fvn:
+                # capture: rename the binder, but only where x occurs
+                if x not in free_term_vars(m.body):
+                    return m
                 y2 = fresh(all_identifiers(m) | fvn | {x}, m.var)
                 return Abs(y2, go(subst_term(m.body, m.var, Var(y2))))
-            return Abs(m.var, go(m.body))
+            body = go(m.body)
+            return m if body is m.body else Abs(m.var, body)
         if isinstance(m, Mu):
             if m.bound in fnn:
+                if x not in free_term_vars(m.body):
+                    return m
                 a2 = fresh(all_identifiers(m) | fnn, m.bound)
                 named = a2 if m.named == m.bound else m.named
                 return Mu(a2, named, go(rename_name(m.body, m.bound, a2)))
-            return Mu(m.bound, m.named, go(m.body))
+            body = go(m.body)
+            return m if body is m.body else Mu(m.bound, m.named, body)
         raise TypeError(f"not a term: {m!r}")
 
     return go(m)
@@ -121,78 +151,102 @@ def subst_term(m: Term, x: str, n: Term) -> Term:
 
 def subst_structural(m: Term, a: str, n: Term, g: str) -> Term:
     """M[N.g/a]: every subterm named a becomes the same subterm applied to N,
-    renamed g.  Requires ``g`` fresh for M and N and distinct from ``a``."""
+    renamed g.  Requires ``g`` fresh for M and N and distinct from ``a``.
+    Subterms in which ``a`` is not free come back as they are."""
     if g == a or g in free_names(m) | free_names(n):
         raise FreshnessViolation(f"{g} is not fresh for this substitution")
     fvn = free_term_vars(n)
     fnn = free_names(n)
 
     def go(m: Term) -> Term:
-        if a not in free_names(m):
-            return m
         if isinstance(m, Var):
             return m
         if isinstance(m, App):
-            return App(go(m.fun), go(m.arg))
+            f, arg = go(m.fun), go(m.arg)
+            return m if f is m.fun and arg is m.arg else App(f, arg)
         if isinstance(m, Abs):
             if m.var in fvn:
+                # capture: rename the binder, but only where a occurs
+                if a not in free_names(m.body):
+                    return m
                 y2 = fresh(all_identifiers(m) | fvn, m.var)
                 return Abs(y2, go(subst_term(m.body, m.var, Var(y2))))
-            return Abs(m.var, go(m.body))
+            body = go(m.body)
+            return m if body is m.body else Abs(m.var, body)
         if isinstance(m, Mu):
             if m.bound == a:
                 return m
             if m.bound in fnn or m.bound == g:
+                if m.named != a and a not in free_names(m.body):
+                    return m
                 d2 = fresh(all_identifiers(m) | fnn | {a, g}, m.bound)
                 named = d2 if m.named == m.bound else m.named
                 m = Mu(d2, named, rename_name(m.body, m.bound, d2))
             if m.named == a:
                 return Mu(m.bound, g, App(go(m.body), n))
-            return Mu(m.bound, m.named, go(m.body))
+            body = go(m.body)
+            return m if body is m.body else Mu(m.bound, m.named, body)
         raise TypeError(f"not a term: {m!r}")
 
     return go(m)
 
 
-def _matches(m: Term, rule: str) -> bool:
-    if rule == "beta":
-        return isinstance(m, App) and isinstance(m.fun, Abs)
-    if rule == "mu":
-        return isinstance(m, App) and isinstance(m.fun, Mu)
-    if rule == "renaming":
-        return isinstance(m, Mu) and isinstance(m.body, Mu)
-    if rule == "erasing":
-        return (isinstance(m, Mu) and m.named == m.bound
-                and m.bound not in free_names(m.body))
-    if rule == "eta_mu":
-        return isinstance(m, Mu)
-    raise ValueError(f"unknown rule: {rule!r}")
+def _is_erasable(m: Term) -> bool:
+    return (isinstance(m, Mu) and m.named == m.bound
+            and m.bound not in free_names(m.body))
+
+
+# rule -> does the term at hand match its left-hand side?
+_REDEX = {
+    "beta": lambda m: isinstance(m, App) and isinstance(m.fun, Abs),
+    "mu": lambda m: isinstance(m, App) and isinstance(m.fun, Mu),
+    "renaming": lambda m: isinstance(m, Mu) and isinstance(m.body, Mu),
+    "erasing": _is_erasable,
+    "eta_mu": lambda m: isinstance(m, Mu),
+}
+
+
+def iter_redexes(m: Term, enabled: set[str]) -> Iterator[tuple[Position, str]]:
+    """Enabled redex positions, leftmost-outermost first, found lazily.
+
+    A preorder walk with an explicit stack, so it stops at the first redex
+    the caller takes and does not recurse on deep terms."""
+    checks = [(rule, _REDEX[rule]) for rule in RULES if rule in enabled]
+    stack: list[tuple[Term, tuple | None]] = [(m, None)]
+    while stack:
+        t, path = stack.pop()
+        for rule, matches in checks:
+            if matches(t):
+                yield _position(path), rule
+        if isinstance(t, (Abs, Mu)):
+            stack.append((t.body, (0, path)))
+        elif isinstance(t, App):
+            stack.append((t.arg, (1, path)))
+            stack.append((t.fun, (0, path)))
+
+
+def _position(path: tuple | None) -> Position:
+    """The position of a walker path, a linked list (index, parent)."""
+    out = []
+    while path is not None:
+        i, path = path
+        out.append(i)
+    return tuple(reversed(out))
 
 
 def redexes(m: Term, enabled: set[str]) -> list[tuple[Position, str]]:
     """All enabled redex positions, leftmost-outermost first."""
-    out: list[tuple[Position, str]] = []
-
-    def walk(m: Term, pos: Position) -> None:
-        for rule in RULES:
-            if rule in enabled and _matches(m, rule):
-                out.append((pos, rule))
-        if isinstance(m, (Abs, Mu)):
-            walk(m.body, pos + (0,))
-        elif isinstance(m, App):
-            walk(m.fun, pos + (0,))
-            walk(m.arg, pos + (1,))
-
-    walk(m, ())
-    return out
+    return list(iter_redexes(m, enabled))
 
 
-def _contract(m: Term, rule: str, avoid: set[str]) -> Term:
+def _contract(m: Term, rule: str, whole: Term) -> Term:
+    """Contract the redex ``m``; fresh names avoid every identifier of
+    ``whole``, the term that contains it."""
     if rule == "beta":
         return subst_term(m.fun.body, m.fun.var, m.arg)
     if rule == "mu":
         red, n = m.fun, m.arg
-        g = fresh(avoid | all_identifiers(m), "g")
+        g = fresh(all_identifiers(whole), "g")
         body = subst_structural(red.body, red.bound, n, g)
         if red.named == red.bound:
             # the outer named occurrence is itself transformed
@@ -206,8 +260,9 @@ def _contract(m: Term, rule: str, avoid: set[str]) -> Term:
     if rule == "erasing":
         return m.body
     if rule == "eta_mu":
-        x = fresh(avoid | all_identifiers(m), "x")
-        g = fresh(avoid | all_identifiers(m) | {x}, "g")
+        avoid = all_identifiers(whole)
+        x = fresh(avoid, "x")
+        g = fresh(avoid | {x}, "g")
         body = subst_structural(m.body, m.bound, Var(x), g)
         if m.named == m.bound:
             return Abs(x, Mu(g, g, App(body, Var(x))))
@@ -217,10 +272,13 @@ def _contract(m: Term, rule: str, avoid: set[str]) -> Term:
 
 def step(m: Term, at: Position, rule: str) -> Term:
     """Contract exactly the redex ``(at, rule)`` in ``m``."""
-    if (at, rule) not in redexes(m, {rule}):
+    try:
+        sub = subterm_at(m, at)
+    except IndexError:
+        raise NotARedex(f"no subterm at {at}") from None
+    if rule not in _REDEX or not _REDEX[rule](sub):
         raise NotARedex(f"{rule} does not apply at {at}")
-    sub = subterm_at(m, at)
-    return replace_at(m, at, _contract(sub, rule, all_identifiers(m)))
+    return replace_at(m, at, _contract(sub, rule, m))
 
 
 def normalize(m: Term, enabled: set[str], fuel: int = 1000) -> ReductionTrace:
@@ -231,13 +289,13 @@ def normalize(m: Term, enabled: set[str], fuel: int = 1000) -> ReductionTrace:
     trace = ReductionTrace(m)
     cur = m
     for _ in range(fuel):
-        rs = redexes(cur, enabled)
-        if not rs:
+        first = next(iter_redexes(cur, enabled), None)
+        if first is None:
             return trace
-        pos, rule = rs[0]
+        pos, rule = first
         cur = step(cur, pos, rule)
         trace.steps.append((pos, rule, cur))
-    if redexes(cur, enabled):
+    if next(iter_redexes(cur, enabled), None) is not None:
         trace.fuel_exhausted = True
     return trace
 

@@ -170,6 +170,12 @@ class TestAdmissible:
         with pytest.raises(PreconditionViolation):
             weaken(d, {}, {})
 
+    def test_weaken_shares_the_callers_environments(self):
+        d = var_node({"x": A}, "x", A)
+        gamma, delta = {"x": A, "y": B}, {"a": A}
+        out = weaken(d, gamma, delta).conclusion
+        assert out.gamma is gamma and out.delta is delta
+
 
 class TestSearch:
     def test_finds_variable_typings(self):

@@ -2,7 +2,7 @@ import hashlib
 import random
 
 from lammu import metatheory
-from lammu.iu import (Derivation, Judgment, check_derivation,
+from lammu.iu import (Derivation, Judgment, SearchBudget, check_derivation,
                       derivation_to_json, derive, weaken)
 from lammu.metatheory import (base_environments,
                               demo_erasing_failure, gen_typed_judgment,
@@ -142,6 +142,11 @@ class TestSuites:
         assert len(checked) == 348
         assert h.hexdigest() == ("ac15a4d84c1f8a8bf5ddf1b1036830ba"
                                  "5b473291fe83e89a25f2054cdafffa23")
+
+    def test_suite_budget_keeps_its_node_cap(self):
+        report = suite_term_subst(seed=1, cases=5,
+                                  budget=SearchBudget(max_nodes=1))
+        assert report.summary() == "SUITE term-subst RUN 5 FAIL 0 BUDGET_MISS 4"
 
     def test_report_rendering(self):
         report = suite_term_subst(seed=1, cases=5)

@@ -2,7 +2,8 @@
 
 One traced round of each gated workload must find every lammu name the
 benchmark calls or wraps, and must match the benchmark's own references.
-Spans go to the git-ignored ``perfbench/out/``.
+Spans go to the git-ignored ``perfbench/out/``.  One round of ``reduce``,
+run as a library, must repeat its work counters exactly.
 """
 
 import json
@@ -25,3 +26,25 @@ def test_one_traced_round_matches_references(workload):
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
     assert [r["mismatches"] for r in out["rounds"]] == [[]]
+
+
+def test_reduce_round_counters_are_pinned():
+    """Round 0 of ``reduce`` at seed 2024, run as a library, does the same
+    work as it did before reduction steps became linear-time."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(os.path.join(ROOT, "perfbench"))
+    rnd = workloads.Reduce(2024, workloads.call_table()).run_round(0)
+    assert rnd.mismatches == []
+    assert rnd.result()["counters"] == {
+        "grammar.bytes_in": 11312,
+        "reduction.steps.beta": 219,
+        "reduction.steps.mu": 195,
+        "add.recursion_error": 1,
+        "mul.recursion_error": 1,
+        "app.recursion_error": 1,
+        "failed": 3,
+        "output_digest": 259663439482924,
+    }

@@ -1,9 +1,13 @@
+import hashlib
+import random
+
 import pytest
 
 from lammu.grammar import parse_term, print_term
-from lammu.reduction import (NotARedex, format_position, format_trace,
-                             normalize, redexes, rename_name, replace_at, step,
-                             subst_structural, subst_term, subterm_at)
+from lammu.reduction import (RULES, NotARedex, format_position, format_trace,
+                             iter_redexes, normalize, redexes, rename_name,
+                             replace_at, step, subst_structural, subst_term,
+                             subterm_at)
 from lammu.syntax import Abs, App, Mu, Var, alpha_eq
 
 
@@ -142,3 +146,85 @@ class TestEngine:
         assert "beta ~> y" in text
         assert format_position(()) == "-"
         assert format_position((0, 1)) == "0.1"
+
+
+def random_open_term(rng, depth):
+    """Terms with free variables and reused binder names, so substitutions
+    meet capture."""
+    if depth == 0 or rng.random() < 0.2:
+        return Var(rng.choice("xyz"))
+    k = rng.random()
+    if k < 0.3:
+        return Abs(rng.choice("xyz"), random_open_term(rng, depth - 1))
+    if k < 0.7:
+        return App(random_open_term(rng, depth - 1),
+                   random_open_term(rng, depth - 1))
+    return Mu(rng.choice("abc"), rng.choice("abc"),
+              random_open_term(rng, depth - 1))
+
+
+RULE_SETS = [{rule} for rule in RULES] + [
+    {"beta", "mu", "renaming"}, {"beta", "mu", "renaming", "erasing"},
+    set(RULES)]
+
+
+class TestLinearSteps:
+    def test_substitutions_return_untouched_terms(self):
+        m = App(Abs("x", Var("x")), Mu("a", "b", App(Var("y"), Var("z"))))
+        assert subst_term(m, "x", Var("w")) is m
+        assert subst_term(m, "q", Var("w")) is m
+        assert subst_structural(m, "a", Var("w"), "g") is m
+        assert subst_structural(m, "c", Var("w"), "g") is m
+
+    def test_untouched_siblings_are_shared(self):
+        left = Abs("x", Var("x"))
+        m = App(left, Var("y"))
+        out = subst_term(m, "y", Var("z"))
+        assert out == App(left, Var("z")) and out.fun is left
+
+    def test_step_rejects_positions_outside_the_term(self):
+        m = App(Abs("x", Var("x")), Var("y"))
+        with pytest.raises(NotARedex):
+            step(m, (5,), "beta")
+        with pytest.raises(NotARedex):
+            step(Var("x"), (0,), "beta")
+        with pytest.raises(NotARedex):
+            step(m, (1,), "beta")
+
+    def test_deep_chain_has_no_redexes(self):
+        m = Var("x")
+        for _ in range(10_000):
+            m = App(Var("f"), m)
+        assert redexes(m, {"beta", "mu"}) == []
+        assert next(iter_redexes(m, set(RULES)), None) is None
+
+    def test_deep_chain_reduces_at_its_bottom(self):
+        m = App(Abs("x", Var("x")), Var("y"))
+        for _ in range(10_000):
+            m = App(Var("f"), m)
+        bottom = (1,) * 10_000
+        trace = normalize(m, {"beta"})
+        assert [(pos, rule) for pos, rule, _ in trace.steps] == \
+            [(bottom, "beta")]
+        assert subterm_at(trace.final, bottom) == Var("y")
+
+    def test_iter_redexes_is_lazy_and_ordered(self):
+        m = App(Abs("x", Var("x")), App(Abs("y", Var("y")), Var("z")))
+        it = iter_redexes(m, {"beta"})
+        assert next(it) == ((), "beta")
+        assert list(it) == [((1,), "beta")]
+
+    def test_traces_are_pinned(self):
+        rng = random.Random(2024)
+        h = hashlib.sha256()
+        for _ in range(300):
+            m = random_open_term(rng, 6)
+            for enabled in RULE_SETS:
+                trace = normalize(m, enabled, fuel=25)
+                h.update(format_trace(trace).encode())
+                h.update(b"\0")
+        assert h.hexdigest() == PINNED_TRACES
+
+
+PINNED_TRACES = ("052ecbffd3f5b3d24bd913a1ff6ba66f0d454d316fd5a60912f6bc41"
+                 "84228731")
