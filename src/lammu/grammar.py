@@ -13,10 +13,13 @@ as in ``'b``.  Judgments read ``x:T, ... |- M : A | a:T, ...``.
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .syntax import Abs, App, Mu, Term, Var
-from .typelang import (Arrow, Inter, TVar, TypeExpr, Union, well_formed)
+from .typelang import (Arrow, Bottom, Inter, Top, TVar, TypeExpr, Union,
+                       well_formed)
 
 
 @dataclass(frozen=True)
@@ -26,184 +29,136 @@ class SourceSpan:
 
 
 class ParseError(Exception):
-    def __init__(self, message: str, span: SourceSpan, expected: frozenset[str] = frozenset()):
+    def __init__(self, message: str, span: SourceSpan):
         super().__init__(f"{message} at {span.start}..{span.end}")
         self.message = message
         self.span = span
-        self.expected = expected
 
 
 class LanguageViolation(Exception):
     pass
 
 
-_PUNCT = {
-    ".": "DOT", "[": "LBRACK", "]": "RBRACK", "(": "LPAREN", ")": "RPAREN",
-    ":": "COLON", ",": "COMMA",
-    "λ": "LAMBDA", "μ": "MU", "∩": "AND", "∪": "OR", "→": "ARROW",
-    "⊤": "TOP", "⊥": "BOT", "⊢": "TURNSTILE",
-}
+# One group per token kind, tried in order after any whitespace.  WORD is an
+# identifier, keyword or ticked name; \w also matches digits and numerics such
+# as '²', which may not start one, so _tokenize checks the first character.
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<OR>\\/|∪) | (?P<AND>/\\|∩) | (?P<LAMBDA>\\|λ) | (?P<MU>μ)
+  | (?P<ARROW>->|→) | (?P<TURNSTILE>\|-|⊢) | (?P<BAR>\|) | (?P<TOP>⊤)
+  | (?P<BOT>⊥) | (?P<DOT>\.) | (?P<LBRACK>\[) | (?P<RBRACK>\])
+  | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COLON>:) | (?P<COMMA>,)
+  | (?P<WORD>'?\w+'*) | (?P<BAD>\S))
+""", re.VERBOSE)
 
 _KEYWORDS = {"mu": "MU", "top": "TOP", "bot": "BOT"}
+_BAD = {"/": "stray '/'", "-": "stray '-'",
+        "'": "expected identifier after tick"}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    start: int
-    end: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    toks: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _PUNCT:
-            toks.append(_Token(_PUNCT[c], c, i, i + 1))
-            i += 1
-            continue
-        if c == "\\":
-            if i + 1 < n and text[i + 1] == "/":
-                toks.append(_Token("OR", "\\/", i, i + 2))
-                i += 2
-            else:
-                toks.append(_Token("LAMBDA", "\\", i, i + 1))
-                i += 1
-            continue
-        if c == "/":
-            if i + 1 < n and text[i + 1] == "\\":
-                toks.append(_Token("AND", "/\\", i, i + 2))
-                i += 2
-                continue
-            raise ParseError("stray '/'", SourceSpan(i, i + 1))
-        if c == "-":
-            if i + 1 < n and text[i + 1] == ">":
-                toks.append(_Token("ARROW", "->", i, i + 2))
-                i += 2
-                continue
-            raise ParseError("stray '-'", SourceSpan(i, i + 1))
-        if c == "|":
-            if i + 1 < n and text[i + 1] == "-":
-                toks.append(_Token("TURNSTILE", "|-", i, i + 2))
-                i += 2
-            else:
-                toks.append(_Token("BAR", "|", i, i + 1))
-                i += 1
-            continue
-        if c == "'":
-            j = i + 1
-            if j >= n or not (text[j].isalpha() or text[j] == "_"):
-                raise ParseError("expected identifier after tick", SourceSpan(i, i + 1))
-            k = j
-            while k < n and (text[k].isalnum() or text[k] == "_"):
-                k += 1
-            while k < n and text[k] == "'":
-                k += 1
-            toks.append(_Token("TICK", text[j:k], i, k))
-            i = k
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            while j < n and text[j] == "'":
-                j += 1
-            word = text[i:j]
-            if word in _KEYWORDS:
-                toks.append(_Token(_KEYWORDS[word], word, i, j))
-            elif word[0].isupper():
-                toks.append(_Token("TYVAR", word, i, j))
-            else:
-                toks.append(_Token("IDENT", word, i, j))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", SourceSpan(i, i + 1))
-    toks.append(_Token("EOF", "", n, n))
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """Tokens as (kind, text, start, end); a final EOF token."""
+    toks = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        word = m.group(kind)
+        start, end = m.span(kind)
+        if kind == "WORD":
+            if word[0] == "'":
+                kind, word = "TICK", word[1:]
+            if not (word[0].isalpha() or word[0] == "_"):
+                kind = "BAD"
+            elif kind == "WORD":
+                kind = _KEYWORDS.get(word) or (
+                    "TYVAR" if word[0].isupper() else "IDENT")
+        if kind == "BAD":
+            c = text[start]
+            raise ParseError(_BAD.get(c, f"unexpected character {c!r}"),
+                             SourceSpan(start, start + 1))
+        toks.append((kind, word, start, end))
+    toks.append(("EOF", "", len(text), len(text)))
     return toks
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.toks[self.pos]
+    def accept(self, kind: str) -> bool:
+        if self.toks[self.pos][0] == kind:
+            self.pos += 1
+            return True
+        return False
 
-    def next(self) -> _Token:
-        t = self.toks[self.pos]
+    def expect(self, *kinds: str) -> str:
+        """Consume a token of one of ``kinds`` and return its text."""
+        kind, text, start, end = self.toks[self.pos]
+        if kind not in kinds:
+            raise ParseError(f"expected {' or '.join(kinds)}, found {kind}",
+                             SourceSpan(start, end))
         self.pos += 1
-        return t
+        return text
 
-    def accept(self, kind: str) -> _Token | None:
-        if self.peek().kind == kind:
-            return self.next()
-        return None
-
-    def expect(self, kind: str) -> _Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"expected {kind}, found {t.kind}",
-                             SourceSpan(t.start, t.end), frozenset({kind}))
-        return self.next()
-
-    def fail(self, message: str, expected: frozenset[str]) -> None:
-        t = self.peek()
-        raise ParseError(message, SourceSpan(t.start, t.end), expected)
+    def fail(self, message: str) -> None:
+        _, _, start, end = self.toks[self.pos]
+        raise ParseError(message, SourceSpan(start, end))
 
     # -- terms ---------------------------------------------------------------
 
-    def term(self, bound: frozenset[str]) -> Term:
-        t = self.peek()
-        if t.kind == "LAMBDA":
-            self.next()
-            x = self.expect("IDENT").text
-            self.expect("DOT")
-            return Abs(x, self.term(bound))
-        if t.kind == "MU":
-            self.next()
-            a = self.expect("IDENT").text
-            self.expect("DOT")
-            self.expect("LBRACK")
-            b = self.nameref(bound | {a})
-            self.expect("RBRACK")
-            return Mu(a, b, self.term(bound | {a}))
-        return self.appseq(bound)
-
-    def nameref(self, bound: frozenset[str]) -> str:
-        t = self.peek()
-        if t.kind == "TICK":
-            return self.next().text
-        if t.kind == "IDENT":
-            if t.text not in bound:
-                raise ParseError(
-                    f"unbound name {t.text!r}; write '{t.text} for a free name",
-                    SourceSpan(t.start, t.end), frozenset({"IDENT", "TICK"}))
-            return self.next().text
-        self.fail("expected a name", frozenset({"IDENT", "TICK"}))
-
-    def appseq(self, bound: frozenset[str]) -> Term:
-        head = self.atom(bound)
-        while self.peek().kind in ("IDENT", "LPAREN"):
-            head = App(head, self.atom(bound))
-        return head
-
-    def atom(self, bound: frozenset[str]) -> Term:
-        t = self.peek()
-        if t.kind == "IDENT":
-            return Var(self.next().text)
-        if t.kind == "LPAREN":
-            self.next()
-            m = self.term(bound)
-            self.expect("RPAREN")
-            return m
-        self.fail("expected a term", frozenset({"IDENT", "LPAREN", "LAMBDA", "MU"}))
+    def term(self) -> Term:
+        """One loop, no recursion.  ``stack`` holds the open binders,
+        ``(Abs, x)`` and ``(Mu, a, b)``, and parentheses, ``(None, head)``
+        with the application each interrupts; ``head`` is the application
+        inside the innermost of them, None before its first atom."""
+        toks = self.toks
+        stack: list[tuple] = []
+        bound: Counter[str] = Counter()   # names of the open mu binders
+        head: Term | None = None
+        while True:
+            kind, text = toks[self.pos][:2]
+            if kind == "IDENT":
+                self.pos += 1
+                arg = Var(text)
+            elif kind == "LPAREN":
+                self.pos += 1
+                stack.append((None, head))
+                head = None
+                continue
+            elif head is None and kind in ("LAMBDA", "MU"):
+                self.pos += 1
+                x = self.expect("IDENT")
+                self.expect("DOT")
+                if kind == "LAMBDA":
+                    stack.append((Abs, x))
+                    continue
+                self.expect("LBRACK")
+                bound[x] += 1
+                kind, b, start, end = toks[self.pos]
+                if kind == "IDENT" and not bound[b]:
+                    raise ParseError(
+                        f"unbound name {b!r}; write '{b} for a free name",
+                        SourceSpan(start, end))
+                if kind not in ("IDENT", "TICK"):
+                    self.fail("expected a name")
+                self.pos += 1
+                self.expect("RBRACK")
+                stack.append((Mu, x, b))
+                continue
+            elif head is None:
+                self.fail("expected a term")
+            else:
+                # the application ends, and with it every binder back to the
+                # innermost open parenthesis
+                while stack and stack[-1][0] is not None:
+                    node, *fields = stack.pop()
+                    if node is Mu:
+                        bound[fields[0]] -= 1
+                    head = node(*fields, head)
+                if not stack:
+                    return head
+                self.expect("RPAREN")
+                arg, head = head, stack.pop()[1]
+            head = arg if head is None else App(head, arg)
 
     # -- types ---------------------------------------------------------------
 
@@ -215,63 +170,56 @@ class _Parser:
 
     def conjunct(self) -> TypeExpr:
         first = self.type_atom()
-        op = self.peek().kind
+        op = self.toks[self.pos][0]
         if op not in ("AND", "OR"):
             return first
         parts = [first]
         while self.accept(op):
             parts.append(self.type_atom())
-        if self.peek().kind in ("AND", "OR"):
-            self.fail("mixing /\\ and \\/ needs parentheses", frozenset({op}))
+        if self.toks[self.pos][0] in ("AND", "OR"):
+            self.fail("mixing /\\ and \\/ needs parentheses")
         return Inter(tuple(parts)) if op == "AND" else Union(tuple(parts))
 
     def type_atom(self) -> TypeExpr:
-        t = self.peek()
-        if t.kind == "TYVAR":
-            return TVar(self.next().text)
-        if t.kind == "TOP":
-            self.next()
-            return Inter(())
-        if t.kind == "BOT":
-            self.next()
-            return Union(())
-        if t.kind == "LPAREN":
-            self.next()
+        kind, text, start, end = self.toks[self.pos]
+        self.pos += 1
+        if kind == "TYVAR":
+            return TVar(text)
+        if kind in ("TOP", "BOT"):
+            return Top if kind == "TOP" else Bottom
+        if kind == "LPAREN":
             ty = self.type()
             self.expect("RPAREN")
             return ty
-        self.fail("expected a type", frozenset({"TYVAR", "TOP", "BOT", "LPAREN"}))
+        raise ParseError("expected a type", SourceSpan(start, end))
 
     # -- judgments -----------------------------------------------------------
 
+    def env(self, *kinds: str) -> dict[str, TypeExpr]:
+        """``n:T, ...`` with each name ``n`` a token of one of ``kinds``;
+        empty unless the next token is one."""
+        env: dict[str, TypeExpr] = {}
+        more = self.toks[self.pos][0] in kinds
+        while more:
+            n = self.expect(*kinds)
+            self.expect("COLON")
+            env[n] = self.type()
+            more = self.accept("COMMA")
+        return env
+
     def judgment(self):
-        gamma: dict[str, TypeExpr] = {}
-        if self.peek().kind == "IDENT":
-            while True:
-                x = self.expect("IDENT").text
-                self.expect("COLON")
-                gamma[x] = self.type()
-                if not self.accept("COMMA"):
-                    break
+        gamma = self.env("IDENT")
         self.expect("TURNSTILE")
-        term = self.term(frozenset())
+        term = self.term()
         self.expect("COLON")
         ty = self.type()
         self.expect("BAR")
-        delta: dict[str, TypeExpr] = {}
-        if self.peek().kind in ("IDENT", "TICK"):
-            while True:
-                a = self.next().text
-                self.expect("COLON")
-                delta[a] = self.type()
-                if not self.accept("COMMA"):
-                    break
-        return gamma, term, ty, delta
+        return gamma, term, ty, self.env("IDENT", "TICK")
 
 
 def parse_term(text: str) -> Term:
     p = _Parser(text)
-    m = p.term(frozenset())
+    m = p.term()
     p.expect("EOF")
     return m
 
@@ -298,38 +246,54 @@ def parse_judgment(text: str, language: str = "iu"):
 # -- printing ----------------------------------------------------------------
 
 def print_term(m: Term) -> str:
-    def go(m: Term, bound: frozenset[str], wrap_abs: bool, wrap_app: bool) -> str:
+    # One loop over a work stack of text to emit, (term, wrap_abs, wrap_app)
+    # to print, and Mu nodes whose body is done, so its name leaves ``bound``.
+    out: list[str] = []
+    bound: Counter[str] = Counter()
+    work: list = [(m, False, False)]
+    while work:
+        item = work.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        if type(item) is Mu:
+            bound[item.bound] -= 1
+            continue
+        m, wrap_abs, wrap_app = item
         if isinstance(m, Var):
-            return m.name
-        if isinstance(m, Abs):
-            s = f"\\{m.var}.{go(m.body, bound, False, False)}"
-            return f"({s})" if wrap_abs else s
-        if isinstance(m, Mu):
-            b2 = bound | {m.bound}
-            ref = m.named if m.named in b2 else f"'{m.named}"
-            s = f"mu {m.bound}.[{ref}] {go(m.body, b2, False, False)}"
-            return f"({s})" if wrap_abs else s
-        if isinstance(m, App):
-            s = f"{go(m.fun, bound, True, False)} {go(m.arg, bound, True, True)}"
-            return f"({s})" if wrap_app else s
-        raise TypeError(f"not a term: {m!r}")
-
-    return go(m, frozenset(), False, False)
+            out.append(m.name)
+        elif isinstance(m, App):
+            if wrap_app:
+                out.append("(")
+                work.append(")")
+            work += ((m.arg, True, True), " ", (m.fun, True, False))
+        elif isinstance(m, (Abs, Mu)):
+            if wrap_abs:
+                out.append("(")
+                work.append(")")
+            if isinstance(m, Abs):
+                out.append(f"\\{m.var}.")
+            else:
+                bound[m.bound] += 1
+                ref = m.named if bound[m.named] else f"'{m.named}"
+                out.append(f"mu {m.bound}.[{ref}] ")
+                work.append(m)
+            work.append((m.body, False, False))
+        else:
+            raise TypeError(f"not a term: {m!r}")
+    return "".join(out)
 
 
 def print_type(t: TypeExpr) -> str:
     def go(t: TypeExpr, pos: str) -> str:
         if isinstance(t, TVar):
             return t.name
-        if isinstance(t, Inter):
+        if isinstance(t, (Inter, Union)):
+            empty, sep = (("top", " /\\ ") if isinstance(t, Inter)
+                          else ("bot", " \\/ "))
             if not t.parts:
-                return "top"
-            s = " /\\ ".join(go(p, "part") for p in t.parts)
-            return f"({s})" if pos == "part" and len(t.parts) > 1 else s
-        if isinstance(t, Union):
-            if not t.parts:
-                return "bot"
-            s = " \\/ ".join(go(p, "part") for p in t.parts)
+                return empty
+            s = sep.join(go(p, "part") for p in t.parts)
             return f"({s})" if pos == "part" and len(t.parts) > 1 else s
         if isinstance(t, Arrow):
             s = f"{go(t.left, 'arrow_left')} -> {go(t.right, 'top')}"

@@ -342,10 +342,12 @@ class _Searcher:
         witnesses = [t for t in universe if well_formed(t, "iu")]
         if budget.max_width >= 2:
             for pair in combinations([t for t in self.strict if t != Bottom], 2):
-                if len(witnesses) >= 32:
+                if len(witnesses) > 32:
                     break
                 witnesses.append(canonicalize(Inter(pair)))
         self.witnesses = witnesses[:32]
+        # the pool is cut at 32: a search that draws on it can miss a witness
+        self.witnesses_cut = len(witnesses) > 32
         self.memo: dict[tuple, tuple[int, Derivation | None]] = {}
 
     def goal(self, gamma: dict[str, TypeExpr], term: Term, ty: TypeExpr,
@@ -429,6 +431,8 @@ class _Searcher:
                                        j.ty)):
                     yield canonicalize(c)
             return
+        if self.witnesses_cut:
+            self.budget.exhausted = True
         if isinstance(fun, Abs):
             if len(bs) == 1:
                 for w in self.witnesses:
@@ -484,7 +488,8 @@ def derive(gamma: dict[str, TypeExpr], term: Term, ty: TypeExpr,
     """Bounded goal-directed proof search; all types are canonicalized first.
 
     Returns None when nothing is found within the budget; ``budget.exhausted``
-    tells whether the depth limit pruned any branch.
+    tells whether the depth limit, the node cap or the cut of the witness pool
+    pruned any branch.
     """
     budget = budget if budget is not None else SearchBudget()
     gamma = {x: canonicalize(t) for x, t in gamma.items()}

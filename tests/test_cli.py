@@ -54,6 +54,12 @@ class TestReduce:
 
 
 class TestCheckers:
+    def test_check_iu_pruned_miss_is_undecided(self, capsys):
+        unused = ", ".join(f"w{i}:C{i}" for i in range(40))
+        text = unused + ", z:K, x:K -> B |- (\\y.y z) x : B |"
+        assert main(["check-iu", text]) == 3
+        assert "budget exhausted" in capsys.readouterr().err
+
     def test_check_simple_valid(self, capsys):
         assert main(["check-simple", PEIRCE]) == 0
         assert "valid" in capsys.readouterr().out
@@ -137,8 +143,9 @@ class TestCertificates:
 
 
 class TestDeepInput:
-    """Input nested past the recursion limit leaves the verdict undecided
-    (exit 3), never a definite "invalid"."""
+    """Terms parse, reduce and print at any depth.  A certificate nested past
+    the recursion limit leaves the verdict undecided (exit 3), never a
+    definite "invalid"."""
 
     def test_verify_deep_certificate(self, monkeypatch):
         text = '{"rule": "InterE", "judgment": "x:A |- x : A |"}'
@@ -148,8 +155,19 @@ class TestDeepInput:
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert main(["verify", "-"]) in (0, 3)
 
-    def test_fmt_deep_application_chain(self):
-        assert main(["fmt", "f (" * 600 + "x" + ")" * 600]) in (0, 3)
+    def test_fmt_deep_application_chain(self, capsys):
+        text = "f (" * 599 + "f x" + ")" * 599
+        assert main(["fmt", text]) == 0
+        assert capsys.readouterr().out == text + "\n"
+
+    def test_reduce_church_40_times_40(self, capsys):
+        def numeral(n):
+            return "(\\f.\\x." + "f (" * n + "x" + ")" * n + ")"
+
+        mul = "(\\m.\\n.\\f.m (n f))"
+        assert main(["reduce", f"{mul} {numeral(40)} {numeral(40)}"]) == 0
+        out = capsys.readouterr().out.strip()
+        assert out == "\\f.\\x." + "f (" * 1599 + "f x" + ")" * 1599
 
 
 class TestExamplesAndSuites:

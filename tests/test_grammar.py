@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -90,6 +91,13 @@ class TestJudgments:
         gamma, term, ty, delta = parse_judgment("|- \\x.x : A -> A |")
         assert gamma == {} and delta == {}
 
+    def test_name_environment_needs_a_name_after_comma(self):
+        for text in ("|- x : A | a:A,", "|- x : A | a:A, B:A",
+                     "|- x : A | a:A, ):A"):
+            with pytest.raises(ParseError) as e:
+                parse_judgment(text)
+            assert e.value.message.startswith("expected IDENT or TICK, found")
+
     def test_judgment_round_trip(self):
         text = "x:A |- mu a.[a] x : A \\/ B |"
         gamma, term, ty, delta = parse_judgment(text)
@@ -116,3 +124,120 @@ class TestRoundTrips:
         assert print_term(parse_term("(\\x.x)(y z)")) == "(\\x.x) (y z)"
         assert print_type(parse_type("(A -> B) -> A")) == "(A -> B) -> A"
         assert print_type(parse_type("A /\\ (B \\/ A)")) == "A /\\ (B \\/ A)"
+
+
+class TestDeepTerms:
+    """Parsing and printing use no recursion on terms."""
+
+    @pytest.mark.parametrize("text", [
+        "f (" * 9_999 + "f x" + ")" * 9_999,
+        "\\x." * 10_000 + "x",
+        "mu a.[a] " * 10_000 + "x",
+    ], ids=["application", "abstraction", "mu"])
+    def test_round_trip_10k_deep(self, text):
+        assert print_term(parse_term(text)) == text
+
+    def test_deep_mu_scopes(self):
+        text = "mu a.[a] " * 5_000 + "x (mu b.[a] y) (mu c.['d] z)"
+        assert print_term(parse_term(text)) == text
+        with pytest.raises(ParseError) as e:
+            parse_term("(" * 5_000 + "mu a.[a] x) (mu b.[a] y)" + ")" * 4_999)
+        assert "unbound name 'a'" in e.value.message
+
+
+# -- pinned behaviour on a seeded corpus ---------------------------------------
+
+# every token, its Unicode synonyms, stray characters, and identifiers whose
+# first character is or is not a letter ('²' and 'Ⅻ' are alphanumeric but not
+# letters, so they may not start one)
+FRAGMENTS = (
+    "\\", "λ", "mu", "μ", ".", "[", "]", "(", ")", ":", ",", "'", "'a", "'b",
+    "/\\", "\\/", "∩", "∪", "->", "→", "top", "bot", "⊤", "⊥", "|-", "⊢", "|",
+    "x", "y", "a", "b", "f", "A", "B", "x'", "a''", "_", "_1", "mu'", "topx",
+    "é", "α", "Éa", "xα", "/", "-", "1", "x2", "²", "Ⅻ", "a²", "'²", "'_",
+    "?", "#",
+)
+SPACES = ("", " ", " ", "  ", "\t", "\n", "\xa0")   # \xa0: no-break space
+
+
+def _type_text(rng, d):
+    r = rng.random()
+    if d == 0 or r < 0.3:
+        return rng.choice(("A", "B", "C", "top", "bot", "⊤", "⊥"))
+    if r < 0.6:
+        left = _type_text(rng, d - 1)
+        arrow = rng.choice(("->", "→"))
+        return f"{left} {arrow} {_type_text(rng, d - 1)}"
+    op = rng.choice((" /\\ ", " \\/ ", "∩", "∪"))
+    return "(" + op.join(_type_text(rng, d - 1)
+                         for _ in range(rng.randint(2, 3))) + ")"
+
+
+def _term_text(rng, d):
+    r = rng.random()
+    if d == 0 or r < 0.25:
+        return rng.choice(("x", "y", "f", "z'"))
+    if r < 0.45:
+        return (rng.choice(("\\", "λ")) + rng.choice("xyf") + "."
+                + _term_text(rng, d - 1))
+    if r < 0.65:
+        a = rng.choice("ab")
+        ref = rng.choice((a, a, "'c", "b"))
+        return f"{rng.choice(('mu ', 'μ'))}{a}.[{ref}] {_term_text(rng, d - 1)}"
+    return f"{_term_text(rng, d - 1)} ({_term_text(rng, d - 1)})"
+
+
+def _env_text(rng, names):
+    return ", ".join(f"{rng.choice(names)}:{_type_text(rng, 2)}"
+                     for _ in range(rng.randint(0, 2)))
+
+
+def _corpus(n, seed=0):
+    """``n`` short strings: half random fragment sequences, half terms, types
+    and judgments, most of them with a fragment inserted, dropped or
+    replaced."""
+    rng = random.Random(seed)
+    for i in range(n):
+        if i % 2:
+            yield "".join(rng.choice(FRAGMENTS) + rng.choice(SPACES)
+                          for _ in range(rng.randint(1, 10)))
+            continue
+        kind = rng.randrange(3)
+        if kind == 0:
+            text = _term_text(rng, 3)
+        elif kind == 1:
+            text = _type_text(rng, 3)
+        else:
+            text = (f"{_env_text(rng, 'xyf')} {rng.choice(('|-', '⊢'))} "
+                    f"{_term_text(rng, 3)} : {_type_text(rng, 2)} | "
+                    f"{_env_text(rng, ('a', chr(39) + 'b'))}")
+        if rng.random() < 0.7:
+            j = rng.randrange(len(text) + 1)
+            k = j + rng.randrange(3)
+            text = text[:j] + rng.choice(FRAGMENTS + ("",)) + text[k:]
+        yield text
+
+
+def _outcome(parse, text, *args):
+    try:
+        return repr(parse(text, *args))
+    except ParseError as e:
+        return f"ParseError {e.message} {e.span.start} {e.span.end}"
+    except LanguageViolation as e:
+        return f"LanguageViolation {e}"
+
+
+def test_corpus_outcomes_are_pinned():
+    """Every string of the corpus, fed to the three parsers, gives the value,
+    or the error message and span, that the character-by-character tokenizer
+    and recursive term parser gave (with a name required after each comma of
+    the right environment, where they raised IndexError)."""
+    h = hashlib.sha256()
+    for i, text in enumerate(_corpus(100_000)):
+        lang = ("iu", "strict", "curry")[i % 3]
+        for outcome in (_outcome(parse_term, text),
+                        _outcome(parse_type, text, lang),
+                        _outcome(parse_judgment, text, lang)):
+            h.update(f"{text}\0{outcome}\0".encode())
+    assert h.hexdigest() == (
+        "34b2a2ded30fd82b343e84c9bc0f60e6f1475e102dba4bb96088a8f19b9eb21f")

@@ -208,6 +208,20 @@ class TestSearch:
         assert derive({}, term, Arrow(A, Arrow(B, A)), {}, budget) is None
         assert budget.exhausted
 
+    def test_witness_pool_cut_is_reported(self):
+        # 40 unused bindings push the needed witness K -> B out of the pool
+        # of 32, so the miss must not read as a definite "not derivable"
+        unused = ", ".join(f"w{i}:C{i}" for i in range(40))
+        gamma, term, ty, delta = parse_judgment(
+            unused + ", z:K, x:K -> B |- (\\y.y z) x : B |")
+        budget = SearchBudget()
+        assert derive(gamma, term, ty, delta, budget) is None
+        assert budget.exhausted
+        budget = SearchBudget()
+        used = {x: t for x, t in gamma.items() if x in ("z", "x")}
+        assert derive(used, term, ty, delta, budget) is not None
+        assert not budget.exhausted
+
     def test_strict_fragment(self):
         d = check_strict({"x": AB}, Var("x"), A)
         assert d is not None
