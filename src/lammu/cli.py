@@ -265,10 +265,10 @@ def main(argv: list[str] | None = None) -> int:
         _bad(str(e))
         return EXIT_USAGE
     except RecursionError:
-        # terms parse, print and reduce at any depth, but certificates past
-        # json's depth limit, types nested thousands deep, and typing and
-        # search on deep terms still recurse: such input is neither accepted
-        # nor rejected
+        # terms parse and print at any depth, but substitution into deep
+        # terms, certificates past json's depth limit, types nested
+        # thousands deep, and typing and search on deep terms still recurse:
+        # such input is neither accepted nor rejected
         _bad("undecided: input nested too deeply")
         return EXIT_BUDGET
 

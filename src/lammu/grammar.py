@@ -237,6 +237,7 @@ def parse_judgment(text: str, language: str = "iu"):
     """Parse ``G |- M : A | D``; returns (gamma, term, ty, delta)."""
     p = _Parser(text)
     gamma, term, ty, delta = p.judgment()
+    p.expect("EOF")
     for t in [ty, *gamma.values(), *delta.values()]:
         if not well_formed(t, language):
             raise LanguageViolation(f"type not in the {language} language: {print_type(t)}")

@@ -489,11 +489,14 @@ def derive(gamma: dict[str, TypeExpr], term: Term, ty: TypeExpr,
 
     Returns None when nothing is found within the budget; ``budget.exhausted``
     tells whether the depth limit, the node cap or the cut of the witness pool
-    pruned any branch.
+    pruned any branch.  A right environment with a non-strict entry has no
+    derivation, so it gets None without a search.
     """
     budget = budget if budget is not None else SearchBudget()
     gamma = {x: canonicalize(t) for x, t in gamma.items()}
     delta = {a: canonicalize(t) for a, t in delta.items()}
+    if not all(map(is_strict, delta.values())):
+        return None
     ty = canonicalize(ty)
     searcher = _Searcher(_universe(gamma, ty, delta), budget)
     return searcher.goal(gamma, term, ty, delta, budget.max_depth)

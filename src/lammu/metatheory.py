@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 from .iu import (Derivation, Judgment, SearchBudget, check_derivation, derive,
                  inter_elim, weaken)
-from .reduction import (redexes, replace_at, step, subst_structural,
-                        subst_term, subterm_at)
+from .reduction import (redexes, rename_name, replace_at, step,
+                        subst_structural, subst_term, subterm_at)
 from .syntax import Abs, App, Mu, Term, Var, alpha_eq, free_term_vars
 from .typelang import (Arrow, Bottom, Inter, TVar, Top, TypeExpr, Union,
                        canonicalize, inter_parts, subtype, type_equiv,
@@ -343,8 +343,6 @@ def struct_subst_derivation(dM: Derivation, alpha: str,
 def rename_name_derivation(d: Derivation, g: str, b: str) -> Derivation:
     """Retarget every context switch aimed at ``g`` to ``b``, dropping ``g``
     from the environments.  Sound whenever ``g``'s type lies below ``b``'s."""
-    from .reduction import rename_name
-
     def go(d: Derivation) -> Derivation:
         j = d.conclusion
         if isinstance(j.term, Mu) and j.term.bound == g:

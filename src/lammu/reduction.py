@@ -81,114 +81,75 @@ def replace_at(m: Term, pos: Position, new: Term) -> Term:
     return new
 
 
-def rename_name(m: Term, g: str, b: str) -> Term:
-    """M[b/g]: retarget every free named occurrence [g] to [b].
+def _subst(m: Term, x: str, n: Term | None, g: str | None = None) -> Term:
+    """The one capture-avoiding walk behind the three substitutions.
 
-    Stops at rebindings of ``g``; capture-avoiding with respect to ``b``.
-    Returns ``m`` itself when ``g`` is not free in it.
-    """
-    if isinstance(m, Var):
-        return m
-    if isinstance(m, Abs):
-        body = rename_name(m.body, g, b)
-        return m if body is m.body else Abs(m.var, body)
-    if isinstance(m, App):
-        f, a = rename_name(m.fun, g, b), rename_name(m.arg, g, b)
-        return m if f is m.fun and a is m.arg else App(f, a)
-    if isinstance(m, Mu):
-        if m.bound == g:
-            return m
-        if m.bound == b:
-            if m.named != g and g not in free_names(m.body):
-                return m
-            b2 = fresh(all_identifiers(m) | {g, b}, m.bound)
-            named = b2 if m.named == m.bound else m.named
-            return rename_name(Mu(b2, named, rename_name(m.body, m.bound, b2)), g, b)
-        body = rename_name(m.body, g, b)
-        if m.named == g:
-            return Mu(m.bound, b, body)
-        return m if body is m.body else Mu(m.bound, m.named, body)
-    raise TypeError(f"not a term: {m!r}")
-
-
-def subst_term(m: Term, x: str, n: Term) -> Term:
-    """Capture-avoiding M[N/x].  Subterms in which ``x`` is not free come
-    back as they are, so a substitution that renames no binder costs time
-    linear in M."""
-    fvn = free_term_vars(n)
-    fnn = free_names(n)
+    With ``g`` None it is M[N/x] for the variable ``x``.  With ``g`` given,
+    every free named subterm [x]P becomes [g](P N), or [g]P when ``n`` is
+    None.  A binder that would capture a free identifier of N, or ``g``, is
+    renamed, but only where ``x`` is free under it.  Subterms in which ``x``
+    is not free come back as they are, so a walk that renames no binder
+    costs time linear in M."""
+    # x is a variable or a name; the None in the other slot matches nothing
+    var, name = (x, None) if g is None else (None, x)
+    free = free_term_vars if g is None else free_names
+    # the identifiers a binder must not keep over a free occurrence of x
+    fvn = free_term_vars(n) if n is not None else set()
+    fnn = free_names(n) if n is not None else set()
+    if g is not None:
+        fnn.add(g)
 
     def go(m: Term) -> Term:
         if isinstance(m, Var):
-            return n if m.name == x else m
+            return n if m.name == var else m
         if isinstance(m, App):
             f, a = go(m.fun), go(m.arg)
             return m if f is m.fun and a is m.arg else App(f, a)
         if isinstance(m, Abs):
-            if m.var == x:
+            if m.var == var:
                 return m
             if m.var in fvn:
                 # capture: rename the binder, but only where x occurs
-                if x not in free_term_vars(m.body):
+                if x not in free(m):
                     return m
                 y2 = fresh(all_identifiers(m) | fvn | {x}, m.var)
-                return Abs(y2, go(subst_term(m.body, m.var, Var(y2))))
+                m = Abs(y2, _subst(m.body, m.var, Var(y2)))
             body = go(m.body)
             return m if body is m.body else Abs(m.var, body)
         if isinstance(m, Mu):
+            if m.bound == name:
+                return m
             if m.bound in fnn:
-                if x not in free_term_vars(m.body):
+                if x not in free(m):
                     return m
-                a2 = fresh(all_identifiers(m) | fnn, m.bound)
-                named = a2 if m.named == m.bound else m.named
-                return Mu(a2, named, go(rename_name(m.body, m.bound, a2)))
+                d2 = fresh(all_identifiers(m) | fnn | {x}, m.bound)
+                named = d2 if m.named == m.bound else m.named
+                m = Mu(d2, named, _subst(m.body, m.bound, None, d2))
             body = go(m.body)
+            if m.named == name:
+                return Mu(m.bound, g, body if n is None else App(body, n))
             return m if body is m.body else Mu(m.bound, m.named, body)
         raise TypeError(f"not a term: {m!r}")
 
     return go(m)
+
+
+def subst_term(m: Term, x: str, n: Term) -> Term:
+    """Capture-avoiding M[N/x]."""
+    return _subst(m, x, n)
 
 
 def subst_structural(m: Term, a: str, n: Term, g: str) -> Term:
     """M[N.g/a]: every subterm named a becomes the same subterm applied to N,
-    renamed g.  Requires ``g`` fresh for M and N and distinct from ``a``.
-    Subterms in which ``a`` is not free come back as they are."""
+    renamed g.  Requires ``g`` fresh for M and N and distinct from ``a``."""
     if g == a or g in free_names(m) | free_names(n):
         raise FreshnessViolation(f"{g} is not fresh for this substitution")
-    fvn = free_term_vars(n)
-    fnn = free_names(n)
+    return _subst(m, a, n, g)
 
-    def go(m: Term) -> Term:
-        if isinstance(m, Var):
-            return m
-        if isinstance(m, App):
-            f, arg = go(m.fun), go(m.arg)
-            return m if f is m.fun and arg is m.arg else App(f, arg)
-        if isinstance(m, Abs):
-            if m.var in fvn:
-                # capture: rename the binder, but only where a occurs
-                if a not in free_names(m.body):
-                    return m
-                y2 = fresh(all_identifiers(m) | fvn, m.var)
-                return Abs(y2, go(subst_term(m.body, m.var, Var(y2))))
-            body = go(m.body)
-            return m if body is m.body else Abs(m.var, body)
-        if isinstance(m, Mu):
-            if m.bound == a:
-                return m
-            if m.bound in fnn or m.bound == g:
-                if m.named != a and a not in free_names(m.body):
-                    return m
-                d2 = fresh(all_identifiers(m) | fnn | {a, g}, m.bound)
-                named = d2 if m.named == m.bound else m.named
-                m = Mu(d2, named, rename_name(m.body, m.bound, d2))
-            if m.named == a:
-                return Mu(m.bound, g, App(go(m.body), n))
-            body = go(m.body)
-            return m if body is m.body else Mu(m.bound, m.named, body)
-        raise TypeError(f"not a term: {m!r}")
 
-    return go(m)
+def rename_name(m: Term, g: str, b: str) -> Term:
+    """M[b/g]: retarget every free named occurrence [g] to [b]."""
+    return _subst(m, g, None, b)
 
 
 def _is_erasable(m: Term) -> bool:

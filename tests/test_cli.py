@@ -82,6 +82,16 @@ class TestCheckers:
         assert main(["check-iu", "x:A /\\ B |- x : A |"]) == 0
         assert "found" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("delta", ["'b:A/\\B", "'b:top"])
+    def test_check_iu_non_strict_right_environment(self, delta, capsys):
+        assert main(["check-iu", f"x:A |- x : A | {delta}"]) == 1
+        assert "found" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", ["|- x : A | ) ) (",
+                                      "x:A |- x : A | a:A b c"])
+    def test_check_iu_rejects_input_after_the_judgment(self, text):
+        assert main(["check-iu", text]) == 2
+
     def test_check_iu_not_found(self):
         assert main(["check-iu", "x:A |- x : B |"]) in (1, 3)
 
@@ -120,6 +130,11 @@ class TestCertificates:
         err = capsys.readouterr().err
         assert "malformed certificate" in err and field in err
 
+    def test_verify_rejects_input_after_a_judgment(self, monkeypatch):
+        text = '{"rule": "InterE", "judgment": "x:A |- x : A | ) ("}'
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["verify", "-"]) == 2
+
     def test_verify_rejects_tampering(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
         assert main(["check-iu", "--cert", str(cert),
@@ -143,9 +158,9 @@ class TestCertificates:
 
 
 class TestDeepInput:
-    """Terms parse, reduce and print at any depth.  A certificate nested past
-    the recursion limit leaves the verdict undecided (exit 3), never a
-    definite "invalid"."""
+    """Terms parse and print at any depth.  A certificate nested past the
+    recursion limit, or a substitution into a term nested as deep, leaves the
+    verdict undecided (exit 3), never a definite "invalid"."""
 
     def test_verify_deep_certificate(self, monkeypatch):
         text = '{"rule": "InterE", "judgment": "x:A |- x : A |"}'
@@ -159,6 +174,11 @@ class TestDeepInput:
         text = "f (" * 599 + "f x" + ")" * 599
         assert main(["fmt", text]) == 0
         assert capsys.readouterr().out == text + "\n"
+
+    def test_reduce_deep_substitution(self):
+        # the substitution walk recurses once per level of the body
+        body = "f (" * 2999 + "f z" + ")" * 2999
+        assert main(["reduce", f"(\\z.{body}) y"]) in (0, 3)
 
     def test_reduce_church_40_times_40(self, capsys):
         def numeral(n):

@@ -98,6 +98,12 @@ class TestJudgments:
                 parse_judgment(text)
             assert e.value.message.startswith("expected IDENT or TICK, found")
 
+    def test_input_after_the_judgment_is_rejected(self):
+        for text in ("|- x : A | ) ) (", "x:A |- x : A | a:A b c"):
+            with pytest.raises(ParseError) as e:
+                parse_judgment(text)
+            assert e.value.message.startswith("expected EOF, found")
+
     def test_judgment_round_trip(self):
         text = "x:A |- mu a.[a] x : A \\/ B |"
         gamma, term, ty, delta = parse_judgment(text)
@@ -231,7 +237,8 @@ def test_corpus_outcomes_are_pinned():
     """Every string of the corpus, fed to the three parsers, gives the value,
     or the error message and span, that the character-by-character tokenizer
     and recursive term parser gave (with a name required after each comma of
-    the right environment, where they raised IndexError)."""
+    the right environment, where they raised IndexError, and with input after
+    a judgment rejected, where they ignored it)."""
     h = hashlib.sha256()
     for i, text in enumerate(_corpus(100_000)):
         lang = ("iu", "strict", "curry")[i % 3]
@@ -240,4 +247,4 @@ def test_corpus_outcomes_are_pinned():
                         _outcome(parse_judgment, text, lang)):
             h.update(f"{text}\0{outcome}\0".encode())
     assert h.hexdigest() == (
-        "34b2a2ded30fd82b343e84c9bc0f60e6f1475e102dba4bb96088a8f19b9eb21f")
+        "9f9c50ed698a53829ace253c784a7346049a59af1cc75ae5db15c2b4c949a8e5")

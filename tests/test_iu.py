@@ -222,6 +222,12 @@ class TestSearch:
         assert derive(used, term, ty, delta, budget) is not None
         assert not budget.exhausted
 
+    def test_non_strict_right_environment_has_no_derivation(self):
+        # no node with an intersection in its right environment checks, so
+        # the search must not report one found
+        for text in ("x:A |- x : A | 'b:A/\\B", "x:A |- x : A | 'b:top"):
+            assert derive(*parse_judgment(text)) is None
+
     def test_strict_fragment(self):
         d = check_strict({"x": AB}, Var("x"), A)
         assert d is not None

@@ -4,10 +4,10 @@ import random
 import pytest
 
 from lammu.grammar import parse_term, print_term
-from lammu.reduction import (RULES, NotARedex, format_position, format_trace,
-                             iter_redexes, normalize, redexes, rename_name,
-                             replace_at, step, subst_structural, subst_term,
-                             subterm_at)
+from lammu.reduction import (RULES, FreshnessViolation, NotARedex,
+                             format_position, format_trace, iter_redexes,
+                             normalize, redexes, rename_name, replace_at, step,
+                             subst_structural, subst_term, subterm_at)
 from lammu.syntax import Abs, App, Mu, Var, alpha_eq
 
 
@@ -148,19 +148,21 @@ class TestEngine:
         assert format_position((0, 1)) == "0.1"
 
 
-def random_open_term(rng, depth):
+def random_open_term(rng, depth, variables="xyz", names="abc"):
     """Terms with free variables and reused binder names, so substitutions
     meet capture."""
     if depth == 0 or rng.random() < 0.2:
-        return Var(rng.choice("xyz"))
+        return Var(rng.choice(variables))
     k = rng.random()
+
+    def sub():
+        return random_open_term(rng, depth - 1, variables, names)
+
     if k < 0.3:
-        return Abs(rng.choice("xyz"), random_open_term(rng, depth - 1))
+        return Abs(rng.choice(variables), sub())
     if k < 0.7:
-        return App(random_open_term(rng, depth - 1),
-                   random_open_term(rng, depth - 1))
-    return Mu(rng.choice("abc"), rng.choice("abc"),
-              random_open_term(rng, depth - 1))
+        return App(sub(), sub())
+    return Mu(rng.choice(names), rng.choice(names), sub())
 
 
 RULE_SETS = [{rule} for rule in RULES] + [
@@ -228,3 +230,36 @@ class TestLinearSteps:
 
 PINNED_TRACES = ("052ecbffd3f5b3d24bd913a1ff6ba66f0d454d316fd5a60912f6bc41"
                  "84228731")
+
+
+# one pool for variables and names, primed like the names ``fresh`` makes, so
+# every substitution meets capture by binders of either kind
+IDENTS = ("x", "y", "a", "g", "x'", "y'", "a'", "g'")
+
+
+def test_substitutions_are_pinned():
+    """The direct outputs of the three substitutions, and whether each is
+    the input itself, or the exception a call raises, on seeded random
+    calls."""
+    rng = random.Random(2024)
+    h = hashlib.sha256()
+    for _ in range(2000):
+        m = random_open_term(rng, 5, IDENTS, IDENTS)
+        n = random_open_term(rng, 3, IDENTS, IDENTS)
+        calls = ((subst_term, (m, rng.choice(IDENTS), n)),
+                 (subst_structural, (m, rng.choice(IDENTS), n,
+                                     rng.choice(IDENTS))),
+                 (rename_name, (m, rng.choice(IDENTS), rng.choice(IDENTS))))
+        for fn, args in calls:
+            try:
+                out = fn(*args)
+                out = f"{out!r} {out is m}"
+            except FreshnessViolation as e:
+                out = f"{type(e).__name__}: {e}"
+            h.update(out.encode())
+            h.update(b"\0")
+    assert h.hexdigest() == PINNED_SUBSTITUTIONS
+
+
+PINNED_SUBSTITUTIONS = ("aa8518ff64d40e4d288e270761dd5ee4c4079c01cf5ca7ec5a2e78bf"
+                        "8dd95afd")
