@@ -189,6 +189,13 @@ def positive_int(text: str) -> int:
     return n
 
 
+def non_negative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="lammu",
@@ -221,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("check-iu",
                        help="search a derivation in the intersection-union system")
     s.add_argument("judgment", nargs="?")
-    s.add_argument("--depth", type=int, default=8)
-    s.add_argument("--width", type=int, default=4)
+    s.add_argument("--depth", type=non_negative_int, default=8)
+    s.add_argument("--width", type=non_negative_int, default=4)
     s.add_argument("--cert", metavar="FILE", help="write the found certificate")
     s.set_defaults(func=cmd_check_iu)
 
@@ -233,9 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("metatheory", help="run a metatheory suite")
     s.add_argument("--suite", choices=sorted(SUITES), required=True)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--cases", type=int, default=100)
-    s.add_argument("--depth", type=int, default=9)
-    s.add_argument("--width", type=int, default=4)
+    s.add_argument("--cases", type=non_negative_int, default=100)
+    s.add_argument("--depth", type=non_negative_int, default=9)
+    s.add_argument("--width", type=non_negative_int, default=4)
     s.set_defaults(func=cmd_metatheory)
 
     s = sub.add_parser("examples", help="walk through a bundled example")

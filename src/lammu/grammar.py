@@ -80,8 +80,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.toks = _tokenize(text)
+    def __init__(self, toks: list[tuple]):
+        self.toks = toks
         self.pos = 0
 
     def accept(self, kind: str) -> bool:
@@ -196,12 +196,18 @@ class _Parser:
     # -- judgments -----------------------------------------------------------
 
     def env(self, *kinds: str) -> dict[str, TypeExpr]:
-        """``n:T, ...`` with each name ``n`` a token of one of ``kinds``;
-        empty unless the next token is one."""
+        """``n:T, ...`` with each name ``n`` a token of one of ``kinds``, and
+        bound once; empty unless the next token is one."""
+        if self.toks[self.pos][0] == "ENV":   # parsed before: _shared_judgment
+            self.pos += 1
+            return self.toks[self.pos - 1][1]
         env: dict[str, TypeExpr] = {}
         more = self.toks[self.pos][0] in kinds
         while more:
+            _, _, start, end = self.toks[self.pos]
             n = self.expect(*kinds)
+            if n in env:
+                raise ParseError(f"{n} is bound twice", SourceSpan(start, end))
             self.expect("COLON")
             env[n] = self.type()
             more = self.accept("COMMA")
@@ -214,18 +220,20 @@ class _Parser:
         self.expect("COLON")
         ty = self.type()
         self.expect("BAR")
-        return gamma, term, ty, self.env("IDENT", "TICK")
+        delta = self.env("IDENT", "TICK")
+        self.expect("EOF")
+        return gamma, term, ty, delta
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(text)
+    p = _Parser(_tokenize(text))
     m = p.term()
     p.expect("EOF")
     return m
 
 
 def parse_type(text: str, language: str = "iu") -> TypeExpr:
-    p = _Parser(text)
+    p = _Parser(_tokenize(text))
     ty = p.type()
     p.expect("EOF")
     if not well_formed(ty, language):
@@ -235,13 +243,39 @@ def parse_type(text: str, language: str = "iu") -> TypeExpr:
 
 def parse_judgment(text: str, language: str = "iu"):
     """Parse ``G |- M : A | D``; returns (gamma, term, ty, delta)."""
-    p = _Parser(text)
+    p = _Parser(_tokenize(text))
     gamma, term, ty, delta = p.judgment()
-    p.expect("EOF")
     for t in [ty, *gamma.values(), *delta.values()]:
         if not well_formed(t, language):
             raise LanguageViolation(f"type not in the {language} language: {print_type(t)}")
     return gamma, term, ty, delta
+
+
+def _shared_judgment(text: str, envs: dict):
+    """parse_judgment(text), parsing each environment text once per ``envs``
+    (one per certificate) so equal texts share a dict.  Text whose pieces, cut
+    at the first ``|-`` and the last ``|``, do not parse goes to it whole."""
+    def env(piece: str, *kinds: str) -> tuple:
+        if (kinds, piece) not in envs:
+            p = _Parser(_tokenize(piece))
+            bindings = p.env(*kinds)
+            p.expect("EOF")
+            if not all(well_formed(t, "iu") for t in bindings.values()):
+                raise LanguageViolation(piece)
+            envs[kinds, piece] = ("ENV", bindings, 0, 0)
+        return envs[kinds, piece]
+
+    try:
+        i, k = text.index("|-"), text.rfind("|")
+        p = _Parser([env(text[:i], "IDENT"), ("TURNSTILE", "", i, i),
+                     *_tokenize(text[i + 2:k])[:-1], ("BAR", "", k, k),
+                     env(text[k + 1:], "IDENT", "TICK"), ("EOF", "", k, k)])
+        gamma, term, ty, delta = p.judgment()
+        if well_formed(ty, "iu"):
+            return gamma, term, ty, delta
+    except (ValueError, ParseError, LanguageViolation):   # ValueError: no |-
+        pass
+    return parse_judgment(text)
 
 
 # -- printing ----------------------------------------------------------------
@@ -309,5 +343,8 @@ def print_env(env: dict[str, TypeExpr]) -> str:
 
 
 def print_judgment(gamma, term, ty, delta) -> str:
-    return (f"{print_env(gamma)} |- {print_term(term)} : "
-            f"{print_type(ty)} | {print_env(delta)}").strip()
+    return _print_judgment(print_env(gamma), term, ty, print_env(delta))
+
+
+def _print_judgment(gamma: str, term: Term, ty: TypeExpr, delta: str) -> str:
+    return f"{gamma} |- {print_term(term)} : {print_type(ty)} | {delta}".strip()

@@ -80,7 +80,7 @@ class MalformedCertificate(Exception):
 
 
 def _env_equiv(a: dict[str, TypeExpr], b: dict[str, TypeExpr]) -> bool:
-    return set(a) == set(b) and all(type_equiv(a[k], b[k]) for k in a)
+    return a is b or set(a) == set(b) and all(type_equiv(a[k], b[k]) for k in a)
 
 
 def _check_node(d: Derivation, path: tuple[int, ...]) -> None:
@@ -526,12 +526,17 @@ def check_strict(gamma: dict[str, TypeExpr], term: Term, ty: TypeExpr,
 # -- certificates -------------------------------------------------------------
 
 def derivation_to_json(d: Derivation) -> str:
-    from .grammar import print_judgment
+    from .grammar import _print_judgment, print_env
+    printed: dict[int, str] = {}   # by id: judgments share environment dicts
+
+    def env(e: dict[str, TypeExpr]) -> str:
+        return printed.get(id(e)) or printed.setdefault(id(e), print_env(e))
 
     def enc(d: Derivation) -> dict:
         j = d.conclusion
         return {"rule": d.rule,
-                "judgment": print_judgment(j.gamma, j.term, j.ty, j.delta),
+                "judgment": _print_judgment(env(j.gamma), j.term, j.ty,
+                                            env(j.delta)),
                 "premises": [enc(p) for p in d.premises]}
 
     return json.dumps(enc(d), indent=2)
@@ -542,7 +547,8 @@ def derivation_from_json(text: str) -> Derivation:
     ``premises`` are ignored.  Raises MalformedCertificate when a node is not
     an object with a string ``rule``, a string ``judgment`` and, if present,
     a list of ``premises``."""
-    from .grammar import parse_judgment
+    from .grammar import _shared_judgment
+    envs: dict = {}   # environment texts parsed so far, for _shared_judgment
 
     def dec(obj, path: tuple[int, ...]) -> Derivation:
         if not isinstance(obj, dict):
@@ -556,7 +562,7 @@ def derivation_from_json(text: str) -> Derivation:
         premises = obj.get("premises", [])
         if not isinstance(premises, list):
             raise MalformedCertificate(path, "field 'premises' must be a list")
-        gamma, term, ty, delta = parse_judgment(obj["judgment"])
+        gamma, term, ty, delta = _shared_judgment(obj["judgment"], envs)
         return Derivation(obj["rule"], Judgment(gamma, term, ty, delta),
                           tuple(dec(p, path + (i,))
                                 for i, p in enumerate(premises)))

@@ -92,6 +92,28 @@ class TestCheckers:
     def test_check_iu_rejects_input_after_the_judgment(self, text):
         assert main(["check-iu", text]) == 2
 
+    @pytest.mark.parametrize("command", ["check-simple", "check-iu"])
+    @pytest.mark.parametrize("text", ["x:A, x:B |- x : B |",
+                                      "|- x : A | 'b:A, 'b:B"])
+    def test_a_name_bound_twice_is_a_parse_error(self, command, text, capsys):
+        assert main([command, text]) == 2
+        captured = capsys.readouterr()
+        assert "is bound twice" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["check-iu", "--depth", "-1", "x:A |- x : A |"],
+        ["check-iu", "--width", "-2", "x:A |- x : A |"],
+        ["metatheory", "--suite", "term-subst", "--cases", "-1"],
+        ["metatheory", "--suite", "term-subst", "--depth", "-1"],
+        ["metatheory", "--suite", "term-subst", "--width", "-1"],
+    ], ids=["check-iu-depth", "check-iu-width", "metatheory-cases",
+            "metatheory-depth", "metatheory-width"])
+    def test_negative_budgets_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert "must be at least 0" in capsys.readouterr().err
+
     def test_check_iu_not_found(self):
         assert main(["check-iu", "x:A |- x : B |"]) in (1, 3)
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import pytest
@@ -7,6 +8,9 @@ from conftest import random_iu_type, random_term
 from lammu.grammar import (LanguageViolation, ParseError, parse_judgment,
                            parse_term, parse_type, print_judgment, print_term,
                            print_type)
+from lammu.iu import (RULES, MalformedCertificate, derivation_from_json,
+                      derivation_to_json)
+from lammu.metatheory import gen_typed_judgment
 from lammu.syntax import Abs, App, Mu, Var, alpha_eq
 from lammu.typelang import (Arrow, Bottom, Inter, Top, TVar, Union,
                             canonicalize, well_formed)
@@ -103,6 +107,18 @@ class TestJudgments:
             with pytest.raises(ParseError) as e:
                 parse_judgment(text)
             assert e.value.message.startswith("expected EOF, found")
+
+    @pytest.mark.parametrize("text, name, span", [
+        ("x:A, x:B |- x : B |", "x", (5, 6)),
+        ("x:A, y:B, x:A |- x : A |", "x", (10, 11)),
+        ("|- x : A | 'b:A, 'b:B", "b", (17, 19)),
+        ("|- x : A | b:A, 'b:B", "b", (16, 18)),
+    ])
+    def test_a_name_bound_twice_is_rejected(self, text, name, span):
+        with pytest.raises(ParseError) as e:
+            parse_judgment(text)
+        assert e.value.message == f"{name} is bound twice"
+        assert (e.value.span.start, e.value.span.end) == span
 
     def test_judgment_round_trip(self):
         text = "x:A |- mu a.[a] x : A \\/ B |"
@@ -237,8 +253,9 @@ def test_corpus_outcomes_are_pinned():
     """Every string of the corpus, fed to the three parsers, gives the value,
     or the error message and span, that the character-by-character tokenizer
     and recursive term parser gave (with a name required after each comma of
-    the right environment, where they raised IndexError, and with input after
-    a judgment rejected, where they ignored it)."""
+    the right environment, where they raised IndexError, with input after a
+    judgment rejected, where they ignored it, and with a name bound twice in
+    one environment rejected, where they kept its last binding)."""
     h = hashlib.sha256()
     for i, text in enumerate(_corpus(100_000)):
         lang = ("iu", "strict", "curry")[i % 3]
@@ -247,4 +264,104 @@ def test_corpus_outcomes_are_pinned():
                         _outcome(parse_judgment, text, lang)):
             h.update(f"{text}\0{outcome}\0".encode())
     assert h.hexdigest() == (
-        "9f9c50ed698a53829ace253c784a7346049a59af1cc75ae5db15c2b4c949a8e5")
+        "ff3e8ad36c8aba1a03879c9624f6b043a1efe65a07f40dfe16aa9c0b119d476b")
+
+
+# -- pinned certificate decoding -----------------------------------------------
+
+def _iu_type_text(rng, d):
+    """A ``_type_text`` that parses as an iu type."""
+    while True:
+        text = _type_text(rng, d)
+        try:
+            parse_type(text)
+            return text
+        except (ParseError, LanguageViolation):
+            pass
+
+
+def _iu_env_text(rng, names):
+    """Bindings of distinct names; a tenth of them bind a name twice."""
+    picked = rng.sample(names, rng.randint(0, len(names)))
+    if picked and rng.random() < 0.1:
+        picked.append(picked[0])
+    return ", ".join(f"{n}:{_iu_type_text(rng, 2)}" for n in picked)
+
+
+def _judgment_text(rng, gammas, deltas):
+    """A judgment over one of the certificate's environment texts, now and
+    then with a non-iu type; a tenth of them damaged: a fragment inserted,
+    input added at the end, or replaced by a corpus string."""
+    ty = (_iu_type_text(rng, 2) if rng.random() < 0.95
+          else rng.choice(("(A /\\ B) \\/ A", "A ∪ top")))
+    text = (f"{rng.choice(gammas)} {rng.choice(('|-', '|-', '⊢'))} "
+            f"{_term_text(rng, 2)} : {ty} | {rng.choice(deltas)}")
+    r = rng.random()
+    if r < 0.06:
+        j = rng.randrange(len(text) + 1)
+        k = j + rng.randrange(3)
+        text = text[:j] + rng.choice(FRAGMENTS + ("",)) + text[k:]
+    elif r < 0.09:
+        text += rng.choice((" |", " x", " | x:A", " ) (", " :A"))
+    elif r < 0.1:
+        text = next(_corpus(1, rng.randrange(1 << 30)))
+    return text
+
+
+def _cert_tree(rng, gammas, deltas, depth):
+    node = {"rule": rng.choice(RULES),
+            "judgment": _judgment_text(rng, gammas, deltas)}
+    if depth and rng.random() < 0.7:
+        node["premises"] = [_cert_tree(rng, gammas, deltas, depth - 1)
+                            for _ in range(rng.choice((1, 1, 2, 3)))]
+    return node
+
+
+def _cert_corpus(n, seed=0):
+    """``n`` certificate texts: every third the encoding of a generated
+    derivation, the others trees whose judgments draw on a few environment
+    texts per certificate, so that texts repeat from node to node.  The texts
+    carry the grammar corpus's synonyms, repeated names and, now and then,
+    non-iu types; a tenth of the judgments are damaged or taken from the
+    corpus itself."""
+    rng = random.Random(seed)
+    gen_rng = random.Random(seed + 1)
+    for i in range(n):
+        if i % 3 == 0:
+            yield derivation_to_json(gen_typed_judgment(gen_rng))
+            continue
+        gammas = [_iu_env_text(rng, "xyf") for _ in range(rng.randint(1, 3))]
+        deltas = [_iu_env_text(rng, ("a", "'b"))
+                  for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.1:
+            gammas.append(rng.choice(("x:(A /\\ B) \\/ A", "y:A ∪ B",
+                                      _env_text(rng, "xyf"))))
+        yield json.dumps(_cert_tree(rng, gammas, deltas, 3))
+
+
+def _decoded(text):
+    """Every node's rule and printed judgment, in preorder, or the error."""
+    try:
+        todo, out = [derivation_from_json(text)], []
+        while todo:
+            d = todo.pop()
+            j = d.conclusion
+            out.append(f"{d.rule} {print_judgment(j.gamma, j.term, j.ty, j.delta)}")
+            todo.extend(reversed(d.premises))
+        return "\n".join(out)
+    except ParseError as e:
+        return f"ParseError {e.message} {e.span.start} {e.span.end}"
+    except (LanguageViolation, MalformedCertificate) as e:
+        return f"{type(e).__name__} {e}"
+
+
+def test_decoder_outcomes_are_pinned():
+    """Every certificate of the corpus decodes to the nodes, or fails with
+    the error message and span, that a decoder parsing each judgment text on
+    its own gave (with a name bound twice in one environment rejected, where
+    it kept the last binding)."""
+    h = hashlib.sha256()
+    for text in _cert_corpus(3_000):
+        h.update(f"{text}\0{_decoded(text)}\0".encode())
+    assert h.hexdigest() == (
+        "42a534ba6fdb82f610fe2464c23ce303126c21bd41a6f479a15db116ad9ef958")

@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from lammu.grammar import parse_judgment, parse_term
+from lammu.grammar import ParseError, parse_judgment, parse_term
 from lammu.iu import (Derivation, EmptyInversion, InvalidNode, Judgment,
                       NotPureLambda, PreconditionViolation, SearchBudget,
                       check_derivation, check_strict, derivation_from_json,
@@ -245,6 +247,28 @@ class TestCertificates:
         check_derivation(back)
         assert back.rule == d.rule
         assert type_equiv(back.conclusion.ty, d.conclusion.ty)
+
+    def test_equal_environment_texts_share_one_dict(self):
+        def node(rule, ty, *premises):
+            return {"rule": rule, "judgment": f"x:A /\\ B |- x : {ty} | 'b:A",
+                    "premises": list(premises)}
+
+        d = derivation_from_json(json.dumps(node(
+            "InterI", "A /\\ B", node("InterE", "A"), node("InterE", "B"))))
+        check_derivation(d)
+        root = d.conclusion
+        assert root.gamma == {"x": AB} and root.delta == {"b": A}
+        for p in d.premises:
+            assert p.conclusion.gamma is root.gamma
+            assert p.conclusion.delta is root.delta
+
+    def test_right_environment_text_is_no_left_environment(self):
+        # 'b:A parses as a right environment, then fails as a left one
+        text = json.dumps({"rule": "Weaken", "judgment": "|-x : A|'b:A",
+                           "premises": [{"rule": "InterE",
+                                         "judgment": "'b:A|-x : A|"}]})
+        with pytest.raises(ParseError):
+            derivation_from_json(text)
 
     def test_tampered_certificate_fails(self):
         d = derive({"x": A}, Var("x"), A, {})
