@@ -119,7 +119,7 @@ def cmd_infer_simple(args) -> int:
 
 def cmd_check_iu(args) -> int:
     gamma, term, ty, delta = parse_judgment(_read_source(args.judgment))
-    budget = SearchBudget(max_depth=args.depth, max_width=args.width)
+    budget = SearchBudget(max_depth=args.depth)
     d = derive(gamma, term, ty, delta, budget)
     if d is None:
         _bad("not found" + (" (budget exhausted)" if budget.exhausted else ""))
@@ -148,7 +148,7 @@ def cmd_verify(args) -> int:
 
 def cmd_metatheory(args) -> int:
     suite = SUITES[args.suite]
-    budget = SearchBudget(max_depth=args.depth, max_width=args.width)
+    budget = SearchBudget(max_depth=args.depth)
     report = suite(seed=args.seed, cases=args.cases, budget=budget)
     print(report.render())
     return EXIT_OK if report.fail == 0 else EXIT_FAIL
@@ -229,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="search a derivation in the intersection-union system")
     s.add_argument("judgment", nargs="?")
     s.add_argument("--depth", type=non_negative_int, default=8)
-    s.add_argument("--width", type=non_negative_int, default=4)
     s.add_argument("--cert", metavar="FILE", help="write the found certificate")
     s.set_defaults(func=cmd_check_iu)
 
@@ -242,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--cases", type=non_negative_int, default=100)
     s.add_argument("--depth", type=non_negative_int, default=9)
-    s.add_argument("--width", type=non_negative_int, default=4)
     s.set_defaults(func=cmd_metatheory)
 
     s = sub.add_parser("examples", help="walk through a bundled example")
@@ -259,7 +257,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, LanguageViolation, json.JSONDecodeError) as e:
+    except (ParseError, LanguageViolation, json.JSONDecodeError,
+            UnicodeDecodeError) as e:
         _bad(f"parse error: {e}")
         return EXIT_USAGE
     except MalformedCertificate as e:

@@ -578,7 +578,7 @@ class SuiteReport:
 def _search_check(report: SuiteReport, j: Judgment,
                   budget: SearchBudget | None) -> None:
     b = (SearchBudget(max_depth=9) if budget is None else
-         SearchBudget(budget.max_depth, budget.max_width, budget.max_nodes))
+         SearchBudget(max_depth=budget.max_depth, max_nodes=budget.max_nodes))
     found = derive(j.gamma, j.term, j.ty, j.delta, b)
     if found is None:
         report.budget_miss += 1

@@ -49,12 +49,6 @@ class _Solver:
             t = self.subst[t.name]
         return t
 
-    def deep_resolve(self, t: TypeExpr) -> TypeExpr:
-        t = self.resolve(t)
-        if isinstance(t, Arrow):
-            return Arrow(self.deep_resolve(t.left), self.deep_resolve(t.right))
-        return t
-
     def occurs(self, name: str, t: TypeExpr) -> bool:
         t = self.resolve(t)
         if isinstance(t, TVar):
@@ -124,7 +118,7 @@ def _finisher(s: _Solver, name):
     fill: dict[str, TypeExpr] = {}
 
     def final(t: TypeExpr) -> TypeExpr:
-        t = s.deep_resolve(t)
+        t = s.resolve(t)
         if _is_meta(t):
             return fill.setdefault(t.name, name(len(fill)))
         if isinstance(t, Arrow):
@@ -135,19 +129,15 @@ def _finisher(s: _Solver, name):
 
 
 def _freeze(final, d: Derivation) -> Derivation:
+    """Resolve every type in ``d`` with ``final``, checking in pre-order that
+    each node's types are curry types."""
     j = d.conclusion
     out = Judgment({x: final(t) for x, t in j.gamma.items()}, j.term,
                    final(j.ty), {a: final(t) for a, t in j.delta.items()})
-    return Derivation(d.rule, out, tuple(_freeze(final, p) for p in d.premises))
-
-
-def _validate_curry(d: Derivation) -> None:
-    j = d.conclusion
-    for t in [j.ty, *j.gamma.values(), *j.delta.values()]:
+    for t in [out.ty, *out.gamma.values(), *out.delta.values()]:
         if not well_formed(t, "curry"):
             raise CheckFailure("types", "bot may not appear left of an arrow")
-    for p in d.premises:
-        _validate_curry(p)
+    return Derivation(d.rule, out, tuple(_freeze(final, p) for p in d.premises))
 
 
 def check_simple(j: SimpleJudgment) -> Derivation:
@@ -158,10 +148,8 @@ def check_simple(j: SimpleJudgment) -> Derivation:
         if not well_formed(t, "curry"):
             raise CheckFailure("types", "judgment types must be curry types")
     s = _Solver()
-    d = _freeze(_finisher(s, lambda i: TVar(f"T{i + 1}")),
-                _walk(s, j.term, dict(j.gamma), dict(j.delta), j.ty, None))
-    _validate_curry(d)
-    return d
+    return _freeze(_finisher(s, lambda i: TVar(f"T{i + 1}")),
+                   _walk(s, j.term, dict(j.gamma), dict(j.delta), j.ty, None))
 
 
 def infer_simple(m: Term):

@@ -143,24 +143,16 @@ def canonicalize(t: TypeExpr) -> TypeExpr:
         return t
     if isinstance(t, Arrow):
         return Arrow(canonicalize(t.left), canonicalize(t.right))
-    if isinstance(t, Inter):
+    if isinstance(t, (Inter, Union)):
+        kind = type(t)
         flat: list[TypeExpr] = []
         for p in t.parts:
             p = canonicalize(p)
-            flat.extend(p.parts if isinstance(p, Inter) else [p])
+            flat.extend(p.parts if isinstance(p, kind) else [p])
         flat = _dedup(sorted(flat, key=_sort_key))
         if len(flat) == 1:
             return flat[0]
-        return Inter(tuple(flat))
-    if isinstance(t, Union):
-        flat = []
-        for p in t.parts:
-            p = canonicalize(p)
-            flat.extend(p.parts if isinstance(p, Union) else [p])
-        flat = _dedup(sorted(flat, key=_sort_key))
-        if len(flat) == 1:
-            return flat[0]
-        return Union(tuple(flat))
+        return kind(tuple(flat))
     raise TypeError(f"not a type expression: {t!r}")
 
 

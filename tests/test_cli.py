@@ -102,12 +102,9 @@ class TestCheckers:
 
     @pytest.mark.parametrize("argv", [
         ["check-iu", "--depth", "-1", "x:A |- x : A |"],
-        ["check-iu", "--width", "-2", "x:A |- x : A |"],
         ["metatheory", "--suite", "term-subst", "--cases", "-1"],
         ["metatheory", "--suite", "term-subst", "--depth", "-1"],
-        ["metatheory", "--suite", "term-subst", "--width", "-1"],
-    ], ids=["check-iu-depth", "check-iu-width", "metatheory-cases",
-            "metatheory-depth", "metatheory-width"])
+    ], ids=["check-iu-depth", "metatheory-cases", "metatheory-depth"])
     def test_negative_budgets_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as e:
             main(argv)
@@ -177,6 +174,14 @@ class TestCertificates:
 
     def test_missing_file(self):
         assert main(["verify", "/no/such/file.json"]) == 2
+
+    def test_file_that_is_not_utf8_is_a_parse_error(self, capsys, tmp_path):
+        cert = tmp_path / "cert.json"
+        cert.write_bytes(b"\xff")
+        assert main(["verify", str(cert)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("parse error:")
+        assert "Traceback" not in captured.err
 
 
 class TestDeepInput:

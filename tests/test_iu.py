@@ -1,13 +1,17 @@
+import hashlib
 import json
+import random
 
 import pytest
 
+from conftest import random_iu_type, random_term, random_type
 from lammu.grammar import ParseError, parse_judgment, parse_term
 from lammu.iu import (Derivation, EmptyInversion, InvalidNode, Judgment,
                       NotPureLambda, PreconditionViolation, SearchBudget,
                       check_derivation, check_strict, derivation_from_json,
                       derivation_to_json, derive, embed_simple, inter_elim,
                       invert, thin, weaken)
+from lammu.metatheory import base_environments
 from lammu.simple import SimpleJudgment, check_simple
 from lammu.syntax import Abs, App, Mu, Var
 from lammu.typelang import (Arrow, Inter, Top, TVar, Union, canonicalize,
@@ -237,6 +241,29 @@ class TestSearch:
             check_strict({}, Mu("a", "a", Var("x")), A)
         with pytest.raises(NotPureLambda):
             check_strict({"x": Union((A, B))}, Var("x"), A)
+
+    def test_search_outcomes_are_pinned(self):
+        """The certificate or miss, node count and exhaustion flag of 300
+        seeded searches, as the search with a separate application pass per
+        union split gave them.  Environments are random subsets of the base
+        environments, so terms meet unbound variable heads and mu named slots
+        outside the right environment, and the universes are small enough for
+        pair intersections to join the witness pool; every third goal need not
+        be in the intersection-union language."""
+        rng = random.Random(5)
+        gamma0, delta0 = base_environments()
+        h = hashlib.sha256()
+        for i in range(300):
+            gamma = {x: t for x, t in gamma0.items() if rng.random() < 0.3}
+            delta = {a: t for a, t in delta0.items() if rng.random() < 0.5}
+            term = random_term(rng, 4, tuple(gamma0), tuple(delta0))
+            ty = random_type(rng, 2) if i % 3 == 2 else random_iu_type(rng, 2)
+            budget = SearchBudget(max_depth=6, max_nodes=400)
+            d = derive(gamma, term, ty, delta, budget)
+            cert = None if d is None else derivation_to_json(d)
+            h.update(f"{cert}\0{budget.nodes}\0{budget.exhausted}\0".encode())
+        assert h.hexdigest() == (
+            "e650038b24d3a9a2297407da9d98720bbbab956cfc0104c8d3f5c6e2ddde9edd")
 
 
 class TestCertificates:
