@@ -17,9 +17,9 @@ from importlib import resources
 from .grammar import (LanguageViolation, ParseError, parse_judgment,
                       parse_term, print_judgment, print_term,
                       print_type)
-from .iu import (InvalidNode, MalformedCertificate, NotPureLambda,
-                 SearchBudget, check_derivation, derivation_from_json,
-                 derivation_to_json, derive)
+from .iu import (InvalidNode, MalformedCertificate, SearchBudget,
+                 check_derivation, derivation_from_json, derivation_to_json,
+                 derive)
 from .metatheory import (demo_erasing_failure, suite_struct_subst,
                          suite_subject_expansion, suite_subject_reduction,
                          suite_term_subst)
@@ -264,9 +264,6 @@ def main(argv: list[str] | None = None) -> int:
     except MalformedCertificate as e:
         _bad(f"malformed certificate: {e}")
         return EXIT_USAGE
-    except NotPureLambda as e:
-        _bad(str(e))
-        return EXIT_FAIL
     except OSError as e:
         _bad(str(e))
         return EXIT_USAGE

@@ -198,9 +198,6 @@ class _Parser:
     def env(self, *kinds: str) -> dict[str, TypeExpr]:
         """``n:T, ...`` with each name ``n`` a token of one of ``kinds``, and
         bound once; empty unless the next token is one."""
-        if self.toks[self.pos][0] == "ENV":   # parsed before: _shared_judgment
-            self.pos += 1
-            return self.toks[self.pos - 1][1]
         env: dict[str, TypeExpr] = {}
         more = self.toks[self.pos][0] in kinds
         while more:
@@ -255,22 +252,25 @@ def _shared_judgment(text: str, envs: dict):
     """parse_judgment(text), parsing each environment text once per ``envs``
     (one per certificate) so equal texts share a dict.  Text whose pieces, cut
     at the first ``|-`` and the last ``|``, do not parse goes to it whole."""
-    def env(piece: str, *kinds: str) -> tuple:
+    def env(piece: str, *kinds: str) -> dict[str, TypeExpr]:
         if (kinds, piece) not in envs:
             p = _Parser(_tokenize(piece))
             bindings = p.env(*kinds)
             p.expect("EOF")
             if not all(well_formed(t, "iu") for t in bindings.values()):
                 raise LanguageViolation(piece)
-            envs[kinds, piece] = ("ENV", bindings, 0, 0)
+            envs[kinds, piece] = bindings
         return envs[kinds, piece]
 
     try:
         i, k = text.index("|-"), text.rfind("|")
-        p = _Parser([env(text[:i], "IDENT"), ("TURNSTILE", "", i, i),
-                     *_tokenize(text[i + 2:k])[:-1], ("BAR", "", k, k),
-                     env(text[k + 1:], "IDENT", "TICK"), ("EOF", "", k, k)])
-        gamma, term, ty, delta = p.judgment()
+        gamma = env(text[:i], "IDENT")
+        p = _Parser(_tokenize(text[i + 2:k]))
+        term = p.term()
+        p.expect("COLON")
+        ty = p.type()
+        p.expect("EOF")
+        delta = env(text[k + 1:], "IDENT", "TICK")
         if well_formed(ty, "iu"):
             return gamma, term, ty, delta
     except (ValueError, ParseError, LanguageViolation):   # ValueError: no |-

@@ -1,4 +1,5 @@
-"""Intersection-union typing: derivation checker, inversion and bounded search.
+"""Intersection-union typing: derivation checker, admissible constructions,
+bounded search and certificates.
 
 Derivations are explicit trees over six rules:
 
@@ -13,6 +14,10 @@ plus the admissible wrappers ``Thin`` (restrict environments to the free
 variables and names) and ``Weaken`` (strengthen the left environment, widen
 the right one).  Types in a node are compared up to the equivalence induced by
 the preorder, except variable lookup, which projects components as written.
+
+``check_derivation`` is the one statement of these rules.  The search returns
+only derivations it accepts, and the constructions turn a derivation it
+accepts into another it accepts.
 """
 
 from __future__ import annotations
@@ -60,15 +65,7 @@ class InvalidNode(Exception):
         self.reason = reason
 
 
-class EmptyInversion(Exception):
-    pass
-
-
 class PreconditionViolation(Exception):
-    pass
-
-
-class NotPureLambda(Exception):
     pass
 
 
@@ -116,8 +113,6 @@ def _check_node(d: Derivation, path: tuple[int, ...]) -> None:
         if len(d.premises) != len(parts):
             bad("one premise per component required")
         for p, t in zip(d.premises, parts):
-            if not is_strict(t):
-                bad("intersection components must be strict")
             if not type_equiv(p.conclusion.ty, t):
                 bad("premise type does not match its component")
             if p.conclusion.term != j.term:
@@ -201,28 +196,21 @@ def _check_node(d: Derivation, path: tuple[int, ...]) -> None:
             bad("premise type must lie below the target union")
         return
 
-    if d.rule == "Thin":
+    if d.rule in ("Thin", "Weaken"):
+        verb = "thinning" if d.rule == "Thin" else "weakening"
         if len(d.premises) != 1:
-            bad("thinning takes one premise")
-        p = d.premises[0].conclusion
-        fv, fn = free_term_vars(j.term), free_names(j.term)
-        want_g = {x: t for x, t in p.gamma.items() if x in fv}
-        want_d = {a: t for a, t in p.delta.items() if a in fn}
-        if p.term != j.term or not type_equiv(p.ty, j.ty):
-            bad("thinning preserves the term and type")
-        if not (_env_equiv(j.gamma, want_g) and _env_equiv(j.delta, want_d)):
-            bad("environments must be restricted to the free variables and names")
-        return
-
-    if d.rule == "Weaken":
-        if len(d.premises) != 1:
-            bad("weakening takes one premise")
+            bad(f"{verb} takes one premise")
         p = d.premises[0].conclusion
         if p.term != j.term or not type_equiv(p.ty, j.ty):
-            bad("weakening preserves the term and type")
-        if not env_leq_left(j.gamma, p.gamma):
+            bad(f"{verb} preserves the term and type")
+        if d.rule == "Thin":
+            want = thin(d.premises[0]).conclusion
+            if not (_env_equiv(j.gamma, want.gamma)
+                    and _env_equiv(j.delta, want.delta)):
+                bad("environments must be restricted to the free variables and names")
+        elif not env_leq_left(j.gamma, p.gamma):
             bad("conclusion left environment must lie below the premise's")
-        if not env_leq_right(p.delta, j.delta):
+        elif not env_leq_right(p.delta, j.delta):
             bad("premise right environment must lie below the conclusion's")
         return
 
@@ -238,39 +226,6 @@ def check_derivation(d: Derivation) -> None:
             walk(p, path + (i,))
 
     walk(d, ())
-
-
-def invert(j: Judgment) -> list[Judgment]:
-    """Premise judgments forced by the term shape, when fully determined.
-
-    Raises EmptyInversion when no derivation of ``j`` can exist for shape
-    reasons.  For applications and context switches the premises involve
-    witness types the judgment does not determine, so the result is empty.
-    """
-    ty = canonicalize(j.ty)
-    if isinstance(j.term, Var):
-        if j.term.name not in j.gamma:
-            raise EmptyInversion(f"variable {j.term.name} not in environment")
-        if not subtype(j.gamma[j.term.name], ty):
-            raise EmptyInversion("environment entry does not cover the type")
-        return []
-    if isinstance(j.term, Abs):
-        prems = []
-        for part in inter_parts(ty):
-            if not isinstance(part, Arrow):
-                raise EmptyInversion("an abstraction only gets intersections of arrows")
-            prems.append(Judgment({**j.gamma, j.term.var: part.left},
-                                  j.term.body, part.right, j.delta))
-        return prems
-    if isinstance(j.term, App):
-        if ty != Top and not all(not isinstance(p, Inter) for p in union_parts(ty)):
-            raise EmptyInversion("an application gets a union of strict types")
-        return []
-    if isinstance(j.term, Mu):
-        if j.term.named != j.term.bound and j.term.named not in j.delta:
-            raise EmptyInversion(f"name {j.term.named} not in environment")
-        return []
-    raise TypeError(f"not a term: {j.term!r}")
 
 
 # -- admissible constructions -------------------------------------------------
@@ -477,38 +432,19 @@ def derive(gamma: dict[str, TypeExpr], term: Term, ty: TypeExpr,
 
     Returns None when nothing is found within the budget; ``budget.exhausted``
     tells whether the depth limit, the node cap or the cut of the witness pool
-    pruned any branch.  A right environment with a non-strict entry has no
+    pruned any branch.  A judgment with a type outside the intersection-union
+    language, or a right environment with a non-strict entry, has no
     derivation, so it gets None without a search.
     """
     budget = budget if budget is not None else SearchBudget()
     gamma = {x: canonicalize(t) for x, t in gamma.items()}
     delta = {a: canonicalize(t) for a, t in delta.items()}
-    if not all(map(is_strict, delta.values())):
-        return None
     ty = canonicalize(ty)
+    if not (all(well_formed(t, "iu") for t in [ty, *gamma.values()])
+            and all(map(is_strict, delta.values()))):
+        return None
     searcher = _Searcher(_universe(gamma, ty, delta), budget)
     return searcher.goal(gamma, term, ty, delta, budget.max_depth)
-
-
-def check_strict(gamma: dict[str, TypeExpr], term: Term, ty: TypeExpr,
-                 budget: SearchBudget | None = None) -> Derivation | None:
-    """Search in the union-free fragment: pure lambda terms, strict types."""
-
-    def pure(m: Term) -> bool:
-        if isinstance(m, Mu):
-            return False
-        if isinstance(m, Abs):
-            return pure(m.body)
-        if isinstance(m, App):
-            return pure(m.fun) and pure(m.arg)
-        return True
-
-    if not pure(term):
-        raise NotPureLambda("the union-free fragment has no context switches")
-    for t in [ty, *gamma.values()]:
-        if not well_formed(t, "strict"):
-            raise NotPureLambda("the union-free fragment uses strict types only")
-    return derive(gamma, term, ty, {}, budget)
 
 
 # -- certificates -------------------------------------------------------------

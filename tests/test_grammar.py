@@ -8,7 +8,8 @@ from conftest import random_iu_type, random_term
 from lammu.grammar import (LanguageViolation, ParseError, parse_judgment,
                            parse_term, parse_type, print_judgment, print_term,
                            print_type)
-from lammu.iu import (RULES, MalformedCertificate, derivation_from_json,
+from lammu.iu import (RULES, InvalidNode, MalformedCertificate,
+                      check_derivation, derivation_from_json,
                       derivation_to_json)
 from lammu.metatheory import gen_typed_judgment
 from lammu.syntax import Abs, App, Mu, Var, alpha_eq
@@ -365,3 +366,28 @@ def test_decoder_outcomes_are_pinned():
         h.update(f"{text}\0{_decoded(text)}\0".encode())
     assert h.hexdigest() == (
         "42a534ba6fdb82f610fe2464c23ce303126c21bd41a6f479a15db116ad9ef958")
+
+
+def test_checker_outcomes_are_pinned():
+    """Every certificate of the corpus that decodes is accepted, or rejected
+    with the reason and at the path, that the checker gave when it tested
+    intersection components for strictness and thinning by its own
+    restriction of the environments."""
+    h = hashlib.sha256()
+    decoded = rejected = 0
+    for text in _cert_corpus(3_000):
+        try:
+            d = derivation_from_json(text)
+        except (ParseError, LanguageViolation, MalformedCertificate):
+            continue
+        decoded += 1
+        try:
+            check_derivation(d)
+            outcome = "valid"
+        except InvalidNode as e:
+            rejected += 1
+            outcome = f"{e.reason}\0{e.path}"
+        h.update(f"{text}\0{outcome}\0".encode())
+    assert (decoded, rejected) == (1_737, 730)
+    assert h.hexdigest() == (
+        "c896525ba499e5ee8b3f864644c3148ee3e99809dd491f975aa6b92ae384b1f5")

@@ -6,11 +6,10 @@ import pytest
 
 from conftest import random_iu_type, random_term, random_type
 from lammu.grammar import ParseError, parse_judgment, parse_term
-from lammu.iu import (Derivation, EmptyInversion, InvalidNode, Judgment,
-                      NotPureLambda, PreconditionViolation, SearchBudget,
-                      check_derivation, check_strict, derivation_from_json,
-                      derivation_to_json, derive, embed_simple, inter_elim,
-                      invert, thin, weaken)
+from lammu.iu import (Derivation, InvalidNode, Judgment,
+                      PreconditionViolation, SearchBudget, check_derivation,
+                      derivation_from_json, derivation_to_json, derive,
+                      embed_simple, inter_elim, thin, weaken)
 from lammu.metatheory import base_environments
 from lammu.simple import SimpleJudgment, check_simple
 from lammu.syntax import Abs, App, Mu, Var
@@ -78,6 +77,118 @@ class TestValidNodes:
         check_derivation(d)
 
 
+def node(rule, text, *premises):
+    """A derivation node whose conclusion is the judgment ``text``."""
+    return Derivation(rule, Judgment(*parse_judgment(text)), premises)
+
+
+def reject(d, reason, wrapped=False):
+    """A case of ``test_every_rejection``: ``d`` fails with ``reason``, at
+    the root or, ``wrapped`` under a weakening that changes nothing, at 0."""
+    case_id = f"{d.rule}: {reason}"
+    if wrapped:
+        return pytest.param(Derivation("Weaken", d.conclusion, (d,)),
+                            reason, (0,), id=case_id)
+    return pytest.param(d, reason, (), id=case_id)
+
+
+# One node for each reason the rest of the suite never makes the checker give.
+_REJECTIONS = [
+    reject(var_node({"x": A}, "x", Union((AB, B))),
+           "type outside the intersection-union language"),
+    reject(node("InterE", "x:A |- x : A |", node("InterE", "x:A |- x : A |")),
+           "variable lookup takes no premises"),
+    reject(node("InterI", "x:A /\\ B |- x : A /\\ B |",
+                node("InterE", "x:A /\\ B |- x : A |")),
+           "one premise per component required", wrapped=True),
+    reject(node("InterI", "x:A /\\ B |- x : A /\\ B |",
+                node("InterE", "x:A /\\ B |- x : B |"),
+                node("InterE", "x:A /\\ B |- x : A |")),
+           "premise type does not match its component"),
+    reject(node("InterI", "x:A /\\ B |- x : A /\\ B |",
+                node("InterE", "x:A /\\ B, y:A |- x : A |"),
+                node("InterE", "x:A /\\ B, y:A |- x : B |")),
+           "premises must share the conclusion environments"),
+    reject(node("ArrowI", "|- \\x.x : A |", node("InterE", "x:A |- x : A |")),
+           "conclusion must be an arrow"),
+    reject(node("ArrowI", "|- \\x.x : A -> A |"),
+           "arrow introduction takes one premise"),
+    reject(node("ArrowI", "|- \\x.x : A -> A |",
+                node("InterE", "x:A, y:A |- y : A |")),
+           "premise must type the body", wrapped=True),
+    reject(node("ArrowI", "|- \\x.x : A -> B |",
+                node("InterE", "x:A |- x : A |")),
+           "premise type must be the arrow target"),
+    reject(node("ArrowI", "|- \\x.x : A -> A |",
+                node("InterE", "x:A, y:B |- x : A |")),
+           "premise environment must bind the abstracted variable"),
+    reject(node("ArrowE", "x:A |- x : A |"),
+           "arrow elimination applies to applications"),
+    reject(node("ArrowE", "f:A -> B, y:A |- f y : B |",
+                node("InterE", "f:A -> B, y:A |- f : A -> B |")),
+           "arrow elimination needs a function premise and n >= 1 argument "
+           "premises"),
+    reject(node("ArrowE", "f:A -> B, y:A |- f y : B |",
+                node("InterE", "f:A -> B, y:A |- y : A |"),
+                node("InterE", "f:A -> B, y:A |- y : A |")),
+           "first premise must type the function"),
+    reject(node("ArrowE", "f:A -> B, y:A |- f y : B |",
+                node("InterE", "f:A -> B, y:A |- f : A -> B |"),
+                node("InterE", "f:A -> B, y:A |- y : A |"),
+                node("InterE", "f:A -> B, y:A |- y : A |")),
+           "one argument premise per union branch required"),
+    reject(node("ArrowE", "f:A -> B, y:A |- f y : B |",
+                node("InterE", "f:A -> B, y:A |- f : A -> B |"),
+                node("InterE", "f:A -> B, y:A |- f : A -> B |")),
+           "argument premises must type the argument", wrapped=True),
+    reject(node("ArrowE", "f:A -> B, y:A /\\ B |- f y : B |",
+                node("InterE", "f:A -> B, y:A /\\ B |- f : A -> B |"),
+                node("InterE", "f:A -> B, y:A /\\ B |- y : B |")),
+           "argument premise does not match the arrow source"),
+    reject(node("ArrowE", "f:A -> B, y:A |- f y : A |",
+                node("InterE", "f:A -> B, y:A |- f : A -> B |"),
+                node("InterE", "f:A -> B, y:A |- y : A |")),
+           "conclusion must be the union of the arrow targets"),
+    reject(node("ArrowE", "f:A -> B, y:A |- f y : B |",
+                node("InterE", "f:A -> B, y:A, z:A |- f : A -> B |"),
+                node("InterE", "f:A -> B, y:A, z:A |- y : A |")),
+           "premises must share the conclusion environments"),
+    reject(node("UnionE_self", "x:A |- mu a.[a] x : A |"),
+           "union elimination takes one premise"),
+    reject(node("UnionE_self", "x:A, y:A |- mu a.[a] x : A |",
+                node("InterE", "x:A, y:A |- y : A | a:A")),
+           "premise must type the body"),
+    reject(node("UnionE_named", "x:A |- mu a.[a] x : A |",
+                node("InterE", "x:A |- x : A | a:A")),
+           "the named slot refers to the bound name; use the self variant"),
+    reject(node("UnionE_named", "x:A |- mu a.['b] x : A |",
+                node("InterE", "x:A |- x : A | a:A")),
+           "name b not in environment", wrapped=True),
+    reject(node("UnionE_self", "x:A |- mu a.['b] x : A | 'b:A",
+                node("InterE", "x:A |- x : A | a:A, 'b:A")),
+           "the named slot differs from the bound name; use the named variant"),
+    reject(node("UnionE_self", "x:A |- mu a.[a] x : A |",
+                node("InterE", "x:A |- x : A |")),
+           "premise environment must bind the freed name"),
+    reject(node("UnionE_self", "x:B |- mu a.[a] x : A |",
+                node("InterE", "x:B |- x : B | a:A")),
+           "premise type must lie below the target union"),
+    reject(node("Thin", "x:A |- x : B |", node("InterE", "x:A |- x : A |")),
+           "thinning preserves the term and type"),
+    reject(node("Thin", "x:A, y:B |- x : A |",
+                node("InterE", "x:A, y:B |- x : A |")),
+           "environments must be restricted to the free variables and names"),
+    reject(node("Weaken", "x:A |- x : B |", node("InterE", "x:A |- x : A |")),
+           "weakening preserves the term and type"),
+    reject(node("Weaken", "|- x : A |", node("InterE", "x:A |- x : A |")),
+           "conclusion left environment must lie below the premise's",
+           wrapped=True),
+    reject(node("Weaken", "x:A |- x : A |",
+                node("InterE", "x:A |- x : A | 'b:A")),
+           "premise right environment must lie below the conclusion's"),
+]
+
+
 class TestInvalidNodes:
     def test_projection_is_structural(self):
         with pytest.raises(InvalidNode):
@@ -125,31 +236,11 @@ class TestInvalidNodes:
             check_derivation(d)
         assert e.value.path == (0,)
 
-
-class TestInversion:
-    def test_variable(self):
-        assert invert(Judgment({"x": AB}, Var("x"), A, {})) == []
-        with pytest.raises(EmptyInversion):
-            invert(Judgment({}, Var("x"), A, {}))
-        with pytest.raises(EmptyInversion):
-            invert(Judgment({"x": A}, Var("x"), B, {}))
-
-    def test_abstraction(self):
-        j = Judgment({}, Abs("x", Var("x")),
-                     Inter((Arrow(A, A), Arrow(B, B))), {})
-        prems = invert(j)
-        assert [p.ty for p in prems] == [A, B]
-        assert all(p.term == Var("x") for p in prems)
-        with pytest.raises(EmptyInversion):
-            invert(Judgment({}, Abs("x", Var("x")), A, {}))
-
-    def test_application_and_mu_leave_witnesses_open(self):
-        assert invert(Judgment({"f": Arrow(A, B), "y": A},
-                               App(Var("f"), Var("y")), B, {})) == []
-        assert invert(Judgment({"x": A}, Mu("a", "a", Var("x")),
-                               Union((A, B)), {})) == []
-        with pytest.raises(EmptyInversion):
-            invert(Judgment({"x": A}, Mu("a", "b", Var("x")), A, {}))
+    @pytest.mark.parametrize("d, reason, path", _REJECTIONS)
+    def test_every_rejection(self, d, reason, path):
+        with pytest.raises(InvalidNode) as e:
+            check_derivation(d)
+        assert (e.value.reason, e.value.path) == (reason, path)
 
 
 class TestAdmissible:
@@ -234,22 +325,36 @@ class TestSearch:
         for text in ("x:A |- x : A | 'b:A/\\B", "x:A |- x : A | 'b:top"):
             assert derive(*parse_judgment(text)) is None
 
-    def test_strict_fragment(self):
-        d = check_strict({"x": AB}, Var("x"), A)
-        assert d is not None
-        with pytest.raises(NotPureLambda):
-            check_strict({}, Mu("a", "a", Var("x")), A)
-        with pytest.raises(NotPureLambda):
-            check_strict({"x": Union((A, B))}, Var("x"), A)
+    def test_every_found_derivation_checks(self):
+        # goals, and now and then a left environment entry, outside the
+        # intersection-union language have no derivation, so nothing the
+        # search returns for them may fail the checker
+        rng = random.Random(9)
+        gamma0, delta0 = base_environments()
+        found = 0
+        for _ in range(1_000):
+            gamma = {x: t for x, t in gamma0.items() if rng.random() < 0.3}
+            if rng.random() < 0.2:
+                gamma[rng.choice(tuple(gamma0))] = random_type(rng, 2)
+            delta = {a: t for a, t in delta0.items() if rng.random() < 0.5}
+            term = random_term(rng, 4, tuple(gamma0), tuple(delta0))
+            d = derive(gamma, term, random_type(rng, 2), delta,
+                       SearchBudget(max_depth=6, max_nodes=400))
+            if d is not None:
+                check_derivation(d)
+                found += 1
+        assert found > 0
 
     def test_search_outcomes_are_pinned(self):
         """The certificate or miss, node count and exhaustion flag of 300
         seeded searches, as the search with a separate application pass per
-        union split gave them.  Environments are random subsets of the base
-        environments, so terms meet unbound variable heads and mu named slots
-        outside the right environment, and the universes are small enough for
-        pair intersections to join the witness pool; every third goal need not
-        be in the intersection-union language."""
+        union split gave them, but with the 20 goals outside the
+        intersection-union language refused after 0 nodes.  Environments are
+        random subsets of the base environments, so terms meet unbound
+        variable heads and mu named slots outside the right environment, and
+        the universes are small enough for pair intersections to join the
+        witness pool; every third goal need not be in the intersection-union
+        language."""
         rng = random.Random(5)
         gamma0, delta0 = base_environments()
         h = hashlib.sha256()
@@ -263,7 +368,7 @@ class TestSearch:
             cert = None if d is None else derivation_to_json(d)
             h.update(f"{cert}\0{budget.nodes}\0{budget.exhausted}\0".encode())
         assert h.hexdigest() == (
-            "e650038b24d3a9a2297407da9d98720bbbab956cfc0104c8d3f5c6e2ddde9edd")
+            "ffa35d444eeaf149e859286b738da05205766256c7822ccd7387033d6df5544d")
 
 
 class TestCertificates:
