@@ -282,6 +282,10 @@ class SearchBudget:
     nodes: int = 0
 
 
+class _NodeCap(Exception):
+    """The search reached ``max_nodes``; it stops at once."""
+
+
 def _universe(gamma, ty, delta) -> list[TypeExpr]:
     seen: dict[TypeExpr, None] = {Top: None, Bottom: None}
     for t in [ty, *gamma.values(), *delta.values()]:
@@ -322,7 +326,7 @@ class _Searcher:
         self.budget.nodes += 1
         if self.budget.nodes > self.budget.max_nodes:
             self.budget.exhausted = True
-            return None
+            raise _NodeCap
         j = Judgment(gamma, term, ty, delta)
 
         if isinstance(ty, Inter):
@@ -444,7 +448,10 @@ def derive(gamma: dict[str, TypeExpr], term: Term, ty: TypeExpr,
             and all(map(is_strict, delta.values()))):
         return None
     searcher = _Searcher(_universe(gamma, ty, delta), budget)
-    return searcher.goal(gamma, term, ty, delta, budget.max_depth)
+    try:
+        return searcher.goal(gamma, term, ty, delta, budget.max_depth)
+    except _NodeCap:
+        return None
 
 
 # -- certificates -------------------------------------------------------------

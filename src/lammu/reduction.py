@@ -6,9 +6,14 @@ child indices (Abs/Mu body = 0, App fun = 0, arg = 1).  Fresh names are drawn
 deterministically from the identifiers of the term at hand, so reduction is a
 pure function.
 
-``iter_redexes`` finds redexes lazily, leftmost-outermost first, by a preorder
-walk with an explicit stack: ``normalize`` takes its first item and
-``redexes`` lists them all.  ``step`` checks only the redex it is given.  The
+One preorder walk over a zipper finds redexes, leftmost-outermost first: it
+lists them for ``iter_redexes``, and ``normalize`` resumes it after each
+contraction at p.  Nodes before p in preorder that are not ancestors of p are
+unchanged and hold no redex; the rebuilt ancestors keep their constructor and
+their child's, so beta, mu, renaming and eta_mu can newly match only at p's
+parent, and erasing at any ``mu a.[a]`` ancestor.  So the next redex is the
+first such ancestor, top-down, or else the first redex at or after p.
+``step`` checks only the redex it is given.  The
 substitutions hand back every subterm in which the substituted variable or
 name is not free as it is, so one step walks the term a bounded number of
 times instead of rescanning each subterm for free variables.
@@ -68,16 +73,21 @@ def _spine(m: Term, pos: Position) -> list[Term]:
 
 
 def replace_at(m: Term, pos: Position, new: Term) -> Term:
-    spine = _spine(m, pos)
-    for parent, i in zip(reversed(spine[:-1]), reversed(pos)):
-        if isinstance(parent, Abs):
+    return _rebuild(_spine(m, pos)[:-1], pos, new)
+
+
+def _rebuild(parents: list[Term], path, new: Term) -> Term:
+    """Rebuild ``parents`` in place over ``new`` along ``path``; the root."""
+    for j in reversed(range(len(parents))):
+        parent = parents[j]
+        kind = type(parent)
+        if kind is App:
+            new = App(new, parent.arg) if path[j] == 0 else App(parent.fun, new)
+        elif kind is Abs:
             new = Abs(parent.var, new)
-        elif isinstance(parent, Mu):
-            new = Mu(parent.bound, parent.named, new)
-        elif i == 0:
-            new = App(new, parent.arg)
         else:
-            new = App(parent.fun, new)
+            new = Mu(parent.bound, parent.named, new)
+        parents[j] = new
     return new
 
 
@@ -152,47 +162,92 @@ def rename_name(m: Term, g: str, b: str) -> Term:
     return _subst(m, g, None, b)
 
 
-def _is_erasable(m: Term) -> bool:
-    return (isinstance(m, Mu) and m.named == m.bound
-            and m.bound not in free_names(m.body))
-
-
-# rule -> does the term at hand match its left-hand side?
+# rule -> (the constructor of its left-hand side, the rest of the match,
+# given the term and a free-name function)
 _REDEX = {
-    "beta": lambda m: isinstance(m, App) and isinstance(m.fun, Abs),
-    "mu": lambda m: isinstance(m, App) and isinstance(m.fun, Mu),
-    "renaming": lambda m: isinstance(m, Mu) and isinstance(m.body, Mu),
-    "erasing": _is_erasable,
-    "eta_mu": lambda m: isinstance(m, Mu),
+    "beta": (App, lambda m, fn: isinstance(m.fun, Abs)),
+    "mu": (App, lambda m, fn: isinstance(m.fun, Mu)),
+    "renaming": (Mu, lambda m, fn: isinstance(m.body, Mu)),
+    "erasing": (Mu, lambda m, fn: m.named == m.bound
+                and m.bound not in fn(m.body)),
+    "eta_mu": (Mu, lambda m, fn: True),
 }
 
 
+class _Walk:
+    """A preorder walk over a zipper: the focus, its ancestors ``parents``
+    (root first) and the child indices ``path`` taken at them.  ``names``
+    memoizes free names by node id, keeping the node so no id is reused."""
+
+    def __init__(self, m: Term, enabled: set[str]):
+        self.checks: dict[type, list] = {App: [], Mu: []}
+        for rule in (r for r in RULES if r in enabled):
+            self.checks[_REDEX[rule][0]].append((rule, _REDEX[rule][1]))
+        self.focus, self.parents, self.path = m, [], []
+        self.erasing = "erasing" in enabled
+        self.names: dict[int, tuple[Term, frozenset[str]]] = {}
+
+    def walk(self) -> Iterator[str]:
+        """Each enabled redex from the focus on, in preorder; the focus is
+        on a redex when its rule is yielded."""
+        checks, fn = self.checks, self.free_names
+        parents, path, t = self.parents, self.path, self.focus
+        while True:
+            for rule, test in checks.get(type(t), ()):
+                if test(t, fn):
+                    self.focus = t
+                    yield rule
+            if isinstance(t, (App, Abs, Mu)):
+                parents.append(t)
+                path.append(0)
+                t = t.fun if isinstance(t, App) else t.body
+                continue
+            # a leaf: on to the argument of the nearest App entered by its fun
+            while parents and (path[-1] or not isinstance(parents[-1], App)):
+                parents.pop()
+                path.pop()
+            if not parents:
+                return
+            path[-1] = 1
+            t = parents[-1].arg
+
+    def resume(self) -> str | None:
+        """After a contraction at the focus, move the focus onto the next
+        redex and give its rule, or None (see the module docstring)."""
+        k = len(self.parents)
+        for j in range(0 if self.erasing else max(k - 1, 0), k):
+            a = self.parents[j]
+            rule = next((r for r, test in self.checks.get(type(a), ())
+                         if test(a, self.free_names)), None)
+            if rule is not None:
+                self.focus = self.parents[j]
+                del self.parents[j:], self.path[j:]
+                return rule
+        return next(self.walk(), None)
+
+    def free_names(self, m: Term) -> frozenset[str]:
+        """``free_names(m)``, memoized per node, without recursion."""
+        memo, todo = self.names, [m]
+        while todo:
+            t = todo.pop()
+            kids = ((t.fun, t.arg) if isinstance(t, App) else
+                    () if isinstance(t, Var) else (t.body,))
+            if any(id(c) not in memo for c in kids):
+                todo += (t, *kids)
+                continue
+            out = frozenset().union(*(memo[id(c)][1] for c in kids))
+            if isinstance(t, Mu):
+                out = (out | {t.named}) - {t.bound}
+            memo[id(t)] = (t, out)
+        return memo[id(m)][1]
+
+
 def iter_redexes(m: Term, enabled: set[str]) -> Iterator[tuple[Position, str]]:
-    """Enabled redex positions, leftmost-outermost first, found lazily.
-
-    A preorder walk with an explicit stack, so it stops at the first redex
-    the caller takes and does not recurse on deep terms."""
-    checks = [(rule, _REDEX[rule]) for rule in RULES if rule in enabled]
-    stack: list[tuple[Term, tuple | None]] = [(m, None)]
-    while stack:
-        t, path = stack.pop()
-        for rule, matches in checks:
-            if matches(t):
-                yield _position(path), rule
-        if isinstance(t, (Abs, Mu)):
-            stack.append((t.body, (0, path)))
-        elif isinstance(t, App):
-            stack.append((t.arg, (1, path)))
-            stack.append((t.fun, (0, path)))
-
-
-def _position(path: tuple | None) -> Position:
-    """The position of a walker path, a linked list (index, parent)."""
-    out = []
-    while path is not None:
-        i, path = path
-        out.append(i)
-    return tuple(reversed(out))
+    """Enabled redex positions, leftmost-outermost first, found lazily and
+    without recursion."""
+    w = _Walk(m, enabled)
+    for rule in w.walk():
+        yield tuple(w.path), rule
 
 
 def redexes(m: Term, enabled: set[str]) -> list[tuple[Position, str]]:
@@ -237,7 +292,8 @@ def step(m: Term, at: Position, rule: str) -> Term:
         sub = subterm_at(m, at)
     except IndexError:
         raise NotARedex(f"no subterm at {at}") from None
-    if rule not in _REDEX or not _REDEX[rule](sub):
+    if rule not in _REDEX or not (isinstance(sub, _REDEX[rule][0])
+                                  and _REDEX[rule][1](sub, free_names)):
         raise NotARedex(f"{rule} does not apply at {at}")
     return replace_at(m, at, _contract(sub, rule, m))
 
@@ -248,16 +304,16 @@ def normalize(m: Term, enabled: set[str], fuel: int = 1000) -> ReductionTrace:
     if fuel < 1:
         raise ValueError("fuel must be positive")
     trace = ReductionTrace(m)
-    cur = m
+    w = _Walk(m, enabled)
+    rule = next(w.walk(), None)
     for _ in range(fuel):
-        first = next(iter_redexes(cur, enabled), None)
-        if first is None:
+        if rule is None:
             return trace
-        pos, rule = first
-        cur = step(cur, pos, rule)
-        trace.steps.append((pos, rule, cur))
-    if next(iter_redexes(cur, enabled), None) is not None:
-        trace.fuel_exhausted = True
+        w.focus = _contract(w.focus, rule, m)
+        m = _rebuild(w.parents, w.path, w.focus)
+        trace.steps.append((tuple(w.path), rule, m))
+        rule = w.resume()
+    trace.fuel_exhausted = rule is not None
     return trace
 
 

@@ -68,16 +68,22 @@ def free_names(m: Term) -> set[str]:
 
 
 def all_identifiers(m: Term) -> set[str]:
-    """Every variable and name occurring in ``m``, bound or free."""
-    if isinstance(m, Var):
-        return {m.name}
-    if isinstance(m, Abs):
-        return {m.var} | all_identifiers(m.body)
-    if isinstance(m, App):
-        return all_identifiers(m.fun) | all_identifiers(m.arg)
-    if isinstance(m, Mu):
-        return {m.bound, m.named} | all_identifiers(m.body)
-    raise TypeError(f"not a term: {m!r}")
+    """Every variable and name occurring in ``m``, bound or free, found by
+    one walk with an explicit stack that adds into a single set."""
+    out: set[str] = set()
+    todo = [m]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, App):
+            todo += (t.arg, t.fun)
+        elif isinstance(t, Var):
+            out.add(t.name)
+        elif isinstance(t, (Abs, Mu)):
+            out.update((t.var,) if isinstance(t, Abs) else (t.bound, t.named))
+            todo.append(t.body)
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return out
 
 
 def alpha_eq(m: Term, n: Term) -> bool:

@@ -349,7 +349,10 @@ class TestSearch:
         """The certificate or miss, node count and exhaustion flag of 300
         seeded searches, as the search with a separate application pass per
         union split gave them, but with the 20 goals outside the
-        intersection-union language refused after 0 nodes.  Environments are
+        intersection-union language refused after 0 nodes, and with every
+        search stopped at the node cap.  The verdicts alone (certificate
+        and exhaustion flag) are pinned apart, as the search gave them
+        before it stopped at the cap.  Environments are
         random subsets of the base environments, so terms meet unbound
         variable heads and mu named slots outside the right environment, and
         the universes are small enough for pair intersections to join the
@@ -357,7 +360,7 @@ class TestSearch:
         language."""
         rng = random.Random(5)
         gamma0, delta0 = base_environments()
-        h = hashlib.sha256()
+        h, verdicts = hashlib.sha256(), hashlib.sha256()
         for i in range(300):
             gamma = {x: t for x, t in gamma0.items() if rng.random() < 0.3}
             delta = {a: t for a, t in delta0.items() if rng.random() < 0.5}
@@ -365,10 +368,14 @@ class TestSearch:
             ty = random_type(rng, 2) if i % 3 == 2 else random_iu_type(rng, 2)
             budget = SearchBudget(max_depth=6, max_nodes=400)
             d = derive(gamma, term, ty, delta, budget)
+            assert budget.nodes <= budget.max_nodes + 1
             cert = None if d is None else derivation_to_json(d)
             h.update(f"{cert}\0{budget.nodes}\0{budget.exhausted}\0".encode())
+            verdicts.update(f"{cert}\0{budget.exhausted}\0".encode())
+        assert verdicts.hexdigest() == (
+            "45702b108c06483007dee8e05a596c4e7f831ae55d9bc65ae1a4ed194799fc70")
         assert h.hexdigest() == (
-            "ffa35d444eeaf149e859286b738da05205766256c7822ccd7387033d6df5544d")
+            "6ac51bd2f82a4a5c99fbde70efdee21a424b62faa219e51c1eea86f529db8f6a")
 
 
 class TestCertificates:

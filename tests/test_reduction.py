@@ -5,9 +5,10 @@ import pytest
 
 from lammu.grammar import parse_term, print_term
 from lammu.reduction import (RULES, FreshnessViolation, NotARedex,
-                             format_position, format_trace, iter_redexes,
-                             normalize, redexes, rename_name, replace_at, step,
-                             subst_structural, subst_term, subterm_at)
+                             ReductionTrace, format_position, format_trace,
+                             iter_redexes, normalize, redexes, rename_name,
+                             replace_at, step, subst_structural, subst_term,
+                             subterm_at)
 from lammu.syntax import Abs, App, Mu, Var, alpha_eq
 
 
@@ -210,6 +211,22 @@ class TestLinearSteps:
             [(bottom, "beta")]
         assert subterm_at(trace.final, bottom) == Var("y")
 
+    def test_erasing_on_a_deep_chain_is_linear(self):
+        # mu a9999.[a9999] ... mu a0.[a0] x: every mu is an erasing redex.
+        # The positions are checked as the walk yields them: all 10,000 of
+        # them at once would hold 50 million indices.
+        m = Var("x")
+        for i in range(10_000):
+            m = Mu(f"a{i}", f"a{i}", m)
+        found = 0
+        for depth, (pos, rule) in enumerate(iter_redexes(m, {"erasing"})):
+            assert pos == (0,) * depth and rule == "erasing"
+            found += 1
+        assert found == 10_000
+        trace = normalize(m, {"erasing"}, fuel=10_001)
+        assert len(trace.steps) == 10_000 and not trace.fuel_exhausted
+        assert trace.final == Var("x")
+
     def test_iter_redexes_is_lazy_and_ordered(self):
         m = App(Abs("x", Var("x")), App(Abs("y", Var("y")), Var("z")))
         it = iter_redexes(m, {"beta"})
@@ -230,6 +247,52 @@ class TestLinearSteps:
 
 PINNED_TRACES = ("052ecbffd3f5b3d24bd913a1ff6ba66f0d454d316fd5a60912f6bc41"
                  "84228731")
+
+
+def restarting_normalize(m, enabled, fuel):
+    """The reference for ``normalize``: each step looks for the first redex
+    from the root again."""
+    trace = ReductionTrace(m)
+    for _ in range(fuel):
+        first = next(iter_redexes(m, enabled), None)
+        if first is None:
+            return trace
+        m = step(m, *first)
+        trace.steps.append((*first, m))
+    trace.fuel_exhausted = next(iter_redexes(m, enabled), None) is not None
+    return trace
+
+
+class TestResumedWalk:
+    """``normalize`` resumes its walk after each contraction; it must take
+    the steps a walk from the root would."""
+
+    def test_random_terms(self):
+        rng = random.Random(7)
+        rule_sets = RULE_SETS + [{"erasing", "beta"}, {"eta_mu", "renaming"}]
+        for _ in range(150):
+            m = random_open_term(rng, rng.choice((7, 8)))
+            for enabled in rule_sets:
+                assert format_trace(normalize(m, enabled, fuel=40)) == \
+                    format_trace(restarting_normalize(m, enabled, 40))
+
+    def test_redexes_under_a_deep_spine(self):
+        # R = ((\x.x) (\z.z)) (... (((\x.x) (\z.z)) y)): contracting the
+        # inner redex makes its parent a beta redex, whose contractum holds
+        # the next one, all under 10,000 applications of f
+        r = Var("y")
+        for _ in range(15):
+            r = App(App(Abs("x", Var("x")), Abs("z", Var("z"))), r)
+        m = r
+        for _ in range(10_000):
+            m = App(Var("f"), m)
+        trace = normalize(m, {"beta", "mu"}, fuel=40)
+        ref = restarting_normalize(m, {"beta", "mu"}, 40)
+        assert len(trace.steps) == 30 and not trace.fuel_exhausted
+        assert [(pos, rule, print_term(t)) for pos, rule, t in trace.steps] \
+            == [(pos, rule, print_term(t)) for pos, rule, t in ref.steps]
+        assert trace.steps[0][0] == (1,) * 10_000 + (0,)
+        assert trace.steps[1][0] == (1,) * 10_000
 
 
 # one pool for variables and names, primed like the names ``fresh`` makes, so
