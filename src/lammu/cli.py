@@ -2,15 +2,13 @@
 
 Exit codes: 0 success (valid, found, suite clean), 1 failure (invalid, not
 found, untypable, suite failures), 2 usage or parse errors, 3 search or fuel
-budget exhausted, or input nested too deeply to decide.  Set LAMMU_COLOR=1 to
-colorize verdicts.
+budget exhausted, or input nested too deeply to decide.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from importlib import resources
 
@@ -40,18 +38,8 @@ SUITES = {
 }
 
 
-def _color(text: str, code: str) -> str:
-    if os.environ.get("LAMMU_COLOR", "") in ("1", "always", "yes"):
-        return f"\x1b[{code}m{text}\x1b[0m"
-    return text
-
-
-def _ok(msg: str) -> None:
-    print(_color(msg, "32"))
-
-
 def _bad(msg: str) -> None:
-    print(_color(msg, "31"), file=sys.stderr)
+    print(msg, file=sys.stderr)
 
 
 def _read_source(arg: str | None) -> str:
@@ -101,7 +89,7 @@ def cmd_check_simple(args) -> int:
     except CheckFailure as e:
         _bad(f"invalid: {e}")
         return EXIT_FAIL
-    _ok(f"valid: {print_judgment(gamma, term, ty, delta)}")
+    print(f"valid: {print_judgment(gamma, term, ty, delta)}")
     _write_cert(args.cert, d)
     return EXIT_OK
 
@@ -124,17 +112,13 @@ def cmd_check_iu(args) -> int:
     if d is None:
         _bad("not found" + (" (budget exhausted)" if budget.exhausted else ""))
         return EXIT_BUDGET if budget.exhausted else EXIT_FAIL
-    _ok(f"found: {print_judgment(gamma, term, ty, delta)}")
+    print(f"found: {print_judgment(gamma, term, ty, delta)}")
     _write_cert(args.cert, d)
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    if args.cert == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.cert) as fh:
-            text = fh.read()
+def _verify(text: str) -> int:
+    """Decode the certificate ``text``, check it and print the verdict."""
     d = derivation_from_json(text)
     try:
         check_derivation(d)
@@ -142,8 +126,15 @@ def cmd_verify(args) -> int:
         _bad(f"invalid: {e}")
         return EXIT_FAIL
     j = d.conclusion
-    _ok(f"valid: {print_judgment(j.gamma, j.term, j.ty, j.delta)}")
+    print(f"valid: {print_judgment(j.gamma, j.term, j.ty, j.delta)}")
     return EXIT_OK
+
+
+def cmd_verify(args) -> int:
+    if args.cert == "-":
+        return _verify(sys.stdin.read())
+    with open(args.cert) as fh:
+        return _verify(fh.read())
 
 
 def cmd_metatheory(args) -> int:
@@ -152,10 +143,6 @@ def cmd_metatheory(args) -> int:
     report = suite(seed=args.seed, cases=args.cases, budget=budget)
     print(report.render())
     return EXIT_OK if report.fail == 0 else EXIT_FAIL
-
-
-def _load_cert(name: str) -> str:
-    return resources.files("lammu").joinpath(f"certs/{name}.json").read_text()
 
 
 def cmd_examples(args) -> int:
@@ -170,16 +157,14 @@ def cmd_examples(args) -> int:
         if rep["derivable_after"] or rep["search_found_after"]:
             _bad("unexpectedly derivable after erasing")
             return EXIT_FAIL
-        _ok("the reduced judgment is not derivable: erasing loses the union")
+        print("the reduced judgment is not derivable: erasing loses the union")
         return EXIT_OK
-    cert = _load_cert(args.name.replace("-", "_"))
-    d = derivation_from_json(cert)
-    check_derivation(d)
-    j = d.conclusion
-    _ok(f"valid: {print_judgment(j.gamma, j.term, j.ty, j.delta)}")
+    name = args.name.replace("-", "_")
+    cert = resources.files("lammu").joinpath(f"certs/{name}.json").read_text()
+    code = _verify(cert)
     if args.cert:
         print(cert)
-    return EXIT_OK
+    return code
 
 
 def positive_int(text: str) -> int:

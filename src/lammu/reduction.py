@@ -13,7 +13,7 @@ unchanged and hold no redex; the rebuilt ancestors keep their constructor and
 their child's, so beta, mu, renaming and eta_mu can newly match only at p's
 parent, and erasing at any ``mu a.[a]`` ancestor.  So the next redex is the
 first such ancestor, top-down, or else the first redex at or after p.
-``step`` checks only the redex it is given.  The
+``step`` checks only the redex it is given, with the walk's own match.  The
 substitutions hand back every subterm in which the substituted variable or
 name is not free as it is, so one step walks the term a bounded number of
 times instead of rescanning each subterm for free variables.
@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 
 from .syntax import (Abs, App, Mu, Term, Var, all_identifiers, free_names,
                      free_term_vars, fresh)
-
-RULES = ("beta", "mu", "renaming", "erasing", "eta_mu")
 
 Position = tuple[int, ...]
 
@@ -163,21 +161,41 @@ def rename_name(m: Term, g: str, b: str) -> Term:
 
 
 # rule -> (the constructor of its left-hand side, the rest of the match,
-# given the term and a free-name function)
+# given the term and a free-name memo for ``_free_names``)
 _REDEX = {
-    "beta": (App, lambda m, fn: isinstance(m.fun, Abs)),
-    "mu": (App, lambda m, fn: isinstance(m.fun, Mu)),
-    "renaming": (Mu, lambda m, fn: isinstance(m.body, Mu)),
-    "erasing": (Mu, lambda m, fn: m.named == m.bound
-                and m.bound not in fn(m.body)),
-    "eta_mu": (Mu, lambda m, fn: True),
+    "beta": (App, lambda m, names: isinstance(m.fun, Abs)),
+    "mu": (App, lambda m, names: isinstance(m.fun, Mu)),
+    "renaming": (Mu, lambda m, names: isinstance(m.body, Mu)),
+    "erasing": (Mu, lambda m, names: m.named == m.bound
+                and m.bound not in _free_names(m.body, names)),
+    "eta_mu": (Mu, lambda m, names: True),
 }
+
+RULES = tuple(_REDEX)
+
+
+def _free_names(m: Term, memo: dict) -> frozenset[str]:
+    """``free_names(m)`` without recursion, memoized in ``memo`` by node id;
+    the memo keeps each node, so no id is reused while it lives."""
+    todo = [m]
+    while todo:
+        t = todo.pop()
+        kids = ((t.fun, t.arg) if isinstance(t, App) else
+                () if isinstance(t, Var) else (t.body,))
+        if any(id(c) not in memo for c in kids):
+            todo += (t, *kids)
+            continue
+        out = frozenset().union(*(memo[id(c)][1] for c in kids))
+        if isinstance(t, Mu):
+            out = (out | {t.named}) - {t.bound}
+        memo[id(t)] = (t, out)
+    return memo[id(m)][1]
 
 
 class _Walk:
     """A preorder walk over a zipper: the focus, its ancestors ``parents``
     (root first) and the child indices ``path`` taken at them.  ``names``
-    memoizes free names by node id, keeping the node so no id is reused."""
+    is the walk's free-name memo."""
 
     def __init__(self, m: Term, enabled: set[str]):
         self.checks: dict[type, list] = {App: [], Mu: []}
@@ -190,11 +208,11 @@ class _Walk:
     def walk(self) -> Iterator[str]:
         """Each enabled redex from the focus on, in preorder; the focus is
         on a redex when its rule is yielded."""
-        checks, fn = self.checks, self.free_names
+        checks, names = self.checks, self.names
         parents, path, t = self.parents, self.path, self.focus
         while True:
             for rule, test in checks.get(type(t), ()):
-                if test(t, fn):
+                if test(t, names):
                     self.focus = t
                     yield rule
             if isinstance(t, (App, Abs, Mu)):
@@ -218,28 +236,12 @@ class _Walk:
         for j in range(0 if self.erasing else max(k - 1, 0), k):
             a = self.parents[j]
             rule = next((r for r, test in self.checks.get(type(a), ())
-                         if test(a, self.free_names)), None)
+                         if test(a, self.names)), None)
             if rule is not None:
                 self.focus = self.parents[j]
                 del self.parents[j:], self.path[j:]
                 return rule
         return next(self.walk(), None)
-
-    def free_names(self, m: Term) -> frozenset[str]:
-        """``free_names(m)``, memoized per node, without recursion."""
-        memo, todo = self.names, [m]
-        while todo:
-            t = todo.pop()
-            kids = ((t.fun, t.arg) if isinstance(t, App) else
-                    () if isinstance(t, Var) else (t.body,))
-            if any(id(c) not in memo for c in kids):
-                todo += (t, *kids)
-                continue
-            out = frozenset().union(*(memo[id(c)][1] for c in kids))
-            if isinstance(t, Mu):
-                out = (out | {t.named}) - {t.bound}
-            memo[id(t)] = (t, out)
-        return memo[id(m)][1]
 
 
 def iter_redexes(m: Term, enabled: set[str]) -> Iterator[tuple[Position, str]]:
@@ -257,13 +259,14 @@ def redexes(m: Term, enabled: set[str]) -> list[tuple[Position, str]]:
 
 def _contract(m: Term, rule: str, whole: Term) -> Term:
     """Contract the redex ``m``; fresh names avoid every identifier of
-    ``whole``, the term that contains it."""
+    ``whole``, the term that contains it, so ``g`` needs no freshness check
+    in ``subst_structural``."""
     if rule == "beta":
         return subst_term(m.fun.body, m.fun.var, m.arg)
     if rule == "mu":
         red, n = m.fun, m.arg
         g = fresh(all_identifiers(whole), "g")
-        body = subst_structural(red.body, red.bound, n, g)
+        body = _subst(red.body, red.bound, n, g)
         if red.named == red.bound:
             # the outer named occurrence is itself transformed
             return Mu(g, g, App(body, n))
@@ -275,27 +278,26 @@ def _contract(m: Term, rule: str, whole: Term) -> Term:
         return Mu(m.bound, new_named, new_body)
     if rule == "erasing":
         return m.body
-    if rule == "eta_mu":
-        avoid = all_identifiers(whole)
-        x = fresh(avoid, "x")
-        g = fresh(avoid | {x}, "g")
-        body = subst_structural(m.body, m.bound, Var(x), g)
-        if m.named == m.bound:
-            return Abs(x, Mu(g, g, App(body, Var(x))))
-        return Abs(x, Mu(g, m.named, body))
-    raise ValueError(f"unknown rule: {rule!r}")
+    # eta_mu
+    avoid = all_identifiers(whole)
+    x = fresh(avoid, "x")
+    g = fresh(avoid | {x}, "g")
+    body = _subst(m.body, m.bound, Var(x), g)
+    if m.named == m.bound:
+        return Abs(x, Mu(g, g, App(body, Var(x))))
+    return Abs(x, Mu(g, m.named, body))
 
 
 def step(m: Term, at: Position, rule: str) -> Term:
     """Contract exactly the redex ``(at, rule)`` in ``m``."""
     try:
-        sub = subterm_at(m, at)
+        *parents, sub = _spine(m, at)
     except IndexError:
         raise NotARedex(f"no subterm at {at}") from None
     if rule not in _REDEX or not (isinstance(sub, _REDEX[rule][0])
-                                  and _REDEX[rule][1](sub, free_names)):
+                                  and _REDEX[rule][1](sub, {})):
         raise NotARedex(f"{rule} does not apply at {at}")
-    return replace_at(m, at, _contract(sub, rule, m))
+    return _rebuild(parents, at, _contract(sub, rule, m))
 
 
 def normalize(m: Term, enabled: set[str], fuel: int = 1000) -> ReductionTrace:

@@ -112,15 +112,6 @@ def alpha_eq(m: Term, n: Term) -> bool:
     return go(m, n, {}, {}, {}, {}, 0)
 
 
-def is_control_structure(m: Term) -> bool:
-    """C ::= mu a.[b] M | C M"""
-    if isinstance(m, Mu):
-        return True
-    if isinstance(m, App):
-        return is_control_structure(m.fun)
-    return False
-
-
 def fresh(avoid: set[str], hint: str) -> str:
     """First of hint, hint', hint'', ... not in ``avoid``."""
     c = hint

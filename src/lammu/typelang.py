@@ -20,9 +20,6 @@ from typing import Iterable
 class TypeExpr:
     """Base class for type expressions."""
 
-    def __repr__(self) -> str:  # pragma: no cover - overridden
-        raise NotImplementedError
-
 
 @dataclass(frozen=True, repr=False)
 class TVar(TypeExpr):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 from importlib import resources
 
@@ -227,3 +228,55 @@ class TestExamplesAndSuites:
     def test_metatheory_command(self, capsys):
         assert main(["metatheory", "--suite", "term-subst", "--cases", "10"]) == 0
         assert "SUITE term-subst RUN 10 FAIL 0" in capsys.readouterr().out
+
+
+# Every README command line, then one failing case of each kind.  File
+# names are relative to a temporary working directory.
+PINNED_RUNS = [
+    ["fmt", "(\\x.x)(y z)"],
+    ["reduce", "--trace", "(mu a.[a] x) y z"],
+    ["check-simple", PEIRCE],
+    ["check-simple", "--cert", "-", "|- \\x.\\y.x : A -> B -> A |"],
+    ["infer-simple", "\\x.\\y.x"],
+    ["check-iu", "--depth", "6",
+     "|- mu d.[d](\\x.mu b.[d] x) : A \\/ (A -> B) |"],
+    ["check-iu", "--cert", "out.json", "x:A /\\ B |- x : A |"],
+    ["verify", "out.json"],
+    ["metatheory", "--suite", "subject-reduction", "--cases", "10",
+     "--seed", "0"],
+    *(["examples", name, *flag]
+      for name in ("peirce", "dne", "no-choice", "erasing")
+      for flag in ([], ["--cert"])),
+    ["check-simple", "x:A |- x : B |"],
+    ["verify", "bad.json"],
+    ["check-iu", "x:A |- x : B |"],
+    ["check-iu", ", ".join(f"w{i}:C{i}" for i in range(40))
+     + ", z:K, x:K -> B |- (\\y.y z) x : B |"],
+    ["infer-simple", "\\x.x x"],
+    ["reduce", "--fuel", "3", "(\\x.x x) (\\x.x x)"],
+    ["fmt", "\\x."],
+    ["reduce", "--rules", "zeta", "x"],
+    ["reduce", "--fuel", "x", "y"],
+]
+
+
+def test_output_is_pinned(capsys, monkeypatch, tmp_path):
+    """The argv, exit code, stdout and stderr of every run in
+    ``PINNED_RUNS``, hashed.  For a usage error only argparse's last line
+    counts: its usage layout is argparse's, not lammu's."""
+    monkeypatch.delenv("LAMMU_COLOR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(
+        '{"rule": "InterE", "judgment": "x:A /\\\\ B |- x : C |"}')
+    digest = hashlib.sha256()
+    for argv in PINNED_RUNS:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        out, err = capsys.readouterr()
+        if code == 2 and err.startswith("usage:"):
+            err = err.splitlines()[-1]
+        digest.update(repr((argv, code, out, err)).encode())
+    assert digest.hexdigest() == (
+        "087e42459f6dbcddfe5ce71aded3182bc8c01fb14039d2f2f9de88064cf0d828")

@@ -227,6 +227,17 @@ class TestLinearSteps:
         assert len(trace.steps) == 10_000 and not trace.fuel_exhausted
         assert trace.final == Var("x")
 
+    @pytest.mark.parametrize("shape", ["application chain", "mu chain"])
+    def test_step_erases_above_a_deep_body(self, shape):
+        # mu a.[a] B with B 3,000 levels deep: f (f ... x), or
+        # mu a2999.[a2999] ... mu a0.[a0] x
+        body = Var("x")
+        for i in range(3_000):
+            body = (App(Var("f"), body) if shape == "application chain"
+                    else Mu(f"a{i}", f"a{i}", body))
+        m = Mu("a", "a", body)
+        assert step(m, (), "erasing") is body
+
     def test_iter_redexes_is_lazy_and_ordered(self):
         m = App(Abs("x", Var("x")), App(Abs("y", Var("y")), Var("z")))
         it = iter_redexes(m, {"beta"})
@@ -293,6 +304,35 @@ class TestResumedWalk:
             == [(pos, rule, print_term(t)) for pos, rule, t in ref.steps]
         assert trace.steps[0][0] == (1,) * 10_000 + (0,)
         assert trace.steps[1][0] == (1,) * 10_000
+
+
+def positions(m):
+    """Every subterm position of ``m``."""
+    todo = [((), m)]
+    while todo:
+        pos, t = todo.pop()
+        yield pos
+        if isinstance(t, App):
+            todo += ((pos + (0,), t.fun), (pos + (1,), t.arg))
+        elif isinstance(t, (Abs, Mu)):
+            todo.append((pos + (0,), t.body))
+
+
+def test_step_accepts_exactly_the_listed_redexes():
+    """``step`` contracts each pair that ``redexes`` lists, and refuses every
+    other pair of a subterm position and an enabled rule."""
+    rng = random.Random(11)
+    for _ in range(100):
+        m = random_open_term(rng, rng.choice((6, 7)))
+        for enabled in RULE_SETS + [{"erasing", "beta"}]:
+            listed = set(redexes(m, enabled))
+            for pos in positions(m):
+                for rule in enabled:
+                    if (pos, rule) in listed:
+                        step(m, pos, rule)
+                    else:
+                        with pytest.raises(NotARedex):
+                            step(m, pos, rule)
 
 
 # one pool for variables and names, primed like the names ``fresh`` makes, so

@@ -1,6 +1,5 @@
 from lammu.syntax import (Abs, App, Mu, Var, all_identifiers, alpha_eq,
-                          free_names, free_term_vars, fresh,
-                          is_control_structure)
+                          free_names, free_term_vars, fresh)
 
 
 def test_free_term_vars():
@@ -41,15 +40,6 @@ class TestAlphaEq:
         a = Mu("a", "b", Mu("b", "a", Var("x")))
         b = Mu("c", "b", Mu("d", "c", Var("x")))
         assert alpha_eq(a, b)
-
-
-def test_is_control_structure():
-    m = Mu("a", "b", Var("x"))
-    assert is_control_structure(m)
-    assert is_control_structure(App(m, Var("y")))
-    assert is_control_structure(App(App(m, Var("y")), Var("z")))
-    assert not is_control_structure(Var("x"))
-    assert not is_control_structure(App(Var("x"), m))
 
 
 def test_fresh_avoids_collisions():
