@@ -2,13 +2,15 @@
 
 Exit codes: 0 success (valid, found, suite clean), 1 failure (invalid, not
 found, untypable, suite failures), 2 usage or parse errors, 3 search or fuel
-budget exhausted, or input nested too deeply to decide.
+budget exhausted, or input nested too deeply to decide.  An output pipe that
+the reader closes (``lammu ... | head``) ends the run silently with exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from importlib import resources
 
@@ -241,7 +243,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull, where the flush at exit cannot fail again
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):   # no file descriptor
+            return EXIT_FAIL
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        return EXIT_FAIL
     except (ParseError, LanguageViolation, json.JSONDecodeError,
             UnicodeDecodeError) as e:
         _bad(f"parse error: {e}")

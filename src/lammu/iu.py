@@ -23,7 +23,7 @@ accepts into another it accepts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .syntax import Abs, App, Mu, Term, Var, free_names, free_term_vars
@@ -183,14 +183,12 @@ def _check_node(d: Derivation, path: tuple[int, ...]) -> None:
             if j.term.named not in j.delta:
                 bad(f"name {j.term.named} not in environment")
             target = j.delta[j.term.named]
-            bound_ty = j.ty
         else:
             if j.term.named != j.term.bound:
                 bad("the named slot differs from the bound name; use the named variant")
             target = j.ty
-            bound_ty = j.ty
         if not (_env_equiv(p.gamma, j.gamma)
-                and _env_equiv(p.delta, {**j.delta, j.term.bound: bound_ty})):
+                and _env_equiv(p.delta, {**j.delta, j.term.bound: j.ty})):
             bad("premise environment must bind the freed name")
         if not subtype(p.ty, target):
             bad("premise type must lie below the target union")
@@ -275,11 +273,13 @@ def weaken(d: Derivation, gamma: dict[str, TypeExpr],
 
 @dataclass
 class SearchBudget:
+    """Three settings, then the report of the last search, which ``derive``
+    zeroes on entry.  Nothing reads ``max_width``; the benchmark sets it."""
     max_depth: int = 8
-    max_width: int = 4   # read by nothing; the benchmark harness still sets it
+    max_width: int = 4
     max_nodes: int = 200_000
-    exhausted: bool = False
-    nodes: int = 0
+    exhausted: bool = field(default=False, init=False)
+    nodes: int = field(default=0, init=False)
 
 
 class _NodeCap(Exception):
@@ -289,8 +289,7 @@ class _NodeCap(Exception):
 def _universe(gamma, ty, delta) -> list[TypeExpr]:
     seen: dict[TypeExpr, None] = {Top: None, Bottom: None}
     for t in [ty, *gamma.values(), *delta.values()]:
-        for s in subexpressions(canonicalize(t)):
-            seen.setdefault(canonicalize(s), None)
+        seen.update(dict.fromkeys(subexpressions(t)))
     return list(seen)
 
 
@@ -298,7 +297,7 @@ class _Searcher:
     def __init__(self, universe: list[TypeExpr], budget: SearchBudget):
         self.budget = budget
         self.strict = [t for t in universe if is_strict(t)]
-        witnesses = [t for t in universe if well_formed(t, "iu")]
+        witnesses = list(universe)
         for pair in combinations([t for t in self.strict if t != Bottom], 2):
             if len(witnesses) > 32:
                 break
@@ -367,8 +366,8 @@ class _Searcher:
                 continue
             aps = []
             for arrow in union_parts(fun_ty):
-                ap = self.goal(j.gamma, j.term.arg, canonicalize(arrow.left),
-                               j.delta, depth - 1)
+                ap = self.goal(j.gamma, j.term.arg, arrow.left, j.delta,
+                               depth - 1)
                 if ap is None:
                     break
                 aps.append(ap)
@@ -394,12 +393,12 @@ class _Searcher:
                 if (parts and all(isinstance(p, Arrow) for p in parts)
                         and type_equiv(Union(tuple(p.right for p in parts)),
                                        j.ty)):
-                    yield canonicalize(c)
+                    yield c
             return
         if self.witnesses_cut:
             self.budget.exhausted = True
         for w in self.witnesses:
-            yield canonicalize(Arrow(w, j.ty))
+            yield Arrow(w, j.ty)
         bs = union_parts(j.ty)
         if (isinstance(fun, Abs) or len(bs) < 2
                 or any(isinstance(b, Inter) for b in bs)):
@@ -432,7 +431,9 @@ class _Searcher:
 def derive(gamma: dict[str, TypeExpr], term: Term, ty: TypeExpr,
            delta: dict[str, TypeExpr],
            budget: SearchBudget | None = None) -> Derivation | None:
-    """Bounded goal-directed proof search; all types are canonicalized first.
+    """Bounded goal-directed proof search.  Only here are its types
+    canonicalized and checked: every subexpression of a canonical iu type is
+    one too, so the search canonicalizes only the types it builds anew.
 
     Returns None when nothing is found within the budget; ``budget.exhausted``
     tells whether the depth limit, the node cap or the cut of the witness pool
@@ -441,6 +442,7 @@ def derive(gamma: dict[str, TypeExpr], term: Term, ty: TypeExpr,
     derivation, so it gets None without a search.
     """
     budget = budget if budget is not None else SearchBudget()
+    budget.exhausted, budget.nodes = False, 0
     gamma = {x: canonicalize(t) for x, t in gamma.items()}
     delta = {a: canonicalize(t) for a, t in delta.items()}
     ty = canonicalize(ty)

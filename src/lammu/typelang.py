@@ -116,10 +116,6 @@ def is_strict(t: TypeExpr) -> bool:
     return not isinstance(t, Inter) and _wf_iu_s(t)
 
 
-def _sort_key(t: TypeExpr) -> str:
-    return repr(t)
-
-
 def _dedup(parts: list[TypeExpr]) -> list[TypeExpr]:
     out: list[TypeExpr] = []
     for p in parts:
@@ -146,7 +142,7 @@ def canonicalize(t: TypeExpr) -> TypeExpr:
         for p in t.parts:
             p = canonicalize(p)
             flat.extend(p.parts if isinstance(p, kind) else [p])
-        flat = _dedup(sorted(flat, key=_sort_key))
+        flat = _dedup(sorted(flat, key=repr))
         if len(flat) == 1:
             return flat[0]
         return kind(tuple(flat))

@@ -1,6 +1,10 @@
 import hashlib
 import io
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +220,50 @@ class TestDeepInput:
         assert main(["reduce", f"{mul} {numeral(40)} {numeral(40)}"]) == 0
         out = capsys.readouterr().out.strip()
         assert out == "\\f.\\x." + "f (" * 1599 + "f x" + ")" * 1599
+
+
+def _lammu_into_pipe(*args: str) -> subprocess.Popen:
+    """``python -m lammu.cli *args`` with pipes for its standard streams,
+    and its stdout buffered, as it is in a shell by default."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "lammu.cli", *args],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+
+
+class TestClosedPipe:
+    """A reader that closes the output pipe early ends the run silently
+    with exit 1."""
+
+    def test_trace_into_a_closed_pipe(self):
+        # the trace of Church 30 x 30 is about 285 kB, more than a pipe holds
+        thirty = "(\\f.\\x." + "f (" * 30 + "x" + ")" * 30 + ")"
+        proc = _lammu_into_pipe("reduce", "--trace",
+                                f"(\\m.\\n.\\f.m (n f)) {thirty} {thirty}")
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (1, b"")
+
+    def test_short_output_into_a_closed_pipe(self):
+        # the output fits the buffer, so the closed pipe shows only when it
+        # is flushed; the term comes from stdin after the pipe is closed
+        proc = _lammu_into_pipe("fmt", "-")
+        proc.stdout.close()
+        _, err = proc.communicate(b"x", timeout=120)
+        assert (proc.returncode, err) == (1, b"")
+
+    def test_closed_stdout_in_process(self, capsys, monkeypatch):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("sys.stdout", Closed())
+        assert main(["examples", "peirce", "--cert"]) == 1
+        assert capsys.readouterr().err == ""
 
 
 class TestExamplesAndSuites:

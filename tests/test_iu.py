@@ -14,7 +14,7 @@ from lammu.metatheory import base_environments
 from lammu.simple import SimpleJudgment, check_simple
 from lammu.syntax import Abs, App, Mu, Var
 from lammu.typelang import (Arrow, Inter, Top, TVar, Union, canonicalize,
-                            type_equiv)
+                            subexpressions, type_equiv, well_formed)
 
 A, B = TVar("A"), TVar("B")
 AB = Inter((A, B))
@@ -304,6 +304,33 @@ class TestSearch:
         term = parse_term("\\x.\\y.x")
         assert derive({}, term, Arrow(A, Arrow(B, A)), {}, budget) is None
         assert budget.exhausted
+
+    def test_a_budget_reports_its_last_search(self):
+        # derive zeroes the report on entry, so one budget serves many
+        # searches and each report describes its own search
+        judgment = parse_judgment(
+            "|- mu d.[d](\\x.mu b.[d] x) : A \\/ (A -> B) |")
+        budget = SearchBudget(max_depth=6, max_nodes=10)
+        for _ in range(2):
+            assert derive(*judgment, budget) is not None
+            assert budget.nodes == 7 and not budget.exhausted
+        budget = SearchBudget(max_depth=1)
+        assert derive({}, parse_term("\\x.\\y.x"), Arrow(A, Arrow(B, A)), {},
+                      budget) is None
+        assert budget.exhausted
+        assert derive(*parse_judgment("x:A |- x : A |"), budget) is not None
+        assert not budget.exhausted
+        with pytest.raises(TypeError):
+            SearchBudget(nodes=3)
+
+    def test_search_needs_no_second_canonicalization(self):
+        # derive canonicalizes and checks its input once; the search takes
+        # the subexpressions of that input as they are
+        rng = random.Random(12)
+        for _ in range(3_000):
+            for s in subexpressions(canonicalize(random_iu_type(rng, 4))):
+                assert canonicalize(s) == s
+                assert well_formed(s, "iu")
 
     def test_witness_pool_cut_is_reported(self):
         # 40 unused bindings push the needed witness K -> B out of the pool
