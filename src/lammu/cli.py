@@ -70,7 +70,8 @@ def cmd_reduce(args) -> int:
     rules = set(args.rules.split(","))
     unknown = rules - set(RULES)
     if unknown:
-        _bad(f"unknown rules: {', '.join(sorted(unknown))}")
+        _bad("unknown rules: " + ", ".join(
+            r if r.isidentifier() else repr(r) for r in sorted(unknown)))
         return EXIT_USAGE
     trace = normalize(term, rules, fuel=args.fuel)
     if args.trace:

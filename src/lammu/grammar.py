@@ -39,18 +39,17 @@ class LanguageViolation(Exception):
     pass
 
 
-# One group per token kind, tried in order after any whitespace.  WORD is an
-# identifier, keyword or ticked name; \w also matches digits and numerics such
-# as '²', which may not start one, so _tokenize checks the first character.
-_TOKEN = re.compile(r"""\s*(?:
-    (?P<OR>\\/|∪) | (?P<AND>/\\|∩) | (?P<LAMBDA>\\|λ) | (?P<MU>μ)
-  | (?P<ARROW>->|→) | (?P<TURNSTILE>\|-|⊢) | (?P<BAR>\|) | (?P<TOP>⊤)
-  | (?P<BOT>⊥) | (?P<DOT>\.) | (?P<LBRACK>\[) | (?P<RBRACK>\])
-  | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COLON>:) | (?P<COMMA>,)
-  | (?P<WORD>'?\w+'*) | (?P<BAD>\S))
-""", re.VERBOSE)
+# One token after any whitespace; _KINDS names operators and keywords.  λ and
+# μ are word characters, so they go before words; \w also matches digits and
+# numerics such as '²', which may not start a word: _tokenize checks.
+_TOKEN = re.compile(r"\s*([λμ]|\\/|/\\|->|\|-|'?\w+'*|\S)")
 
-_KEYWORDS = {"mu": "MU", "top": "TOP", "bot": "BOT"}
+_KINDS = {"\\/": "OR", "∪": "OR", "/\\": "AND", "∩": "AND",
+          "\\": "LAMBDA", "λ": "LAMBDA", "μ": "MU", "mu": "MU",
+          "->": "ARROW", "→": "ARROW", "|-": "TURNSTILE", "⊢": "TURNSTILE",
+          "|": "BAR", "⊤": "TOP", "top": "TOP", "⊥": "BOT", "bot": "BOT",
+          ".": "DOT", "[": "LBRACK", "]": "RBRACK", "(": "LPAREN",
+          ")": "RPAREN", ":": "COLON", ",": "COMMA"}
 _BAD = {"/": "stray '/'", "-": "stray '-'",
         "'": "expected identifier after tick"}
 
@@ -59,21 +58,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
     """Tokens as (kind, text, start, end); a final EOF token."""
     toks = []
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        word = m.group(kind)
-        start, end = m.span(kind)
-        if kind == "WORD":
-            if word[0] == "'":
-                kind, word = "TICK", word[1:]
-            if not (word[0].isalpha() or word[0] == "_"):
-                kind = "BAD"
-            elif kind == "WORD":
-                kind = _KEYWORDS.get(word) or (
-                    "TYVAR" if word[0].isupper() else "IDENT")
-        if kind == "BAD":
-            c = text[start]
-            raise ParseError(_BAD.get(c, f"unexpected character {c!r}"),
-                             SourceSpan(start, start + 1))
+        word = m[1]
+        start, end = m.span(1)
+        kind = _KINDS.get(word)
+        if kind is None:
+            tick = word[0] == "'"
+            c = word[tick:tick + 1]   # empty for a lone tick
+            if not (c.isalpha() or c == "_"):
+                c = text[start]
+                raise ParseError(_BAD.get(c, f"unexpected character {c!r}"),
+                                 SourceSpan(start, start + 1))
+            kind = "TICK" if tick else "TYVAR" if c.isupper() else "IDENT"
+            word = word[tick:]
         toks.append((kind, word, start, end))
     toks.append(("EOF", "", len(text), len(text)))
     return toks
@@ -249,18 +245,27 @@ def parse_judgment(text: str, language: str = "iu"):
 
 
 def _shared_judgment(text: str, envs: dict):
-    """parse_judgment(text), parsing each environment text once per ``envs``
-    (one per certificate) so equal texts share a dict.  Text whose pieces, cut
-    at the first ``|-`` and the last ``|``, do not parse goes to it whole."""
+    """parse_judgment(text), decoding each binding once per ``envs`` (one per
+    certificate): an environment text is cut at its commas, which no name or
+    type holds, each piece is parsed once, and equal environment texts share
+    one dict.  Text whose pieces, cut at the first ``|-`` and the last ``|``,
+    do not decode goes to parse_judgment whole, for its errors and spans."""
     def env(piece: str, *kinds: str) -> dict[str, TypeExpr]:
-        if (kinds, piece) not in envs:
-            p = _Parser(_tokenize(piece))
-            bindings = p.env(*kinds)
-            p.expect("EOF")
-            if not all(well_formed(t, "iu") for t in bindings.values()):
-                raise LanguageViolation(piece)
-            envs[kinds, piece] = bindings
-        return envs[kinds, piece]
+        key = kinds, piece.strip()   # str.isspace is the tokenizer's \s
+        if key not in envs:
+            if "," in piece:
+                parts = [env(b, *kinds) for b in piece.split(",")]
+                e = {n: t for part in parts for n, t in part.items()}
+                if len(e) != len(parts):   # an empty piece, or a name twice
+                    raise ValueError(piece)
+            else:
+                p = _Parser(_tokenize(piece))
+                e = p.env(*kinds)
+                p.expect("EOF")
+                if not all(well_formed(t, "iu") for t in e.values()):
+                    raise LanguageViolation(piece)
+            envs[key] = e
+        return envs[key]
 
     try:
         i, k = text.index("|-"), text.rfind("|")
@@ -273,8 +278,8 @@ def _shared_judgment(text: str, envs: dict):
         delta = env(text[k + 1:], "IDENT", "TICK")
         if well_formed(ty, "iu"):
             return gamma, term, ty, delta
-    except (ValueError, ParseError, LanguageViolation):   # ValueError: no |-
-        pass
+    except (ValueError, ParseError, LanguageViolation):   # ValueError: no |-,
+        pass                              # or an empty or repeated binding
     return parse_judgment(text)
 
 

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, product, repeat
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .syntax import Abs, App, Mu, Term, Var, free_names, free_term_vars
 from .typelang import (Arrow, Bottom, Inter, Top, TypeExpr, Union,
@@ -77,21 +78,25 @@ class MalformedCertificate(Exception):
 
 
 def _env_equiv(a: dict[str, TypeExpr], b: dict[str, TypeExpr]) -> bool:
-    return a is b or set(a) == set(b) and all(type_equiv(a[k], b[k]) for k in a)
+    return a is b or a == b or (
+        set(a) == set(b) and all(type_equiv(a[k], b[k]) for k in a))
 
 
-def _check_node(d: Derivation, path: tuple[int, ...]) -> None:
+def _check_node(d: Derivation, path: tuple[int, ...], envs_ok: dict) -> None:
     j = d.conclusion
 
     def bad(reason: str):
         raise InvalidNode(path, reason)
 
-    for t in [j.ty, *j.gamma.values(), *j.delta.values()]:
-        if not well_formed(t, "iu"):
-            bad("type outside the intersection-union language")
-    for t in j.delta.values():
-        if isinstance(t, Inter):
-            bad("right environment entries must be strict")
+    if not well_formed(j.ty, "iu"):
+        bad("type outside the intersection-union language")
+    for role, env in (("gamma", j.gamma), ("delta", j.delta)):
+        if (role, id(env)) not in envs_ok:
+            if not all(well_formed(t, "iu") for t in env.values()):
+                bad("type outside the intersection-union language")
+            if role == "delta" and not all(map(is_strict, env.values())):
+                bad("right environment entries must be strict")
+            envs_ok[role, id(env)] = env
 
     if d.rule == "InterE":
         if not isinstance(j.term, Var):
@@ -217,9 +222,12 @@ def _check_node(d: Derivation, path: tuple[int, ...]) -> None:
 
 def check_derivation(d: Derivation) -> None:
     """Validate every node; raises InvalidNode at the first violation."""
+    # the environment dicts that passed in this walk, by role and id; holding
+    # them keeps their ids from being reused while it lasts
+    envs_ok: dict = {}
 
     def walk(d: Derivation, path: tuple[int, ...]) -> None:
-        _check_node(d, path)
+        _check_node(d, path, envs_ok)
         for i, p in enumerate(d.premises):
             walk(p, path + (i,))
 
@@ -459,20 +467,26 @@ def derive(gamma: dict[str, TypeExpr], term: Term, ty: TypeExpr,
 # -- certificates -------------------------------------------------------------
 
 def derivation_to_json(d: Derivation) -> str:
+    """The certificate text of ``d``: what ``json.dumps`` gives, with
+    ``indent=2`` and ASCII escapes, for nested objects whose keys are
+    ``rule``, ``judgment`` and ``premises`` in that order, written without
+    building the objects."""
     from .grammar import _print_judgment, print_env
     printed: dict[int, str] = {}   # by id: judgments share environment dicts
 
     def env(e: dict[str, TypeExpr]) -> str:
         return printed.get(id(e)) or printed.setdefault(id(e), print_env(e))
 
-    def enc(d: Derivation) -> dict:
+    def enc(d: Derivation, nl: str) -> str:
         j = d.conclusion
-        return {"rule": d.rule,
-                "judgment": _print_judgment(env(j.gamma), j.term, j.ty,
-                                            env(j.delta)),
-                "premises": [enc(p) for p in d.premises]}
+        judgment = _print_judgment(env(j.gamma), j.term, j.ty, env(j.delta))
+        inner = nl + "    "
+        premises = ("," + inner).join(map(enc, d.premises, repeat(inner)))
+        premises = f"[{inner}{premises}{nl}  ]" if d.premises else "[]"
+        return (f'{{{nl}  "rule": {_json_str(d.rule)},{nl}  "judgment": '
+                f'{_json_str(judgment)},{nl}  "premises": {premises}{nl}}}')
 
-    return json.dumps(enc(d), indent=2)
+    return enc(d, "\n")
 
 
 def derivation_from_json(text: str) -> Derivation:

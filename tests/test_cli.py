@@ -51,6 +51,13 @@ class TestReduce:
     def test_unknown_rule(self):
         assert main(["reduce", "--rules", "zeta", "x"]) == 2
 
+    @pytest.mark.parametrize("rules, named", [
+        ("beta,", "''"), ("", "''"), ("beta, mu", "' mu'"),
+        ("zeta,beta,", "'', zeta")])
+    def test_unknown_rule_is_named_even_when_empty(self, capsys, rules, named):
+        assert main(["reduce", "--rules", rules, "x"]) == 2
+        assert capsys.readouterr().err == f"unknown rules: {named}\n"
+
     def test_erasing_is_opt_in(self, capsys):
         assert main(["reduce", "mu a.[a] x"]) == 0
         assert capsys.readouterr().out.strip() == "mu a.[a] x"

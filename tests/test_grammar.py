@@ -1,13 +1,16 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_iu_type, random_term
-from lammu.grammar import (LanguageViolation, ParseError, parse_judgment,
-                           parse_term, parse_type, print_judgment, print_term,
-                           print_type)
+from lammu.grammar import (LanguageViolation, ParseError, SourceSpan,
+                           _tokenize, parse_judgment, parse_term, parse_type,
+                           print_judgment, print_term, print_type)
 from lammu.iu import (RULES, InvalidNode, MalformedCertificate,
                       check_derivation, derivation_from_json,
                       derivation_to_json)
@@ -166,6 +169,74 @@ class TestDeepTerms:
         with pytest.raises(ParseError) as e:
             parse_term("(" * 5_000 + "mu a.[a] x) (mu b.[a] y)" + ")" * 4_999)
         assert "unbound name 'a'" in e.value.message
+
+
+# -- the tokenizer against the one it replaced -------------------------------
+
+# The tokenizer as it was with one named group per token kind: the reference
+# for the one-group pattern and kind table that replaced it.
+_REFERENCE_TOKEN = re.compile(r"""\s*(?:
+    (?P<OR>\\/|∪) | (?P<AND>/\\|∩) | (?P<LAMBDA>\\|λ) | (?P<MU>μ)
+  | (?P<ARROW>->|→) | (?P<TURNSTILE>\|-|⊢) | (?P<BAR>\|) | (?P<TOP>⊤)
+  | (?P<BOT>⊥) | (?P<DOT>\.) | (?P<LBRACK>\[) | (?P<RBRACK>\])
+  | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COLON>:) | (?P<COMMA>,)
+  | (?P<WORD>'?\w+'*) | (?P<BAD>\S))
+""", re.VERBOSE)
+_REFERENCE_KEYWORDS = {"mu": "MU", "top": "TOP", "bot": "BOT"}
+_REFERENCE_BAD = {"/": "stray '/'", "-": "stray '-'",
+                  "'": "expected identifier after tick"}
+
+
+def _reference_tokenize(text):
+    toks = []
+    for m in _REFERENCE_TOKEN.finditer(text):
+        kind = m.lastgroup
+        word = m.group(kind)
+        start, end = m.span(kind)
+        if kind == "WORD":
+            if word[0] == "'":
+                kind, word = "TICK", word[1:]
+            if not (word[0].isalpha() or word[0] == "_"):
+                kind = "BAD"
+            elif kind == "WORD":
+                kind = _REFERENCE_KEYWORDS.get(word) or (
+                    "TYVAR" if word[0].isupper() else "IDENT")
+        if kind == "BAD":
+            c = text[start]
+            raise ParseError(_REFERENCE_BAD.get(c, f"unexpected character {c!r}"),
+                             SourceSpan(start, start + 1))
+        toks.append((kind, word, start, end))
+    toks.append(("EOF", "", len(text), len(text)))
+    return toks
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as e:
+        return e.message, e.span
+
+
+_LEXEMES = (*"\\/-|'.:,()[]λμ∪∩→⊢⊤⊥²_", *"0123456789", *"abxyfABCÉé",
+            " ", "\t", "\xa0", "mu", "top", "bot", "mu'", "'mu", "top'",
+            "λx", "xλ", "->", "|-", "/\\", "\\/")
+
+
+class TestTokenizer:
+    @pytest.mark.parametrize("text", [
+        "mu'", "'mu", "top'", "λx", "xλ", "λx.x", "μa.[a] x", "'", "''x",
+        "'²", "x'' y'", "\\/\\", "/\\/", "-->", "|--", "|-|", "a -", "",
+        "  ", "x:A, 'b:B \\/ C |- \\x.mu a.['b] x : A -> B | a:A",
+    ])
+    def test_fixed_texts_match_the_reference(self, text):
+        assert (_tokens_or_error(_tokenize, text)
+                == _tokens_or_error(_reference_tokenize, text))
+
+    @given(st.lists(st.sampled_from(_LEXEMES), max_size=16).map("".join))
+    @settings(max_examples=400, deadline=None)
+    def test_random_texts_match_the_reference(self, text):
+        assert (_tokens_or_error(_tokenize, text)
+                == _tokens_or_error(_reference_tokenize, text))
 
 
 # -- pinned behaviour on a seeded corpus ---------------------------------------

@@ -1,16 +1,18 @@
 import hashlib
 import json
 import random
+from importlib import resources
 
 import pytest
 
 from conftest import random_iu_type, random_term, random_type
-from lammu.grammar import ParseError, parse_judgment, parse_term
+from lammu.grammar import (ParseError, parse_judgment, parse_term,
+                           print_judgment)
 from lammu.iu import (Derivation, InvalidNode, Judgment,
                       PreconditionViolation, SearchBudget, check_derivation,
                       derivation_from_json, derivation_to_json, derive,
                       embed_simple, inter_elim, thin, weaken)
-from lammu.metatheory import base_environments
+from lammu.metatheory import base_environments, gen_typed_judgment
 from lammu.simple import SimpleJudgment, check_simple
 from lammu.syntax import Abs, App, Mu, Var
 from lammu.typelang import (Arrow, Inter, Top, TVar, Union, canonicalize,
@@ -23,6 +25,30 @@ AB = Inter((A, B))
 def var_node(gamma, x, ty, delta=None):
     return Derivation("InterE", Judgment(dict(gamma), Var(x), ty,
                                          dict(delta or {})))
+
+
+def _cert_dict(d):
+    """The object whose ``json.dumps(..., indent=2)`` a certificate is: the
+    oracle for the writer."""
+    j = d.conclusion
+    return {"rule": d.rule,
+            "judgment": print_judgment(j.gamma, j.term, j.ty, j.delta),
+            "premises": [_cert_dict(p) for p in d.premises]}
+
+
+def _readme_derivations():
+    """Derivations of the judgments the README checks, in either system."""
+    ds = []
+    for text in ("|- \\x.mu a.[a](x (\\y.mu b.[a] y)) : ((A -> B) -> A) -> A |",
+                 "|- \\x.\\y.x : A -> B -> A |"):
+        ds.append(check_simple(SimpleJudgment(*parse_judgment(text, "curry"))))
+    for text, depth in (("|- mu d.[d](\\x.mu b.[d] x) : A \\/ (A -> B) |", 6),
+                        ("x:A /\\ B |- x : A |", 8),
+                        ("x:A |- mu a.[a] x : A \\/ B |", 8)):
+        d = derive(*parse_judgment(text), SearchBudget(max_depth=depth))
+        assert d is not None, text
+        ds.append(d)
+    return ds
 
 
 class TestValidNodes:
@@ -236,6 +262,28 @@ class TestInvalidNodes:
             check_derivation(d)
         assert e.value.path == (0,)
 
+    def test_one_dict_as_both_environments_is_checked_in_each_role(self):
+        # the checker remembers environments that passed, by role: one dict
+        # that passes as gamma must still be tested for strictness as delta
+        env = {"x": AB}
+        d = Derivation("InterE", Judgment(env, Var("x"), A, env))
+        with pytest.raises(InvalidNode) as e:
+            check_derivation(d)
+        assert (e.value.reason, e.value.path) == (
+            "right environment entries must be strict", ())
+
+    def test_no_environment_verdict_outlives_a_check(self):
+        gamma = {"x": A}
+        d = Derivation("InterI", Judgment(gamma, Var("x"), Inter((A, A)), {}),
+                       (Derivation("InterE", Judgment(gamma, Var("x"), A, {})),
+                        Derivation("InterE", Judgment(gamma, Var("x"), A, {}))))
+        check_derivation(d)
+        gamma["y"] = Union((AB, B))
+        with pytest.raises(InvalidNode) as e:
+            check_derivation(d)
+        assert (e.value.reason, e.value.path) == (
+            "type outside the intersection-union language", ())
+
     @pytest.mark.parametrize("d, reason, path", _REJECTIONS)
     def test_every_rejection(self, d, reason, path):
         with pytest.raises(InvalidNode) as e:
@@ -427,6 +475,39 @@ class TestCertificates:
         for p in d.premises:
             assert p.conclusion.gamma is root.gamma
             assert p.conclusion.delta is root.delta
+
+    def test_writer_matches_json_dumps(self):
+        rng = random.Random(13)
+        ds = [gen_typed_judgment(rng) for _ in range(600)] + _readme_derivations()
+        for d in ds:
+            assert derivation_to_json(d) == json.dumps(_cert_dict(d), indent=2)
+
+    def test_writer_escapes_like_json_dumps(self):
+        odd = 'q"\\ \x00\x1f\x7f\n\t é λ \u2028 \U0001d400'
+        leaf = Derivation(odd, Judgment({"x": TVar(odd)}, Var("x"), TVar(odd),
+                                        {"b": TVar("é")}))
+        ds = [leaf,
+              Derivation("InterI", Judgment({}, Var(odd), Inter((A, B)), {}),
+                         (leaf, var_node({}, "é", TVar('"')))),
+              Derivation("Weaken", leaf.conclusion,
+                         (Derivation("Thin", leaf.conclusion, (leaf,)),))]
+        for d in ds:
+            assert derivation_to_json(d) == json.dumps(_cert_dict(d), indent=2)
+
+    def test_writer_reaches_as_deep_as_the_reader(self):
+        # json.loads stops at about 495 levels; the writer must get that far
+        d = var_node({"x": A}, "x", A)
+        for _ in range(400):
+            d = Derivation("Weaken", d.conclusion, (d,))
+        text = derivation_to_json(d)
+        assert derivation_to_json(derivation_from_json(text)) == text
+
+    def test_bundled_certificates_reencode_to_their_files(self):
+        certs = resources.files("lammu").joinpath("certs")
+        for path in certs.iterdir():
+            text = path.read_text()
+            assert text.endswith("\n")
+            assert derivation_to_json(derivation_from_json(text)) == text[:-1]
 
     def test_right_environment_text_is_no_left_environment(self):
         # 'b:A parses as a right environment, then fails as a left one
