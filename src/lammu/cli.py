@@ -50,8 +50,10 @@ def _read_source(arg: str | None) -> str:
     return arg
 
 
-def _write_cert(path: str | None, d) -> None:
-    """Write ``d``'s certificate to ``path`` (stdout for -); no path, no-op."""
+def _verdict(verdict: str, d, path: str | None) -> None:
+    """Print ``verdict`` and write ``d``'s certificate to ``path``, if any.
+    For - the certificate goes alone to stdout and the verdict to stderr."""
+    print(verdict, file=sys.stderr if path == "-" else sys.stdout)
     if path == "-":
         print(derivation_to_json(d))
     elif path:
@@ -92,8 +94,7 @@ def cmd_check_simple(args) -> int:
     except CheckFailure as e:
         _bad(f"invalid: {e}")
         return EXIT_FAIL
-    print(f"valid: {print_judgment(gamma, term, ty, delta)}")
-    _write_cert(args.cert, d)
+    _verdict(f"valid: {print_judgment(gamma, term, ty, delta)}", d, args.cert)
     return EXIT_OK
 
 
@@ -115,8 +116,7 @@ def cmd_check_iu(args) -> int:
     if d is None:
         _bad("not found" + (" (budget exhausted)" if budget.exhausted else ""))
         return EXIT_BUDGET if budget.exhausted else EXIT_FAIL
-    print(f"found: {print_judgment(gamma, term, ty, delta)}")
-    _write_cert(args.cert, d)
+    _verdict(f"found: {print_judgment(gamma, term, ty, delta)}", d, args.cert)
     return EXIT_OK
 
 

@@ -1,10 +1,12 @@
 """Executable metatheory: typed-term generation and derivation transformations.
 
 The suites exercise the two substitution lemmas, subject reduction and subject
-expansion over randomly generated derivations.  Every case runs a constructive
-transformation that rebuilds the derivation of the transformed term node by
-node (these must always succeed), and a sampled bounded-search cross-check
-(misses there only count against the search budget, not against the theory).
+expansion over randomly generated derivations, with one case policy.  A case
+draws a derivation and rebuilds it node by node for the transformed term; a
+draw that yields none is redrawn.  Any exception, in the draw or the rebuild,
+is a failure (the first 20 messages are kept).  Passing cases numbered by a
+multiple of 1 (substitution suites) or 5 (the other two) are searched for, at
+depth 9 unless a budget is given; a miss counts against the search budget.
 
 Generated derivations follow the convention that every binder is globally
 fresh, so substitution never needs to rename on the fly and the rebuilt
@@ -556,11 +558,6 @@ class SuiteReport:
     budget_miss: int = 0
     failures: list[str] = field(default_factory=list)
 
-    def record_failure(self, message: str) -> None:
-        self.fail += 1
-        if len(self.failures) < 20:
-            self.failures.append(message)
-
     def summary(self) -> str:
         return (f"SUITE {self.name} RUN {self.run} FAIL {self.fail} "
                 f"BUDGET_MISS {self.budget_miss}")
@@ -571,51 +568,62 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _search_check(report: SuiteReport, j: Judgment,
-                  budget: SearchBudget | None) -> None:
-    if derive(j.gamma, j.term, j.ty, j.delta,
-              SearchBudget(max_depth=9) if budget is None else budget) is None:
-        report.budget_miss += 1
+def _run(name: str, seed: int, cases: int, budget: SearchBudget | None,
+         every: int, case) -> SuiteReport:
+    """Run ``cases`` cases of ``case(rng)``, which gives the judgment to
+    search or None, under the policy in the module docstring."""
+    rng = random.Random(seed)
+    report = SuiteReport(name)
+    budget = SearchBudget(max_depth=9) if budget is None else budget
+    while report.run < cases:
+        try:
+            j = case(rng)
+        except Exception as e:
+            report.run += 1
+            report.fail += 1
+            if len(report.failures) < 20:
+                report.failures.append(f"{name}: {e}")
+            continue
+        if j is None:
+            continue
+        report.run += 1
+        if report.run % every == 0 and derive(j.gamma, j.term, j.ty, j.delta,
+                                              budget) is None:
+            report.budget_miss += 1
+    return report
 
 
 def suite_term_subst(seed: int = 0, cases: int = 300,
                      budget: SearchBudget | None = None) -> SuiteReport:
     """G,x:C |- M : A | D and G |- N : C | D give G |- M[N/x] : A | D."""
-    rng = random.Random(seed)
-    report = SuiteReport("term-subst")
     gamma0, delta0 = base_environments()
-    while report.run < cases:
+
+    def case(rng: random.Random) -> Judgment | None:
         gen = Generator(rng)
         c = rng.choice(INTER_POOL)
         dN = gen.judgment(gamma0, delta0, goal=c)
         if dN is None:
-            continue
+            return None
         x = "s" + gen.fresh_var()
         dM = gen.judgment({**gamma0, x: c}, delta0)
         if dM is None:
-            continue
-        report.run += 1
-        try:
-            out = subst_derivation(dM, x, dN)
-            check_derivation(out)
-            want = subst_term(dM.conclusion.term, x, dN.conclusion.term)
-            if out.conclusion.term != want:
-                raise ConstructionMiss("substituted term mismatch")
-            if not type_equiv(out.conclusion.ty, dM.conclusion.ty):
-                raise ConstructionMiss("type not preserved")
-        except Exception as e:
-            report.record_failure(f"term-subst: {e}")
-            continue
-        _search_check(report, out.conclusion, budget)
-    return report
+            return None
+        out = subst_derivation(dM, x, dN)
+        check_derivation(out)
+        if out.conclusion.term != subst_term(dM.conclusion.term, x,
+                                             dN.conclusion.term):
+            raise ConstructionMiss("substituted term mismatch")
+        if not type_equiv(out.conclusion.ty, dM.conclusion.ty):
+            raise ConstructionMiss("type not preserved")
+        return out.conclusion
+
+    return _run("term-subst", seed, cases, budget, 1, case)
 
 
 def suite_struct_subst(seed: int = 0, cases: int = 300,
                        budget: SearchBudget | None = None) -> SuiteReport:
     """G |- M : C | a:U(Ai->Bi),D and G |- N : Ai | D give
     G |- M[N.g/a] : C | g:U(Bi),D."""
-    rng = random.Random(seed)
-    report = SuiteReport("struct-subst")
     gamma0, delta0 = base_environments()
     u_alpha = canonicalize(Union((_ARROW1, _ARROW2)))
     new_union = canonicalize(Union((_F2, _F1)))
@@ -626,68 +634,57 @@ def suite_struct_subst(seed: int = 0, cases: int = 300,
                  if all(left in inter_parts(t) for left in lefts))
     arg_for = {arrow: _var_at(gamma0, n_var, arrow.left, delta0)
                for arrow in union_parts(u_alpha)}
-    while report.run < cases:
+
+    def case(rng: random.Random) -> Judgment | None:
         gen = Generator(rng)
         alpha = "a" + gen.fresh_name()
         dM = gen.judgment(gamma0, {**delta0, alpha: u_alpha})
         if dM is None:
-            continue
-        report.run += 1
+            return None
         g = "g" + gen.fresh_name()
-        try:
-            out = struct_subst_derivation(dM, alpha, arg_for, g, new_union)
-            check_derivation(out)
-            want = subst_structural(dM.conclusion.term, alpha, Var(n_var), g)
-            if out.conclusion.term != want:
-                raise ConstructionMiss("substituted term mismatch")
-        except Exception as e:
-            report.record_failure(f"struct-subst: {e}")
-            continue
-        _search_check(report, out.conclusion, budget)
-    return report
+        out = struct_subst_derivation(dM, alpha, arg_for, g, new_union)
+        check_derivation(out)
+        if out.conclusion.term != subst_structural(dM.conclusion.term, alpha,
+                                                   Var(n_var), g):
+            raise ConstructionMiss("substituted term mismatch")
+        return out.conclusion
+
+    return _run("struct-subst", seed, cases, budget, 1, case)
 
 
 def suite_subject_reduction(seed: int = 0, cases: int = 500,
                             budget: SearchBudget | None = None) -> SuiteReport:
     """Every beta, mu or renaming step preserves the derived judgment."""
-    rng = random.Random(seed)
-    report = SuiteReport("subject-reduction")
     enabled = {"beta", "mu", "renaming"}
-    while report.run < cases:
+
+    def case(rng: random.Random) -> Judgment | None:
         d = gen_typed_judgment(rng)
         rs = redexes(d.conclusion.term, enabled)
         if not rs:
-            continue
-        report.run += 1
-        failed = False
+            return None
+        outs = []
         for pos, rule in rs:
             try:
-                out = sr_step(d, pos, rule)
-                check_derivation(out)
+                outs.append(sr_step(d, pos, rule))
+                check_derivation(outs[-1])
             except Exception as e:
-                report.record_failure(f"{rule} at {pos}: {e}")
-                failed = True
-                break
-        if not failed and report.run % 5 == 0:
-            pos, rule = rs[0]
-            j = d.conclusion
-            reduced = step(j.term, pos, rule)
-            _search_check(report, Judgment(j.gamma, reduced, j.ty, j.delta), budget)
-    return report
+                raise ConstructionMiss(f"{rule} at {pos}: {e}") from e
+        return outs[0].conclusion
+
+    return _run("subject-reduction", seed, cases, budget, 5, case)
 
 
 def suite_subject_expansion(seed: int = 0, cases: int = 500,
                             budget: SearchBudget | None = None) -> SuiteReport:
     """Every beta, mu or renaming expansion preserves the derived judgment."""
-    rng = random.Random(seed)
-    report = SuiteReport("subject-expansion")
     gamma0, delta0 = base_environments()
-    while report.run < cases:
+
+    def case(rng: random.Random) -> Judgment | None:
         gen = Generator(rng)
         goal = rng.choice(STRICT_POOL)
         d = gen.judgment(gamma0, delta0, goal=goal)
         if d is None:
-            continue
+            return None
         flavors = ["beta_vacuous", "mu_named", "renaming"]
         used = sorted(free_term_vars(d.conclusion.term) & set(gamma0))
         if used:
@@ -695,7 +692,6 @@ def suite_subject_expansion(seed: int = 0, cases: int = 500,
         if isinstance(goal, Arrow):
             flavors.append("mu_self")
         flavor = rng.choice(flavors)
-        report.run += 1
         try:
             if flavor == "beta_vacuous":
                 exp, red, rule = se_beta_vacuous(d, rng, "b" + gen.fresh_var())
@@ -722,11 +718,10 @@ def suite_subject_expansion(seed: int = 0, cases: int = 500,
             if not type_equiv(exp.conclusion.ty, red.conclusion.ty):
                 raise ConstructionMiss("type not preserved by expansion")
         except Exception as e:
-            report.record_failure(f"{flavor}: {e}")
-            continue
-        if report.run % 5 == 0:
-            _search_check(report, exp.conclusion, budget)
-    return report
+            raise ConstructionMiss(f"{flavor}: {e}") from e
+        return exp.conclusion
+
+    return _run("subject-expansion", seed, cases, budget, 5, case)
 
 
 # -- the erasing counterexample -----------------------------------------------

@@ -1,10 +1,10 @@
 """Substitution algorithms and the five reduction rules.
 
 Rules: the computational rules ``beta`` and ``mu``, and the simplification
-rules ``renaming``, ``erasing`` and ``eta_mu``.  Redex positions are paths of
-child indices (Abs/Mu body = 0, App fun = 0, arg = 1).  Fresh names are drawn
-deterministically from the identifiers of the term at hand, so reduction is a
-pure function.
+rules ``renaming``, ``erasing`` and ``eta_mu`` (the mu rule after one
+eta-expansion).  Redex positions are paths of child indices (Abs/Mu body = 0,
+App fun = 0, arg = 1).  Fresh names are drawn deterministically from the
+identifiers of the term at hand, so reduction is a pure function.
 
 One preorder walk over a zipper finds redexes, leftmost-outermost first: it
 lists them for ``iter_redexes``, and ``normalize`` resumes it after each
@@ -278,14 +278,9 @@ def _contract(m: Term, rule: str, whole: Term) -> Term:
         return Mu(m.bound, new_named, new_body)
     if rule == "erasing":
         return m.body
-    # eta_mu
-    avoid = all_identifiers(whole)
-    x = fresh(avoid, "x")
-    g = fresh(avoid | {x}, "g")
-    body = _subst(m.body, m.bound, Var(x), g)
-    if m.named == m.bound:
-        return Abs(x, Mu(g, g, App(body, Var(x))))
-    return Abs(x, Mu(g, m.named, body))
+    # eta_mu: mu a.[b]M becomes \x.(mu a.[b]M) x, whose body mu contracts
+    x = fresh(all_identifiers(whole), "x")
+    return Abs(x, _contract(App(m, Var(x)), "mu", whole))
 
 
 def step(m: Term, at: Position, rule: str) -> Term:

@@ -184,6 +184,19 @@ class TestCertificates:
         monkeypatch.setattr("sys.stdin", io.StringIO(cert.read_text()))
         assert main(["verify", "-"]) == 0
 
+    @pytest.mark.parametrize("command, judgment", [
+        ("check-iu", "x:A /\\ B |- x : A |"),
+        ("check-simple", "|- \\x.\\y.x : A -> B -> A |"),
+    ])
+    def test_cert_to_stdout_pipes_into_verify(self, command, judgment, capsys,
+                                              monkeypatch):
+        assert main([command, "--cert", "-", judgment]) == 0
+        out, err = capsys.readouterr()
+        assert err.endswith(f"{judgment}\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO(out))
+        assert main(["verify", "-"]) == 0
+        assert capsys.readouterr().out == f"valid: {judgment}\n"
+
     def test_missing_file(self):
         assert main(["verify", "/no/such/file.json"]) == 2
 
@@ -334,4 +347,4 @@ def test_output_is_pinned(capsys, monkeypatch, tmp_path):
             err = err.splitlines()[-1]
         digest.update(repr((argv, code, out, err)).encode())
     assert digest.hexdigest() == (
-        "087e42459f6dbcddfe5ce71aded3182bc8c01fb14039d2f2f9de88064cf0d828")
+        "154e2efdf53bda5fad3c509ae76eecedca58a9b9a6b6bfd6e1abf346678a9ef8")

@@ -1,10 +1,14 @@
 import hashlib
+import itertools
 import random
+import re
+
+import pytest
 
 from lammu import metatheory
 from lammu.iu import (Derivation, Judgment, SearchBudget, check_derivation,
                       derivation_to_json, derive, weaken)
-from lammu.metatheory import (base_environments,
+from lammu.metatheory import (ConstructionMiss, base_environments,
                               demo_erasing_failure, gen_typed_judgment,
                               rename_name_derivation, se_beta_vacuous,
                               sr_step, subst_derivation, suite_struct_subst,
@@ -152,6 +156,58 @@ class TestSuites:
         report = suite_term_subst(seed=1, cases=5)
         assert report.summary() == "SUITE term-subst RUN 5 FAIL 0 BUDGET_MISS 0"
         assert report.summary() in report.render()
+
+
+class TestSuiteFailures:
+    """The case loop's failure path, with checks and draws made to raise."""
+
+    @pytest.fixture
+    def flaky_check(self, monkeypatch):
+        """Every third ``check_derivation`` call raises."""
+        calls = itertools.count(1)
+
+        def check(d):
+            if next(calls) % 3 == 0:
+                raise ConstructionMiss("flaky check")
+            check_derivation(d)
+
+        monkeypatch.setattr(metatheory, "check_derivation", check)
+
+    @pytest.mark.usefixtures("flaky_check")
+    @pytest.mark.parametrize("suite, summary, kept, label", [
+        (suite_term_subst, "SUITE term-subst RUN 30 FAIL 10 BUDGET_MISS 0",
+         10, r"term-subst: "),
+        (suite_subject_reduction,
+         "SUITE subject-reduction RUN 30 FAIL 21 BUDGET_MISS 0", 20,
+         r"subject-reduction: (beta|mu|renaming) at \([0-9, ]*\): "),
+        (suite_subject_expansion,
+         "SUITE subject-expansion RUN 30 FAIL 15 BUDGET_MISS 0", 15,
+         r"subject-expansion: (beta_vacuous|beta_var|mu_named|mu_self"
+         r"|renaming): "),
+    ])
+    def test_failures_are_counted_and_labelled(self, suite, summary, kept,
+                                               label):
+        report = suite(seed=3, cases=30)
+        assert report.summary() == summary
+        assert len(report.failures) == kept
+        for message in report.failures:
+            assert re.fullmatch(label + "flaky check", message), message
+
+    def test_a_draw_that_raises_is_one_failure(self, monkeypatch):
+        raised = []
+
+        def gen_once(rng):
+            if not raised:
+                raised.append(True)
+                raise ConstructionMiss("generator exhausted its attempts")
+            return gen_typed_judgment(rng)
+
+        monkeypatch.setattr(metatheory, "gen_typed_judgment", gen_once)
+        report = suite_subject_reduction(seed=3, cases=10)
+        assert report.summary() == \
+            "SUITE subject-reduction RUN 10 FAIL 1 BUDGET_MISS 0"
+        assert report.failures == [
+            "subject-reduction: generator exhausted its attempts"]
 
 
 class TestErasingDemo:

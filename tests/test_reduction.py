@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from conftest import random_term
 from lammu.grammar import parse_term, print_term
 from lammu.reduction import (RULES, FreshnessViolation, NotARedex,
                              ReductionTrace, format_position, format_trace,
@@ -258,6 +259,21 @@ class TestLinearSteps:
 
 PINNED_TRACES = ("052ecbffd3f5b3d24bd913a1ff6ba66f0d454d316fd5a60912f6bc41"
                  "84228731")
+
+
+def test_eta_mu_traces_are_pinned():
+    """``eta_mu`` alone and among other rules: the positions, rules and
+    printed terms of every step, with the fresh names it picks."""
+    rng = random.Random(2024)
+    h = hashlib.sha256()
+    for _ in range(300):
+        m = random_term(rng, 5)
+        for enabled in ({"eta_mu"}, {"eta_mu", "renaming"},
+                        {"eta_mu", "beta", "mu", "renaming"}):
+            h.update(format_trace(normalize(m, enabled, fuel=30)).encode())
+            h.update(b"\0")
+    assert h.hexdigest() == ("56e9fa1a77740be2453602aa85756ae3ac830e27c8c43d68"
+                             "85047848d9853a58")
 
 
 def restarting_normalize(m, enabled, fuel):
