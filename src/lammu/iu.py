@@ -236,25 +236,6 @@ def check_derivation(d: Derivation) -> None:
 
 # -- admissible constructions -------------------------------------------------
 
-def inter_elim(d: Derivation, i: int) -> Derivation:
-    """Project component ``i`` out of a derivation concluding an intersection."""
-    if d.rule in ("Thin", "Weaken"):
-        inner = inter_elim(d.premises[0], i)
-        j = d.conclusion
-        return Derivation(d.rule, Judgment(j.gamma, j.term, inner.conclusion.ty,
-                                           j.delta), (inner,))
-    ty = d.conclusion.ty
-    if not isinstance(ty, Inter):
-        if i == 0:
-            return d
-        raise PreconditionViolation("conclusion is not an intersection")
-    if not 0 <= i < len(ty.parts):
-        raise PreconditionViolation(f"no component {i}")
-    if d.rule != "InterI":
-        raise PreconditionViolation("intersection without an introduction node")
-    return d.premises[i]
-
-
 def thin(d: Derivation) -> Derivation:
     j = d.conclusion
     fv, fn = free_term_vars(j.term), free_names(j.term)
@@ -428,7 +409,7 @@ class _Searcher:
         d2 = {**j.delta, m.bound: j.ty}
         candidates = dict.fromkeys([target, *union_parts(target), *self.strict])
         for t in candidates:
-            if not is_strict(t) or not subtype(t, target):
+            if not subtype(t, target):
                 continue
             p = self.goal(j.gamma, m.body, t, d2, depth - 1)
             if p is not None:

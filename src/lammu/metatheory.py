@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 
 from .iu import (Derivation, Judgment, SearchBudget, check_derivation, derive,
-                 inter_elim, weaken)
+                 weaken)
 from .reduction import (redexes, rename_name, replace_at, step,
                         subst_structural, subst_term, subterm_at)
 from .syntax import Abs, App, Mu, Term, Var, alpha_eq, free_term_vars
@@ -92,13 +92,18 @@ def var_typed(gamma: dict, ty: TypeExpr, delta: dict) -> Derivation | None:
 
 
 def project(d: Derivation, ty: TypeExpr) -> Derivation:
-    """Narrow a derivation to the component ``ty`` of its conclusion."""
-    have = d.conclusion.ty
-    if have == ty:
+    """Narrow a derivation to the component ``ty`` of its conclusion, through
+    ``Thin``/``Weaken``, to the ``InterI`` premise that concludes ``ty``."""
+    j = d.conclusion
+    if j.ty == ty:
         return d
-    if ty in inter_parts(have):
-        return inter_elim(d, inter_parts(have).index(ty))
-    raise ConstructionMiss(f"cannot project {ty!r} out of {have!r}")
+    if d.rule in ("Thin", "Weaken"):
+        return _node(d, j.term, (project(d.premises[0], ty),), ty=ty)
+    if d.rule == "InterI":
+        for p in d.premises:
+            if type_equiv(p.conclusion.ty, ty):
+                return p
+    raise ConstructionMiss(f"cannot project {ty!r} out of {j.ty!r}")
 
 
 def _node(d: Derivation, term: Term, premises, *, rule: str | None = None,
@@ -432,19 +437,26 @@ _SR_LOCAL = {"beta": _sr_local_beta, "mu": _sr_local_mu,
 
 
 def sr_step(d: Derivation, pos: tuple[int, ...], rule: str) -> Derivation:
-    """Rebuild ``d`` after contracting the redex at ``pos``."""
+    """Rebuild ``d`` after contracting the redex at ``pos``.  On the way it
+    passes ``Thin``/``Weaken`` and rebuilds each premise of an ``InterI``
+    node (one with none types the contractum at top).  Under any wrappers
+    the redex is typed by ``ArrowE`` over ``ArrowI`` (beta) or over a
+    context switch (mu), or by a context switch over one (renaming)."""
     whole = step(d.conclusion.term, pos, rule)
     expected = subterm_at(whole, pos)
     local = _SR_LOCAL[rule]
 
     def go(d: Derivation, pos: tuple[int, ...]) -> Derivation:
+        j = d.conclusion
+        if d.rule == "InterI":
+            return _node(d, replace_at(j.term, pos, expected),
+                         (go(p, pos) for p in d.premises))
         if not pos:
             return local(d, expected)
-        j = d.conclusion
         i, rest = pos[0], pos[1:]
-        if d.rule in ("Thin", "Weaken", "InterI"):
-            prems = tuple(go(p, pos) for p in d.premises)
-            return _node(d, prems[0].conclusion.term if prems else j.term, prems)
+        if d.rule in ("Thin", "Weaken"):
+            p = go(d.premises[0], pos)
+            return _node(d, p.conclusion.term, (p,))
         if d.rule == "ArrowE" and i == 1:
             prems = (d.premises[0], *(go(p, rest) for p in d.premises[1:]))
         elif d.rule in ("ArrowI", "ArrowE", "UnionE_named", "UnionE_self") and i == 0:
@@ -461,14 +473,18 @@ def sr_step(d: Derivation, pos: tuple[int, ...], rule: str) -> Derivation:
 
 
 # -- subject expansion, constructively ----------------------------------------
+# Each se_* maps (d, rng, gen) to (exp, red, rule): exp reduces by rule at the
+# root to red, at d's type.  It draws its fresh identifiers from the case's
+# generator gen and its choices from the case's stream rng.
 
 _TOP_ARGS = (Abs("q0", App(Var("q0"), Var("q0"))), Var("v1"))
 
 
 def se_beta_vacuous(d: Derivation, rng: random.Random,
-                    fresh: str) -> tuple[Derivation, Derivation, str]:
+                    gen: Generator) -> tuple[Derivation, Derivation, str]:
     """Wrap M as (\\x.M)Q with x unused; Q only needs the empty intersection."""
     j = d.conclusion
+    fresh = "b" + gen.fresh_var()
     q = rng.choice(_TOP_ARGS)
     inner = weaken(d, {**j.gamma, fresh: Top}, j.delta)
     fun = _node(d, Abs(fresh, j.term), (inner,), rule="ArrowI",
@@ -476,10 +492,15 @@ def se_beta_vacuous(d: Derivation, rng: random.Random,
     return _app(fun, top_typed(j.gamma, q, j.delta)), d, "beta"
 
 
-def se_beta_var(d: Derivation, y: str,
-                fresh: str) -> tuple[Derivation, Derivation, str]:
-    """Wrap M as (\\x.M[x/y])y, abstracting a used free variable."""
+def se_beta_var(d: Derivation, rng: random.Random,
+                gen: Generator) -> tuple[Derivation, Derivation, str]:
+    """Wrap M as (\\x.M[x/y])y, abstracting a used free variable y."""
     j = d.conclusion
+    used = sorted(free_term_vars(j.term))
+    if not used:
+        raise ConstructionMiss("no free variable to abstract")
+    y = rng.choice(used)
+    fresh = "b" + gen.fresh_var()
     c = j.gamma[y]
     renamed = rename_var_derivation(d, y, fresh)
     fun = _node(d, Abs(fresh, renamed.conclusion.term), (renamed,),
@@ -499,10 +520,11 @@ def _covering_name(s: TypeExpr, delta: dict,
     return "e" + alpha, {**delta, "e" + alpha: s}
 
 
-def se_mu_named(d: Derivation, rng: random.Random, alpha: str,
-                gname: str) -> tuple[Derivation, Derivation, str]:
+def se_mu_named(d: Derivation, rng: random.Random,
+                gen: Generator) -> tuple[Derivation, Derivation, str]:
     """Wrap M as (mu a.[b]M)Q with a unused; reduces to mu g.[b]M."""
     j = d.conclusion
+    alpha, gname = "m" + gen.fresh_name(), "g" + gen.fresh_name()
     beta, delta = _covering_name(j.ty, j.delta, alpha)
     b_goal = _F1
     fun_ty = Arrow(Top, b_goal)
@@ -515,13 +537,17 @@ def se_mu_named(d: Derivation, rng: random.Random, alpha: str,
     return exp, red, "mu"
 
 
-def se_mu_self(d: Derivation, alpha: str, gname: str,
-               arg: Derivation) -> tuple[Derivation, Derivation, str]:
-    """Wrap an arrow-typed M as (mu a.[a]M)Q; reduces to mu g.[g](M Q)."""
+def se_mu_self(d: Derivation, rng: random.Random,
+               gen: Generator) -> tuple[Derivation, Derivation, str]:
+    """Wrap an arrow-typed M as (mu a.[a]M)y; reduces to mu g.[g](M y)."""
     j = d.conclusion
     if not isinstance(j.ty, Arrow):
         raise ConstructionMiss("needs an arrow-typed subject")
     u = j.ty
+    arg = var_typed(j.gamma, u.left, j.delta)
+    if arg is None:
+        raise ConstructionMiss("no variable for the arrow source")
+    alpha, gname = "m" + gen.fresh_name(), "g" + gen.fresh_name()
     inner = weaken(d, j.gamma, {**j.delta, alpha: u})
     fun = _node(d, Mu(alpha, alpha, j.term), (inner,), rule="UnionE_self")
     exp = _app(fun, weaken(arg, j.gamma, j.delta))
@@ -532,10 +558,11 @@ def se_mu_self(d: Derivation, alpha: str, gname: str,
     return exp, red, "mu"
 
 
-def se_renaming(d: Derivation, alpha: str,
-                gname: str) -> tuple[Derivation, Derivation, str]:
+def se_renaming(d: Derivation, rng: random.Random,
+                gen: Generator) -> tuple[Derivation, Derivation, str]:
     """Wrap M as mu a.[b](mu g.[b]M) with g unused; renames to mu a.[b]M."""
     j = d.conclusion
+    alpha, gname = "m" + gen.fresh_name(), "g" + gen.fresh_name()
     beta, delta = _covering_name(j.ty, j.delta, alpha)
     b_goal = _F1
     d_in = {**delta, alpha: b_goal}
@@ -686,30 +713,17 @@ def suite_subject_expansion(seed: int = 0, cases: int = 500,
         if d is None:
             return None
         flavors = ["beta_vacuous", "mu_named", "renaming"]
-        used = sorted(free_term_vars(d.conclusion.term) & set(gamma0))
-        if used:
+        if free_term_vars(d.conclusion.term):
             flavors.append("beta_var")
         if isinstance(goal, Arrow):
             flavors.append("mu_self")
         flavor = rng.choice(flavors)
+        # built per case, so the names perfbench/tracer.py rebinds are used
+        expand = {"beta_vacuous": se_beta_vacuous, "beta_var": se_beta_var,
+                  "mu_named": se_mu_named, "mu_self": se_mu_self,
+                  "renaming": se_renaming}[flavor]
         try:
-            if flavor == "beta_vacuous":
-                exp, red, rule = se_beta_vacuous(d, rng, "b" + gen.fresh_var())
-            elif flavor == "beta_var":
-                exp, red, rule = se_beta_var(d, rng.choice(used),
-                                             "b" + gen.fresh_var())
-            elif flavor == "mu_named":
-                exp, red, rule = se_mu_named(d, rng, "m" + gen.fresh_name(),
-                                             "g" + gen.fresh_name())
-            elif flavor == "mu_self":
-                arg = var_typed(gamma0, goal.left, delta0)
-                if arg is None:
-                    raise ConstructionMiss("no variable for the arrow source")
-                exp, red, rule = se_mu_self(d, "m" + gen.fresh_name(),
-                                            "g" + gen.fresh_name(), arg)
-            else:
-                exp, red, rule = se_renaming(d, "m" + gen.fresh_name(),
-                                             "g" + gen.fresh_name())
+            exp, red, rule = expand(d, rng, gen)
             check_derivation(exp)
             check_derivation(red)
             stepped = step(exp.conclusion.term, (), rule)

@@ -130,13 +130,13 @@ def _finisher(s: _Solver, name):
 
 def _freeze(final, d: Derivation) -> Derivation:
     """Resolve every type in ``d`` with ``final``, checking in pre-order that
-    each node's types are curry types."""
+    each node's type is a curry type.  Each environment entry is the root's,
+    checked first, or part of the type of the ancestor that binds it."""
     j = d.conclusion
     out = Judgment({x: final(t) for x, t in j.gamma.items()}, j.term,
                    final(j.ty), {a: final(t) for a, t in j.delta.items()})
-    for t in [out.ty, *out.gamma.values(), *out.delta.values()]:
-        if not well_formed(t, "curry"):
-            raise CheckFailure("types", "bot may not appear left of an arrow")
+    if not well_formed(out.ty, "curry"):
+        raise CheckFailure("types", "bot may not appear left of an arrow")
     return Derivation(d.rule, out, tuple(_freeze(final, p) for p in d.premises))
 
 

@@ -11,8 +11,9 @@ from lammu.grammar import (ParseError, parse_judgment, parse_term,
 from lammu.iu import (Derivation, InvalidNode, Judgment,
                       PreconditionViolation, SearchBudget, check_derivation,
                       derivation_from_json, derivation_to_json, derive,
-                      embed_simple, inter_elim, thin, weaken)
-from lammu.metatheory import base_environments, gen_typed_judgment
+                      embed_simple, thin, weaken)
+from lammu.metatheory import (ConstructionMiss, base_environments,
+                              gen_typed_judgment, project)
 from lammu.simple import SimpleJudgment, check_simple
 from lammu.syntax import Abs, App, Mu, Var
 from lammu.typelang import (Arrow, Inter, Top, TVar, Union, canonicalize,
@@ -292,14 +293,21 @@ class TestInvalidNodes:
 
 
 class TestAdmissible:
-    def test_inter_elim(self):
-        d = Derivation("InterI", Judgment({"x": AB}, Var("x"), Inter((B, A)), {}),
-                       (var_node({"x": AB}, "x", B), var_node({"x": AB}, "x", A)))
-        proj = inter_elim(d, 0)
-        assert proj.conclusion.ty == B
+    def test_project(self):
+        # the wrapper lists the components as A /\ B, its premise as B /\ A
+        gamma = {"x": AB}
+        d = Derivation("InterI", Judgment(gamma, Var("x"), Inter((B, A)), {}),
+                       (var_node(gamma, "x", B), var_node(gamma, "x", A)))
+        wrapped = Derivation("Weaken", Judgment({"x": AB, "y": B}, Var("x"),
+                                                AB, {"a": A}), (d,))
+        check_derivation(wrapped)
+        proj = project(wrapped, A)
         check_derivation(proj)
-        with pytest.raises(PreconditionViolation):
-            inter_elim(d, 5)
+        assert proj.rule == "Weaken"
+        assert proj.conclusion.ty == A
+        assert proj.premises[0] is d.premises[1]
+        with pytest.raises(ConstructionMiss):
+            project(wrapped, Arrow(A, B))
 
     def test_thin(self):
         d = var_node({"x": A, "y": B}, "x", A, {"a": A})

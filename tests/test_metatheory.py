@@ -6,14 +6,16 @@ import re
 import pytest
 
 from lammu import metatheory
+from lammu.grammar import parse_judgment
 from lammu.iu import (Derivation, Judgment, SearchBudget, check_derivation,
                       derivation_to_json, derive, weaken)
-from lammu.metatheory import (ConstructionMiss, base_environments,
-                              demo_erasing_failure, gen_typed_judgment,
-                              rename_name_derivation, se_beta_vacuous,
-                              sr_step, subst_derivation, suite_struct_subst,
-                              suite_subject_expansion, suite_subject_reduction,
-                              suite_term_subst, top_typed, var_typed)
+from lammu.metatheory import (INTER_POOL, ConstructionMiss, Generator,
+                              base_environments, demo_erasing_failure,
+                              gen_typed_judgment, rename_name_derivation,
+                              se_beta_vacuous, sr_step, subst_derivation,
+                              suite_struct_subst, suite_subject_expansion,
+                              suite_subject_reduction, suite_term_subst,
+                              top_typed, var_typed)
 from lammu.reduction import redexes, step, subst_term
 from lammu.syntax import Mu, Var, alpha_eq
 from lammu.typelang import Top, TVar, Union, type_equiv
@@ -48,7 +50,6 @@ class TestTransforms:
     def test_substitution_preserves_the_typing(self):
         rng = random.Random(4)
         gamma, delta = base_environments()
-        from lammu.metatheory import INTER_POOL, Generator
         for _ in range(20):
             gen = Generator(rng)
             c = rng.choice(INTER_POOL)
@@ -79,6 +80,22 @@ class TestTransforms:
             assert type_equiv(out.conclusion.ty, d.conclusion.ty)
             checked += 1
 
+    @pytest.mark.parametrize("text, pos", [
+        # the redex typed by an intersection introduction
+        (r"y:A /\ B |- (\x.x) y : A /\ B |", ()),
+        (r"y:A /\ B |- (\x.mu a.[a] x) y : A /\ B |", ()),
+        # the redex inside an argument typed at top
+        (r"w:A |- (\x.w) ((\z.z) w) : A |", (1,)),
+    ])
+    def test_sr_step_rebuilds_intersections_and_top(self, text, pos):
+        gamma, term, ty, delta = parse_judgment(text)
+        d = derive(gamma, term, ty, delta, SearchBudget(max_depth=8))
+        assert d is not None
+        out = sr_step(d, pos, "beta")
+        check_derivation(out)
+        assert out.conclusion.term == step(term, pos, "beta")
+        assert type_equiv(out.conclusion.ty, ty)
+
     def test_renaming_keeps_wrapper_rules(self):
         # mu a.['g] x under a Weaken wrapper; renaming g to b retargets the
         # context switch and leaves the wrapper a Weaken node
@@ -97,7 +114,7 @@ class TestTransforms:
         rng = random.Random(5)
         gamma, delta = base_environments()
         d = var_typed(gamma, gamma["v1"], delta)
-        exp, red, rule = se_beta_vacuous(d, rng, "fresh0")
+        exp, red, rule = se_beta_vacuous(d, rng, Generator(rng))
         check_derivation(exp)
         assert rule == "beta"
         assert alpha_eq(step(exp.conclusion.term, (), rule),

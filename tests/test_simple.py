@@ -1,7 +1,11 @@
+import hashlib
+import random
+
 import pytest
 
-from lammu.grammar import parse_judgment, parse_term
-from lammu.iu import check_derivation
+from conftest import random_term
+from lammu.grammar import parse_judgment, parse_term, print_judgment
+from lammu.iu import check_derivation, derivation_to_json
 from lammu.simple import (CheckFailure, SimpleJudgment, UntypableError,
                           check_simple, infer_simple, instance_of)
 from lammu.typelang import Arrow, Bottom, TVar
@@ -92,3 +96,51 @@ class TestInfer:
         assert instance_of(general, Arrow(B, B))
         assert instance_of(general, Arrow(Arrow(A, B), Arrow(A, B)))
         assert not instance_of(general, Arrow(A, B))
+
+
+def _instance(t, sub: dict, rng: random.Random):
+    """``t`` with each type variable replaced by a curry type drawn once per
+    variable, ``bot`` among them."""
+    if isinstance(t, TVar):
+        if t.name not in sub:
+            sub[t.name] = rng.choice((A, B, Bottom, Bottom, Arrow(A, Bottom),
+                                      Arrow(A, B), Arrow(Arrow(B, Bottom), A)))
+        return sub[t.name]
+    if isinstance(t, Arrow):
+        return Arrow(_instance(t.left, sub, rng), _instance(t.right, sub, rng))
+    return t
+
+
+def test_outputs_are_pinned():
+    """The principal typings of 600 seeded random terms, and the certificate
+    or failure message of ``check_simple`` on a random instance of each
+    (which may put bot left of an arrow inside the derivation), hash to a
+    fixed value."""
+    rng = random.Random(17)
+    h = hashlib.sha256()
+    outcomes = []
+    for _ in range(600):
+        m = random_term(rng, 5, names=("k",))
+        try:
+            gamma, ty, delta = infer_simple(m)
+        except UntypableError as e:
+            h.update(f"untypable: {e}\n".encode())
+            continue
+        h.update(print_judgment(gamma, m, ty, delta).encode() + b"\n")
+        sub: dict = {}
+        j = SimpleJudgment(
+            {x: _instance(t, sub, rng) for x, t in gamma.items()}, m,
+            _instance(ty, sub, rng),
+            {a: _instance(t, sub, rng) for a, t in delta.items()})
+        try:
+            out = derivation_to_json(check_simple(j))
+            outcomes.append("valid")
+        except CheckFailure as e:
+            out = str(e)
+            outcomes.append(out)
+        h.update(out.encode() + b"\n")
+    assert outcomes.count("valid") > 300
+    assert outcomes.count(
+        "rule (types): bot may not appear left of an arrow") >= 10
+    assert h.hexdigest() == (
+        "6403a2fa821ebc60d935254b52f5bef4adabce8d7db07b7f31b4ede85835b502")
