@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations, product, repeat
+from itertools import combinations, product
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .syntax import Abs, App, Mu, Term, Var, free_names, free_term_vars
@@ -451,23 +451,36 @@ def derivation_to_json(d: Derivation) -> str:
     """The certificate text of ``d``: what ``json.dumps`` gives, with
     ``indent=2`` and ASCII escapes, for nested objects whose keys are
     ``rule``, ``judgment`` and ``premises`` in that order, written without
-    building the objects."""
+    building the objects.  One pass over an explicit stack, so any depth."""
     from .grammar import _print_judgment, print_env
     printed: dict[int, str] = {}   # by id: judgments share environment dicts
 
     def env(e: dict[str, TypeExpr]) -> str:
         return printed.get(id(e)) or printed.setdefault(id(e), print_env(e))
 
-    def enc(d: Derivation, nl: str) -> str:
+    chunks: list[str] = []
+    # a node as (the text before it, the node, its newline and indent); the
+    # text that closes a node as a string
+    stack: list = [("", d, "\n")]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            chunks.append(item)
+            continue
+        before, d, nl = item
         j = d.conclusion
         judgment = _print_judgment(env(j.gamma), j.term, j.ty, env(j.delta))
+        head = (f'{before}{{{nl}  "rule": {_json_str(d.rule)},{nl}  '
+                f'"judgment": {_json_str(judgment)},{nl}  "premises": ')
+        if not d.premises:
+            chunks.append(f"{head}[]{nl}}}")
+            continue
         inner = nl + "    "
-        premises = ("," + inner).join(map(enc, d.premises, repeat(inner)))
-        premises = f"[{inner}{premises}{nl}  ]" if d.premises else "[]"
-        return (f'{{{nl}  "rule": {_json_str(d.rule)},{nl}  "judgment": '
-                f'{_json_str(judgment)},{nl}  "premises": {premises}{nl}}}')
-
-    return enc(d, "\n")
+        chunks.append(head + "[")
+        stack.append(f"{nl}  ]{nl}}}")
+        stack += [("," + inner, p, inner) for p in reversed(d.premises[1:])]
+        stack.append((inner, d.premises[0], inner))
+    return "".join(chunks)
 
 
 def derivation_from_json(text: str) -> Derivation:

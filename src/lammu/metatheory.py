@@ -3,14 +3,15 @@
 The suites exercise the two substitution lemmas, subject reduction and subject
 expansion over randomly generated derivations, with one case policy.  A case
 draws a derivation and rebuilds it node by node for the transformed term; a
-draw that yields none is redrawn.  Any exception, in the draw or the rebuild,
-is a failure (the first 20 messages are kept).  Passing cases numbered by a
-multiple of 1 (substitution suites) or 5 (the other two) are searched for, at
-depth 9 unless a budget is given; a miss counts against the search budget.
+draw that yields none is redrawn.  Passing cases numbered by a multiple of 1
+(substitution suites) or 5 (the other two) are searched for, at depth 9
+unless a budget is given.  A miss counts against the search budget if a limit
+cut the search short.  Any exception, in the draw, the rebuild or the search,
+and a miss that no limit explains are failures (the first 20 messages kept).
 
 Generated derivations follow the convention that every binder is globally
-fresh, so substitution never needs to rename on the fly and the rebuilt
-derivations match the reduction output syntactically.
+fresh, so no rebuilt node needs a binder renamed.  The suites check this, not
+assume it: each compares the rebuilt term with the reducer's output.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from .grammar import print_judgment
 from .iu import (Derivation, Judgment, SearchBudget, check_derivation, derive,
-                 weaken)
+                 thin, weaken)
 from .reduction import (redexes, rename_name, replace_at, step,
                         subst_structural, subst_term, subterm_at)
 from .syntax import Abs, App, Mu, Term, Var, alpha_eq, free_term_vars
@@ -98,7 +100,7 @@ def project(d: Derivation, ty: TypeExpr) -> Derivation:
     if j.ty == ty:
         return d
     if d.rule in ("Thin", "Weaken"):
-        return _node(d, j.term, (project(d.premises[0], ty),), ty=ty)
+        return _node(d, (project(d.premises[0], ty),), ty=ty)
     if d.rule == "InterI":
         for p in d.premises:
             if type_equiv(p.conclusion.ty, ty):
@@ -106,27 +108,35 @@ def project(d: Derivation, ty: TypeExpr) -> Derivation:
     raise ConstructionMiss(f"cannot project {ty!r} out of {j.ty!r}")
 
 
-def _node(d: Derivation, term: Term, premises, *, rule: str | None = None,
-          ty: TypeExpr | None = None, gamma: dict | None = None,
-          delta: dict | None = None) -> Derivation:
-    """``d``'s node rebuilt over ``term`` and ``premises``; unless they are
-    given, it keeps ``d``'s rule, type and environments."""
+def _node(d: Derivation, premises, *, term: Term | None = None,
+          rule: str | None = None, ty: TypeExpr | None = None,
+          gamma: dict | None = None, delta: dict | None = None) -> Derivation:
+    """``d``'s node rebuilt over ``premises``; unless they are given, it keeps
+    ``d``'s rule, type and environments, and takes the term its rule builds
+    from ``d``'s term m and the premises' terms p0, p1: \\x.p0 for ``ArrowI``
+    and mu a.[b] p0 for a context switch (x, a and b as in m), p0 p1 for
+    ``ArrowE``, p0 for ``InterI``, ``Thin`` and ``Weaken``; m if none."""
     j = d.conclusion
-    return Derivation(rule or d.rule,
-                      Judgment(j.gamma if gamma is None else gamma, term,
-                               j.ty if ty is None else ty,
-                               j.delta if delta is None else delta),
-                      tuple(premises))
+    premises = tuple(premises)
+    rule = rule or d.rule
+    if term is None:
+        m, p = j.term, [q.conclusion.term for q in premises[:2]]
+        term = (m if not p else Abs(m.var, p[0]) if rule == "ArrowI"
+                else App(*p) if rule == "ArrowE"
+                else Mu(m.bound, m.named, p[0]) if rule.startswith("UnionE")
+                else p[0])
+    return Derivation(rule, Judgment(j.gamma if gamma is None else gamma, term,
+                                     j.ty if ty is None else ty,
+                                     j.delta if delta is None else delta),
+                      premises)
 
 
 def _app(fun: Derivation, *args: Derivation,
          ty: TypeExpr | None = None) -> Derivation:
-    """``fun`` applied to the term its argument premises ``args`` type, under
-    ``fun``'s environments; at ``ty``, by default the target of ``fun``'s
-    arrow."""
-    c = fun.conclusion
-    return _node(fun, App(c.term, args[0].conclusion.term), (fun, *args),
-                 rule="ArrowE", ty=c.ty.right if ty is None else ty)
+    """``fun`` applied to the term that ``args`` type, under ``fun``'s
+    environments; at ``ty``, by default the target of ``fun``'s arrow."""
+    return _node(fun, (fun, *args), rule="ArrowE",
+                 ty=fun.conclusion.ty.right if ty is None else ty)
 
 
 def _apply_arrows(fun: Derivation,
@@ -305,12 +315,12 @@ def subst_derivation(dM: Derivation, x: str, dN: Derivation) -> Derivation:
     def go(d: Derivation) -> Derivation:
         j = d.conclusion
         gamma = {y: t for y, t in j.gamma.items() if y != x}
-        term = subst_term(j.term, x, n_term)
         if d.rule == "InterE" and isinstance(j.term, Var) and j.term.name == x:
             return weaken(project(dN, j.ty), gamma, j.delta)
         if isinstance(j.term, Abs) and j.term.var == x:
             raise ConstructionMiss("binder shadows the substituted variable")
-        return _node(d, term, map(go, d.premises), gamma=gamma)
+        return _node(d, map(go, d.premises), gamma=gamma, term=None
+                     if d.premises else subst_term(j.term, x, n_term))
 
     return go(dM)
 
@@ -318,46 +328,38 @@ def subst_derivation(dM: Derivation, x: str, dN: Derivation) -> Derivation:
 # -- structural substitution lemma --------------------------------------------
 
 def struct_subst_derivation(dM: Derivation, alpha: str,
-                            arg_for: dict[TypeExpr, Derivation], g: str,
-                            new_union: TypeExpr) -> Derivation:
+                            arg_for: dict[TypeExpr, Derivation] | None, g: str,
+                            new_union: TypeExpr | None) -> Derivation:
     """From G |- M : C | a:U(Ai->Bi),D and G |- N : Ai | D for each i, build
     G |- M[N.g/a] : C | g:U(Bi),D.
 
     ``arg_for`` maps each arrow of the union to a derivation of N at its
-    source; ``new_union`` is the union of the targets."""
-    n_term = next(iter(arg_for.values())).conclusion.term
+    source; ``new_union`` is the union of the targets.  With both None it is
+    the renaming M[g/a]: each switch aimed at a is retargeted to the g already
+    in D (``UnionE_self`` where g is its binder) and a leaves the right
+    environments; sound whenever a's type lies below g's."""
+    n_term = (None if arg_for is None
+              else next(iter(arg_for.values())).conclusion.term)
+    added = {} if new_union is None else {g: new_union}
 
     def go(d: Derivation) -> Derivation:
         j = d.conclusion
-        term = subst_structural(j.term, alpha, n_term, g)
-        delta = {**{b: t for b, t in j.delta.items() if b != alpha}, g: new_union}
         if isinstance(j.term, Mu) and j.term.bound == alpha:
             raise ConstructionMiss("binder shadows the substituted name")
-        if d.rule == "UnionE_named" and j.term.named == alpha:
-            app = _apply_arrows(go(d.premises[0]), arg_for)
-            return _node(d, term, (app,), delta=delta)
-        return _node(d, term, map(go, d.premises), delta=delta)
+        delta = {**{b: t for b, t in j.delta.items() if b != alpha}, **added}
+        if not d.premises:
+            term = (rename_name(j.term, alpha, g) if arg_for is None
+                    else subst_structural(j.term, alpha, n_term, g))
+            return _node(d, (), term=term, delta=delta)
+        if d.rule.startswith("UnionE") and j.term.named == alpha:
+            p = go(d.premises[0])
+            p = p if arg_for is None else _apply_arrows(p, arg_for)
+            rule = "UnionE_self" if g == j.term.bound else "UnionE_named"
+            return _node(d, (p,), term=Mu(j.term.bound, g, p.conclusion.term),
+                         rule=rule, delta=delta)
+        return _node(d, map(go, d.premises), delta=delta)
 
     return go(dM)
-
-
-# -- renaming a free name inside a derivation ---------------------------------
-
-def rename_name_derivation(d: Derivation, g: str, b: str) -> Derivation:
-    """Retarget every context switch aimed at ``g`` to ``b``, dropping ``g``
-    from the environments.  Sound whenever ``g``'s type lies below ``b``'s."""
-    def go(d: Derivation) -> Derivation:
-        j = d.conclusion
-        if isinstance(j.term, Mu) and j.term.bound == g:
-            raise ConstructionMiss("binder shadows the renamed name")
-        delta = {a: t for a, t in j.delta.items() if a != g}
-        term = rename_name(j.term, g, b)
-        rule = d.rule
-        if rule in ("UnionE_named", "UnionE_self") and j.term.named == g:
-            rule = "UnionE_self" if b == j.term.bound else "UnionE_named"
-        return _node(d, term, map(go, d.premises), rule=rule, delta=delta)
-
-    return go(d)
 
 
 def rename_var_derivation(d: Derivation, y: str, x: str) -> Derivation:
@@ -369,8 +371,8 @@ def rename_var_derivation(d: Derivation, y: str, x: str) -> Derivation:
         if y not in j.gamma:
             raise ConstructionMiss(f"{y} is not in the environment")
         gamma = {**j.gamma, x: j.gamma[y]}
-        term = subst_term(j.term, y, Var(x))
-        return _node(d, term, map(go, d.premises), gamma=gamma)
+        return _node(d, map(go, d.premises), gamma=gamma, term=None
+                     if d.premises else subst_term(j.term, y, Var(x)))
 
     return go(d)
 
@@ -385,51 +387,47 @@ def _unwrap(d: Derivation) -> Derivation:
 
 def _sr_local_beta(d: Derivation, expected: Term) -> Derivation:
     j = d.conclusion
-    node = _unwrap(d)
-    if node.rule != "ArrowE" or not isinstance(j.term.fun, Abs):
+    if d.rule != "ArrowE" or not isinstance(j.term.fun, Abs):
         raise ConstructionMiss("not an application of an abstraction")
-    fun = _unwrap(node.premises[0])
-    if fun.rule != "ArrowI" or len(node.premises) != 2:
+    fun = _unwrap(d.premises[0])
+    if fun.rule != "ArrowI" or len(d.premises) != 2:
         raise ConstructionMiss("the function premise is not a single arrow")
-    out = subst_derivation(fun.premises[0], j.term.fun.var, node.premises[1])
+    out = subst_derivation(fun.premises[0], j.term.fun.var, d.premises[1])
     if not type_equiv(out.conclusion.ty, j.ty):
         raise ConstructionMiss("contractum type drifted")
     if out.conclusion.ty != j.ty:
-        out = _node(out, out.conclusion.term, out.premises, ty=j.ty)
+        out = _node(out, out.premises, ty=j.ty)
     return out
 
 
 def _sr_local_mu(d: Derivation, expected: Term) -> Derivation:
     j = d.conclusion
-    node = _unwrap(d)
-    if node.rule != "ArrowE" or not isinstance(j.term.fun, Mu):
+    if d.rule != "ArrowE" or not isinstance(j.term.fun, Mu):
         raise ConstructionMiss("not an application of a context switch")
-    fun = _unwrap(node.premises[0])
+    fun = _unwrap(d.premises[0])
     if fun.rule not in ("UnionE_named", "UnionE_self"):
         raise ConstructionMiss("the function premise is not a context switch node")
     red = j.term.fun
-    arg_for = dict(zip(union_parts(fun.conclusion.ty), node.premises[1:]))
+    arg_for = dict(zip(union_parts(fun.conclusion.ty), d.premises[1:]))
     g = expected.bound
     hat = struct_subst_derivation(fun.premises[0], red.bound, arg_for, g, j.ty)
-    if red.named == red.bound:
-        app = _apply_arrows(hat, arg_for)
-        return _node(d, Mu(g, g, app.conclusion.term), (app,), rule="UnionE_self")
-    return _node(d, Mu(g, red.named, hat.conclusion.term), (hat,),
-                 rule="UnionE_named")
+    p = _apply_arrows(hat, arg_for) if red.named == red.bound else hat
+    return _node(d, (p,), term=Mu(g, expected.named, p.conclusion.term),
+                 rule=fun.rule)
 
 
 def _sr_local_renaming(d: Derivation, expected: Term) -> Derivation:
     j = d.conclusion
-    node = _unwrap(d)
-    if node.rule not in ("UnionE_named", "UnionE_self"):
+    if d.rule not in ("UnionE_named", "UnionE_self"):
         raise ConstructionMiss("not a context switch node")
-    inner = _unwrap(node.premises[0])
+    inner = _unwrap(d.premises[0])
     if inner.rule not in ("UnionE_named", "UnionE_self"):
         raise ConstructionMiss("the body is not a context switch node")
-    renamed = rename_name_derivation(inner.premises[0], j.term.body.bound,
-                                     j.term.named)
+    renamed = struct_subst_derivation(inner.premises[0], j.term.body.bound,
+                                      None, j.term.named, None)
     rule = "UnionE_self" if expected.named == expected.bound else "UnionE_named"
-    return _node(d, expected, (renamed,), rule=rule)
+    return _node(d, (renamed,), rule=rule, term=Mu(
+        expected.bound, expected.named, renamed.conclusion.term))
 
 
 _SR_LOCAL = {"beta": _sr_local_beta, "mu": _sr_local_mu,
@@ -438,33 +436,32 @@ _SR_LOCAL = {"beta": _sr_local_beta, "mu": _sr_local_mu,
 
 def sr_step(d: Derivation, pos: tuple[int, ...], rule: str) -> Derivation:
     """Rebuild ``d`` after contracting the redex at ``pos``.  On the way it
-    passes ``Thin``/``Weaken`` and rebuilds each premise of an ``InterI``
-    node (one with none types the contractum at top).  Under any wrappers
-    the redex is typed by ``ArrowE`` over ``ArrowI`` (beta) or over a
-    context switch (mu), or by a context switch over one (renaming)."""
+    passes ``Weaken``, thins again at ``Thin`` and rebuilds each premise of an
+    ``InterI`` node (one with none types the contractum at top).  Below the
+    wrappers the redex is typed by ``ArrowE`` over ``ArrowI`` (beta) or over
+    a context switch (mu), or by a context switch over one (renaming)."""
     whole = step(d.conclusion.term, pos, rule)
     expected = subterm_at(whole, pos)
     local = _SR_LOCAL[rule]
 
     def go(d: Derivation, pos: tuple[int, ...]) -> Derivation:
-        j = d.conclusion
         if d.rule == "InterI":
-            return _node(d, replace_at(j.term, pos, expected),
-                         (go(p, pos) for p in d.premises))
+            return _node(d, [go(p, pos) for p in d.premises], term=None
+                         if d.premises else replace_at(d.conclusion.term, pos,
+                                                       expected))
+        if d.rule in ("Thin", "Weaken"):
+            p = go(d.premises[0], pos)
+            return thin(p) if d.rule == "Thin" else _node(d, (p,))
         if not pos:
             return local(d, expected)
         i, rest = pos[0], pos[1:]
-        if d.rule in ("Thin", "Weaken"):
-            p = go(d.premises[0], pos)
-            return _node(d, p.conclusion.term, (p,))
         if d.rule == "ArrowE" and i == 1:
             prems = (d.premises[0], *(go(p, rest) for p in d.premises[1:]))
         elif d.rule in ("ArrowI", "ArrowE", "UnionE_named", "UnionE_self") and i == 0:
             prems = (go(d.premises[0], rest), *d.premises[1:])
         else:
             raise ConstructionMiss(f"no premise {i} under rule {d.rule}")
-        # premise i types the child at i: the function, or the first argument
-        return _node(d, replace_at(j.term, (i,), prems[i].conclusion.term), prems)
+        return _node(d, prems)
 
     out = go(d, pos)
     if out.conclusion.term != whole:
@@ -487,7 +484,7 @@ def se_beta_vacuous(d: Derivation, rng: random.Random,
     fresh = "b" + gen.fresh_var()
     q = rng.choice(_TOP_ARGS)
     inner = weaken(d, {**j.gamma, fresh: Top}, j.delta)
-    fun = _node(d, Abs(fresh, j.term), (inner,), rule="ArrowI",
+    fun = _node(d, (inner,), term=Abs(fresh, j.term), rule="ArrowI",
                 ty=Arrow(Top, j.ty))
     return _app(fun, top_typed(j.gamma, q, j.delta)), d, "beta"
 
@@ -503,7 +500,7 @@ def se_beta_var(d: Derivation, rng: random.Random,
     fresh = "b" + gen.fresh_var()
     c = j.gamma[y]
     renamed = rename_var_derivation(d, y, fresh)
-    fun = _node(d, Abs(fresh, renamed.conclusion.term), (renamed,),
+    fun = _node(d, (renamed,), term=Abs(fresh, renamed.conclusion.term),
                 rule="ArrowI", ty=Arrow(c, j.ty))
     return _app(fun, _var_at(j.gamma, y, c, j.delta)), d, "beta"
 
@@ -529,11 +526,11 @@ def se_mu_named(d: Derivation, rng: random.Random,
     b_goal = _F1
     fun_ty = Arrow(Top, b_goal)
     inner = weaken(d, j.gamma, {**delta, alpha: fun_ty})
-    fun = _node(d, Mu(alpha, beta, j.term), (inner,), rule="UnionE_named",
-                ty=fun_ty, delta=delta)
+    fun = _node(d, (inner,), term=Mu(alpha, beta, j.term),
+                rule="UnionE_named", ty=fun_ty, delta=delta)
     exp = _app(fun, top_typed(j.gamma, rng.choice(_TOP_ARGS), delta))
     red_inner = weaken(d, j.gamma, {**delta, gname: b_goal})
-    red = _node(fun, Mu(gname, beta, j.term), (red_inner,), ty=b_goal)
+    red = _node(fun, (red_inner,), term=Mu(gname, beta, j.term), ty=b_goal)
     return exp, red, "mu"
 
 
@@ -549,11 +546,11 @@ def se_mu_self(d: Derivation, rng: random.Random,
         raise ConstructionMiss("no variable for the arrow source")
     alpha, gname = "m" + gen.fresh_name(), "g" + gen.fresh_name()
     inner = weaken(d, j.gamma, {**j.delta, alpha: u})
-    fun = _node(d, Mu(alpha, alpha, j.term), (inner,), rule="UnionE_self")
+    fun = _node(d, (inner,), term=Mu(alpha, alpha, j.term), rule="UnionE_self")
     exp = _app(fun, weaken(arg, j.gamma, j.delta))
     d2 = {**j.delta, gname: u.right}
     app = _app(weaken(d, j.gamma, d2), weaken(arg, j.gamma, d2))
-    red = _node(fun, Mu(gname, gname, app.conclusion.term), (app,),
+    red = _node(fun, (app,), term=Mu(gname, gname, app.conclusion.term),
                 ty=u.right)
     return exp, red, "mu"
 
@@ -567,11 +564,11 @@ def se_renaming(d: Derivation, rng: random.Random,
     b_goal = _F1
     d_in = {**delta, alpha: b_goal}
     inner_body = weaken(d, j.gamma, {**d_in, gname: j.ty})
-    inner = _node(d, Mu(gname, beta, j.term), (inner_body,),
+    inner = _node(d, (inner_body,), term=Mu(gname, beta, j.term),
                   rule="UnionE_named", delta=d_in)
-    exp = _node(inner, Mu(alpha, beta, inner.conclusion.term), (inner,),
+    exp = _node(inner, (inner,), term=Mu(alpha, beta, inner.conclusion.term),
                 ty=b_goal, delta=delta)
-    red = _node(exp, Mu(alpha, beta, j.term), (weaken(d, j.gamma, d_in),))
+    red = _node(exp, (weaken(d, j.gamma, d_in),))
     return exp, red, "renaming"
 
 
@@ -605,18 +602,19 @@ def _run(name: str, seed: int, cases: int, budget: SearchBudget | None,
     while report.run < cases:
         try:
             j = case(rng)
+            if j is None:
+                continue
+            if (report.run + 1) % every == 0 and derive(
+                    j.gamma, j.term, j.ty, j.delta, budget) is None:
+                if not budget.exhausted:
+                    raise ConstructionMiss("definite miss: " + print_judgment(
+                        j.gamma, j.term, j.ty, j.delta))
+                report.budget_miss += 1
         except Exception as e:
-            report.run += 1
             report.fail += 1
             if len(report.failures) < 20:
                 report.failures.append(f"{name}: {e}")
-            continue
-        if j is None:
-            continue
         report.run += 1
-        if report.run % every == 0 and derive(j.gamma, j.term, j.ty, j.delta,
-                                              budget) is None:
-            report.budget_miss += 1
     return report
 
 

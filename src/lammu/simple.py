@@ -180,19 +180,3 @@ def _var_name(i: int) -> TVar:
         return TVar(letters[i])
     return TVar(f"A{i - len(letters) + 1}")
 
-
-def instance_of(general: TypeExpr, specific: TypeExpr) -> bool:
-    """Is ``specific`` a substitution instance of ``general``?"""
-    sub: dict[str, TypeExpr] = {}
-
-    def go(g: TypeExpr, t: TypeExpr) -> bool:
-        if isinstance(g, TVar):
-            if g.name in sub:
-                return sub[g.name] == t
-            sub[g.name] = t
-            return True
-        if isinstance(g, Arrow) and isinstance(t, Arrow):
-            return go(g.left, t.left) and go(g.right, t.right)
-        return g == t
-
-    return go(general, specific)

@@ -37,6 +37,15 @@ def _cert_dict(d):
             "premises": [_cert_dict(p) for p in d.premises]}
 
 
+def _weaken_chain(n):
+    """``n`` Weaken nodes over the lookup x:A |- x : A |, all at that
+    judgment."""
+    d = var_node({"x": A}, "x", A)
+    for _ in range(n):
+        d = Derivation("Weaken", d.conclusion, (d,))
+    return d
+
+
 def _readme_derivations():
     """Derivations of the judgments the README checks, in either system."""
     ds = []
@@ -487,7 +496,7 @@ class TestCertificates:
     def test_writer_matches_json_dumps(self):
         rng = random.Random(13)
         ds = [gen_typed_judgment(rng) for _ in range(600)] + _readme_derivations()
-        for d in ds:
+        for d in ds + [_weaken_chain(150)]:
             assert derivation_to_json(d) == json.dumps(_cert_dict(d), indent=2)
 
     def test_writer_escapes_like_json_dumps(self):
@@ -504,11 +513,15 @@ class TestCertificates:
 
     def test_writer_reaches_as_deep_as_the_reader(self):
         # json.loads stops at about 495 levels; the writer must get that far
-        d = var_node({"x": A}, "x", A)
-        for _ in range(400):
-            d = Derivation("Weaken", d.conclusion, (d,))
-        text = derivation_to_json(d)
+        text = derivation_to_json(_weaken_chain(400))
         assert derivation_to_json(derivation_from_json(text)) == text
+
+    def test_writer_needs_no_recursion(self):
+        # a writer that recursed per premise would overflow the default
+        # recursion limit here
+        text = derivation_to_json(_weaken_chain(3000))
+        assert text.count('"rule": "Weaken"') == 3000
+        assert text.count("]") == 3001 and text.endswith("\n  ]\n}")
 
     def test_bundled_certificates_reencode_to_their_files(self):
         certs = resources.files("lammu").joinpath("certs")

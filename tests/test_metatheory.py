@@ -6,13 +6,13 @@ import re
 import pytest
 
 from lammu import metatheory
-from lammu.grammar import parse_judgment
+from lammu.grammar import parse_judgment, print_judgment
 from lammu.iu import (Derivation, Judgment, SearchBudget, check_derivation,
-                      derivation_to_json, derive, weaken)
+                      derivation_to_json, derive, thin, weaken)
 from lammu.metatheory import (INTER_POOL, ConstructionMiss, Generator,
                               base_environments, demo_erasing_failure,
-                              gen_typed_judgment, rename_name_derivation,
-                              se_beta_vacuous, sr_step, subst_derivation,
+                              gen_typed_judgment, se_beta_vacuous, sr_step,
+                              struct_subst_derivation, subst_derivation,
                               suite_struct_subst, suite_subject_expansion,
                               suite_subject_reduction, suite_term_subst,
                               top_typed, var_typed)
@@ -86,15 +86,84 @@ class TestTransforms:
         (r"y:A /\ B |- (\x.mu a.[a] x) y : A /\ B |", ()),
         # the redex inside an argument typed at top
         (r"w:A |- (\x.w) ((\z.z) w) : A |", (1,)),
+        # a Thin node above a redex whose contraction drops y
+        (r"v:A -> A, y:A, w:A, z:B |- v ((\x.w) y) : A |", (1,)),
     ])
     def test_sr_step_rebuilds_intersections_and_top(self, text, pos):
         gamma, term, ty, delta = parse_judgment(text)
-        d = derive(gamma, term, ty, delta, SearchBudget(max_depth=8))
-        assert d is not None
+        d = thin(derive(gamma, term, ty, delta, SearchBudget(max_depth=8)))
         out = sr_step(d, pos, "beta")
         check_derivation(out)
         assert out.conclusion.term == step(term, pos, "beta")
         assert type_equiv(out.conclusion.ty, ty)
+
+    @pytest.mark.parametrize("text, rule", [
+        (r"y:A, z:B |- (\x.x) y : A |", "beta"),
+        (r"y:A, z:B |- (mu a.[a] \x.x) y : A |", "mu"),
+        (r"y:A, z:B |- mu a.[a] mu b.[a] y : A |", "renaming"),
+    ])
+    @pytest.mark.parametrize("wrap", ["Thin", "Weaken"])
+    def test_sr_step_keeps_the_wrappers_at_the_redex(self, text, rule, wrap):
+        gamma, term, ty, delta = parse_judgment(text)
+        d = thin(derive(gamma, term, ty, delta, SearchBudget(max_depth=8)))
+        if wrap == "Weaken":
+            d = weaken(d, {**gamma, "u": A1}, {**delta, "k": A1})
+        assert d.rule == wrap
+        out = sr_step(d, (), rule)
+        check_derivation(out)
+        assert out.conclusion.term == step(term, (), rule)
+        assert out.conclusion.gamma == d.conclusion.gamma
+        assert out.conclusion.delta == d.conclusion.delta
+
+    def test_substitutions_run_only_at_premise_free_nodes(self, monkeypatch):
+        """Every call of the reducer's four substitutions made inside a
+        derivation transform is on the term of a node without premises."""
+        leaves = []   # per open transform, the ids of its input's leaf terms
+        called = set()
+
+        def transform(fn):
+            def run(d, *args):
+                nodes, seen = [d], set()
+                while nodes:
+                    n = nodes.pop()
+                    nodes.extend(n.premises)
+                    if not n.premises:
+                        seen.add(id(n.conclusion.term))
+                leaves.append(seen)
+                try:
+                    return fn(d, *args)
+                finally:
+                    leaves.pop()
+            return run
+
+        def substitution(name, fn):
+            def run(m, *args):
+                if leaves:
+                    called.add(name)
+                    if id(m) not in leaves[-1]:
+                        raise AssertionError(f"{name} on a node with premises")
+                return fn(m, *args)
+            return run
+
+        for name in ("subst_derivation", "struct_subst_derivation",
+                     "rename_var_derivation", "sr_step"):
+            monkeypatch.setattr(metatheory, name,
+                                transform(getattr(metatheory, name)))
+        for name in ("subst_term", "subst_structural", "rename_name",
+                     "replace_at"):
+            monkeypatch.setattr(metatheory, name,
+                                substitution(name, getattr(metatheory, name)))
+        budget = SearchBudget(max_depth=1)
+        for suite, cases in ((suite_term_subst, 40), (suite_struct_subst, 40),
+                             (suite_subject_reduction, 200),
+                             (suite_subject_expansion, 60)):
+            report = suite(seed=3, cases=cases, budget=budget)
+            assert report.fail == 0, report.failures
+        # a redex inside an argument typed at top
+        gamma, term, ty, delta = parse_judgment(r"w:A |- (\x.w) ((\z.z) w) : A |")
+        metatheory.sr_step(derive(gamma, term, ty, delta), (1,), "beta")
+        assert called == {"subst_term", "subst_structural", "rename_name",
+                          "replace_at"}
 
     def test_renaming_keeps_wrapper_rules(self):
         # mu a.['g] x under a Weaken wrapper; renaming g to b retargets the
@@ -105,7 +174,7 @@ class TestTransforms:
             (Derivation("InterE",
                         Judgment({"x": A1}, Var("x"), A1, {**delta, "a": A2})),))
         wrapped = weaken(node, {"x": A1, "y": A2}, delta)
-        out = rename_name_derivation(wrapped, "g", "b")
+        out = struct_subst_derivation(wrapped, "g", None, "b", None)
         check_derivation(out)
         assert out.rule == "Weaken"
         assert out.conclusion.term == Mu("a", "b", Var("x"))
@@ -168,6 +237,20 @@ class TestSuites:
         report = suite_term_subst(seed=1, cases=5,
                                   budget=SearchBudget(max_nodes=1))
         assert report.summary() == "SUITE term-subst RUN 5 FAIL 0 BUDGET_MISS 4"
+
+    def test_a_definite_miss_is_a_failure(self, monkeypatch):
+        # a search that returns None with no limit reached has missed a
+        # judgment the case just derived
+        searched = []
+
+        def miss(gamma, term, ty, delta, budget):
+            searched.append(print_judgment(gamma, term, ty, delta))
+
+        monkeypatch.setattr(metatheory, "derive", miss)
+        report = suite_term_subst(seed=1, cases=5)
+        assert report.summary() == "SUITE term-subst RUN 5 FAIL 5 BUDGET_MISS 0"
+        assert report.failures == [f"term-subst: definite miss: {j}"
+                                   for j in searched]
 
     def test_report_rendering(self):
         report = suite_term_subst(seed=1, cases=5)
