@@ -20,8 +20,8 @@ import random
 from dataclasses import dataclass, field
 
 from .grammar import print_judgment
-from .iu import (Derivation, Judgment, SearchBudget, check_derivation, derive,
-                 thin, weaken)
+from .iu import (Derivation, Judgment, PreconditionViolation, SearchBudget,
+                 check_derivation, derive, thin, weaken)
 from .reduction import (redexes, rename_name, replace_at, step,
                         subst_structural, subst_term, subterm_at)
 from .syntax import Abs, App, Mu, Term, Var, alpha_eq, free_term_vars
@@ -392,12 +392,21 @@ def _sr_local_beta(d: Derivation, expected: Term) -> Derivation:
     fun = _unwrap(d.premises[0])
     if fun.rule != "ArrowI" or len(d.premises) != 2:
         raise ConstructionMiss("the function premise is not a single arrow")
-    out = subst_derivation(fun.premises[0], j.term.fun.var, d.premises[1])
+    arg, wrapped = d.premises[1], fun is not d.premises[0]
+    if wrapped:
+        # wrappers bring the abstraction's environments up to the
+        # application's: substitute under the abstraction's, weaken after
+        try:
+            arg = weaken(thin(arg), fun.conclusion.gamma, fun.conclusion.delta)
+        except PreconditionViolation:
+            raise ConstructionMiss("the argument is not typed under the"
+                                   " abstraction's environments") from None
+    out = subst_derivation(fun.premises[0], j.term.fun.var, arg)
     if not type_equiv(out.conclusion.ty, j.ty):
         raise ConstructionMiss("contractum type drifted")
     if out.conclusion.ty != j.ty:
         out = _node(out, out.premises, ty=j.ty)
-    return out
+    return weaken(out, j.gamma, j.delta) if wrapped else out
 
 
 def _sr_local_mu(d: Derivation, expected: Term) -> Derivation:

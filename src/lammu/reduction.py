@@ -17,6 +17,14 @@ first such ancestor, top-down, or else the first redex at or after p.
 substitutions hand back every subterm in which the substituted variable or
 name is not free as it is, so one step walks the term a bounded number of
 times instead of rescanning each subterm for free variables.
+
+Substitution is one walk over an explicit stack, so it takes terms of any
+depth, and it scans the argument for identifiers a binder could capture
+only when it meets a binder.  The mu and eta_mu rules still draw their
+fresh name from one scan of the whole term's identifiers: ``fresh`` picks
+the first free ``g``, ``g'``, ..., so a cheaper superset would change names,
+and keeping an exact count up to date costs a walk of the redex and of the
+contractum, which on a chain of mu redexes is nearly the whole term.
 """
 
 from __future__ import annotations
@@ -89,6 +97,9 @@ def _rebuild(parents: list[Term], path, new: Term) -> Term:
     return new
 
 
+_DONE = object()    # on _subst's stack: the node under it has its children
+
+
 def _subst(m: Term, x: str, n: Term | None, g: str | None = None) -> Term:
     """The one capture-avoiding walk behind the three substitutions.
 
@@ -97,49 +108,75 @@ def _subst(m: Term, x: str, n: Term | None, g: str | None = None) -> Term:
     None.  A binder that would capture a free identifier of N, or ``g``, is
     renamed, but only where ``x`` is free under it.  Subterms in which ``x``
     is not free come back as they are, so a walk that renames no binder
-    costs time linear in M."""
+    costs time linear in M.
+
+    The walk is post-order over an explicit stack, so no depth of M is too
+    deep: a node goes back on the stack under ``_DONE`` and is rebuilt from
+    the results of its children.  The identifiers a binder must not keep
+    over x, N's free variables or N's free names and ``g``, are computed
+    when the walk first meets an abstraction or a mu that does not bind x;
+    a body without binders costs no scan of N.  A renamed binder's body is
+    renamed by a nested call, which meets no capture, since the new name
+    occurs nowhere in M."""
     # x is a variable or a name; the None in the other slot matches nothing
     var, name = (x, None) if g is None else (None, x)
     free = free_term_vars if g is None else free_names
-    # the identifiers a binder must not keep over a free occurrence of x
-    fvn = free_term_vars(n) if n is not None else set()
-    fnn = free_names(n) if n is not None else set()
-    if g is not None:
-        fnn.add(g)
-
-    def go(m: Term) -> Term:
-        if isinstance(m, Var):
-            return n if m.name == var else m
-        if isinstance(m, App):
-            f, a = go(m.fun), go(m.arg)
-            return m if f is m.fun and a is m.arg else App(f, a)
-        if isinstance(m, Abs):
-            if m.var == var:
-                return m
-            if m.var in fvn:
+    fvn = fnn = None
+    out: list[Term] = []
+    todo: list = [m]
+    while todo:
+        t = todo.pop()
+        kind = type(t)
+        if kind is Var:
+            out.append(n if t.name == var else t)
+        elif kind is App:
+            todo += (t, _DONE, t.arg, t.fun)
+        elif t is _DONE:
+            t = todo.pop()
+            kind = type(t)
+            last = out.pop()
+            if kind is App:
+                f = out.pop()
+                out.append(t if f is t.fun and last is t.arg else App(f, last))
+            elif kind is Abs:
+                out.append(t if last is t.body else Abs(t.var, last))
+            elif t.named == name:
+                out.append(Mu(t.bound, g, last if n is None else App(last, n)))
+            else:
+                out.append(t if last is t.body else Mu(t.bound, t.named, last))
+        elif kind is Abs:
+            if t.var == var:
+                out.append(t)
+                continue
+            if fvn is None:
+                fvn = free_term_vars(n) if n is not None else set()
+            if t.var in fvn:
                 # capture: rename the binder, but only where x occurs
-                if x not in free(m):
-                    return m
-                y2 = fresh(all_identifiers(m) | fvn | {x}, m.var)
-                m = Abs(y2, _subst(m.body, m.var, Var(y2)))
-            body = go(m.body)
-            return m if body is m.body else Abs(m.var, body)
-        if isinstance(m, Mu):
-            if m.bound == name:
-                return m
-            if m.bound in fnn:
-                if x not in free(m):
-                    return m
-                d2 = fresh(all_identifiers(m) | fnn | {x}, m.bound)
-                named = d2 if m.named == m.bound else m.named
-                m = Mu(d2, named, _subst(m.body, m.bound, None, d2))
-            body = go(m.body)
-            if m.named == name:
-                return Mu(m.bound, g, body if n is None else App(body, n))
-            return m if body is m.body else Mu(m.bound, m.named, body)
-        raise TypeError(f"not a term: {m!r}")
-
-    return go(m)
+                if x not in free(t):
+                    out.append(t)
+                    continue
+                y2 = fresh(all_identifiers(t) | fvn | {x}, t.var)
+                t = Abs(y2, _subst(t.body, t.var, Var(y2)))
+            todo += (t, _DONE, t.body)
+        elif kind is Mu:
+            if t.bound == name:
+                out.append(t)
+                continue
+            if fnn is None:
+                fnn = free_names(n) if n is not None else set()
+                if g is not None:
+                    fnn.add(g)
+            if t.bound in fnn:
+                if x not in free(t):
+                    out.append(t)
+                    continue
+                d2 = fresh(all_identifiers(t) | fnn | {x}, t.bound)
+                named = d2 if t.named == t.bound else t.named
+                t = Mu(d2, named, _subst(t.body, t.bound, None, d2))
+            todo += (t, _DONE, t.body)
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return out[0]
 
 
 def subst_term(m: Term, x: str, n: Term) -> Term:

@@ -1,10 +1,11 @@
 """Abstract syntax of lambda-mu terms.
 
-Terms are immutable.  Term variables and names (context variables) live in
-disjoint namespaces: a variable ``x`` and a name ``x`` never compare equal
-because they can only appear in distinct positions.  ``Mu(a, b, body)`` is the
-fused form "mu a.[b] body"; the pseudo-terms "mu a.M" and "[b]M" are never
-materialized on their own.
+Terms are immutable: frozen dataclasses with slots, so a node holds its
+fields and no instance dict.  Term variables and names (context variables)
+live in disjoint namespaces: a variable ``x`` and a name ``x`` never compare
+equal because they can only appear in distinct positions.  ``Mu(a, b, body)``
+is the fused form "mu a.[b] body"; the pseudo-terms "mu a.M" and "[b]M" are
+never materialized on their own.
 """
 
 from __future__ import annotations
@@ -15,25 +16,27 @@ from dataclasses import dataclass
 class Term:
     """Base class for lambda-mu terms."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Abs(Term):
     var: str
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
     fun: Term
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mu(Term):
     bound: str      # the name bound by mu; binds in body and in the named slot
     named: str      # the name inside [...]
@@ -41,30 +44,59 @@ class Mu(Term):
 
 
 def free_term_vars(m: Term) -> set[str]:
-    if isinstance(m, Var):
-        return {m.name}
-    if isinstance(m, Abs):
-        return free_term_vars(m.body) - {m.var}
-    if isinstance(m, App):
-        return free_term_vars(m.fun) | free_term_vars(m.arg)
-    if isinstance(m, Mu):
-        return free_term_vars(m.body)
-    raise TypeError(f"not a term: {m!r}")
+    """The free term variables of ``m``, found by one walk with an explicit
+    stack.  Entering a binder that is not already in scope adds its name to
+    ``bound`` and pushes the name under the body, so popping it ends the
+    scope."""
+    out: set[str] = set()
+    bound: set[str] = set()
+    todo: list = [m]
+    while todo:
+        t = todo.pop()
+        kind = type(t)
+        if kind is App:
+            todo += (t.arg, t.fun)
+        elif kind is Var:
+            if t.name not in bound:
+                out.add(t.name)
+        elif kind is Abs:
+            if t.var not in bound:
+                bound.add(t.var)
+                todo.append(t.var)
+            todo.append(t.body)
+        elif kind is Mu:
+            todo.append(t.body)
+        elif kind is str:
+            bound.discard(t)
+        else:
+            raise TypeError(f"not a term: {t!r}")
+    return out
 
 
 def free_names(m: Term) -> set[str]:
-    if isinstance(m, Var):
-        return set()
-    if isinstance(m, Abs):
-        return free_names(m.body)
-    if isinstance(m, App):
-        return free_names(m.fun) | free_names(m.arg)
-    if isinstance(m, Mu):
-        out = free_names(m.body)
-        out.add(m.named)
-        out.discard(m.bound)
-        return out
-    raise TypeError(f"not a term: {m!r}")
+    """The free names of ``m``, walked as ``free_term_vars`` walks."""
+    out: set[str] = set()
+    bound: set[str] = set()
+    todo: list = [m]
+    while todo:
+        t = todo.pop()
+        kind = type(t)
+        if kind is App:
+            todo += (t.arg, t.fun)
+        elif kind is Mu:
+            if t.named != t.bound and t.named not in bound:
+                out.add(t.named)
+            if t.bound not in bound:
+                bound.add(t.bound)
+                todo.append(t.bound)
+            todo.append(t.body)
+        elif kind is Abs:
+            todo.append(t.body)
+        elif kind is str:
+            bound.discard(t)
+        elif kind is not Var:
+            raise TypeError(f"not a term: {t!r}")
+    return out
 
 
 def all_identifiers(m: Term) -> set[str]:
@@ -74,12 +106,17 @@ def all_identifiers(m: Term) -> set[str]:
     todo = [m]
     while todo:
         t = todo.pop()
-        if isinstance(t, App):
+        kind = type(t)
+        if kind is App:
             todo += (t.arg, t.fun)
-        elif isinstance(t, Var):
+        elif kind is Var:
             out.add(t.name)
-        elif isinstance(t, (Abs, Mu)):
-            out.update((t.var,) if isinstance(t, Abs) else (t.bound, t.named))
+        elif kind is Abs:
+            out.add(t.var)
+            todo.append(t.body)
+        elif kind is Mu:
+            out.add(t.bound)
+            out.add(t.named)
             todo.append(t.body)
         else:
             raise TypeError(f"not a term: {t!r}")
@@ -87,29 +124,47 @@ def all_identifiers(m: Term) -> set[str]:
 
 
 def alpha_eq(m: Term, n: Term) -> bool:
-    """Equality up to renaming of bound term variables and bound names."""
+    """Equality up to renaming of bound term variables and bound names.
 
-    def go(m, n, vm, vn, nm, nn, depth):
-        if type(m) is not type(n):
+    One walk over both terms with an explicit stack.  A bound identifier
+    maps to the number of binders around its binder; entering a binder
+    pushes what its name mapped to before, and popping that restores it."""
+    vm, nm, vn, nn = {}, {}, {}, {}     # variables and names of m, of n
+    depth = 0
+    todo: list = [(m, n)]
+    while todo:
+        m, n = todo.pop()
+        if m is None:                # the end of a scope; n is its undo
+            depth -= 1
+            for scope, key, old in n:
+                if old is None:
+                    del scope[key]
+                else:
+                    scope[key] = old
+            continue
+        kind = type(m)
+        if kind is not type(n):
             return False
-        if isinstance(m, Var):
-            return vm.get(m.name, m.name) == vn.get(n.name, n.name)
-        if isinstance(m, Abs):
-            return go(m.body, n.body,
-                      {**vm, m.var: depth}, {**vn, n.var: depth},
-                      nm, nn, depth + 1)
-        if isinstance(m, App):
-            return (go(m.fun, n.fun, vm, vn, nm, nn, depth)
-                    and go(m.arg, n.arg, vm, vn, nm, nn, depth))
-        if isinstance(m, Mu):
-            nm2 = {**nm, m.bound: depth}
-            nn2 = {**nn, n.bound: depth}
-            if nm2.get(m.named, m.named) != nn2.get(n.named, n.named):
+        if kind is App:
+            todo += ((m.arg, n.arg), (m.fun, n.fun))
+            continue
+        if kind is Var:
+            if vm.get(m.name, m.name) != vn.get(n.name, n.name):
                 return False
-            return go(m.body, n.body, vm, vn, nm2, nn2, depth + 1)
-        raise TypeError(f"not a term: {m!r}")
-
-    return go(m, n, {}, {}, {}, {}, 0)
+            continue
+        if kind is Abs:
+            sm, sn, km, kn = vm, vn, m.var, n.var
+        elif kind is Mu:
+            sm, sn, km, kn = nm, nn, m.bound, n.bound
+        else:
+            raise TypeError(f"not a term: {m!r}")
+        todo.append((None, ((sm, km, sm.get(km)), (sn, kn, sn.get(kn)))))
+        sm[km] = sn[kn] = depth
+        depth += 1
+        if kind is Mu and nm.get(m.named, m.named) != nn.get(n.named, n.named):
+            return False
+        todo.append((m.body, n.body))
+    return True
 
 
 def fresh(avoid: set[str], hint: str) -> str:

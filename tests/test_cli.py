@@ -210,9 +210,9 @@ class TestCertificates:
 
 
 class TestDeepInput:
-    """Terms parse and print at any depth.  A certificate nested past the
-    recursion limit, or a substitution into a term nested as deep, leaves the
-    verdict undecided (exit 3), never a definite "invalid"."""
+    """Terms parse, print and reduce at any depth.  A certificate nested past
+    the recursion limit leaves the verdict undecided (exit 3), never a
+    definite "invalid"."""
 
     def test_verify_deep_certificate(self, monkeypatch):
         text = '{"rule": "InterE", "judgment": "x:A |- x : A |"}'
@@ -227,10 +227,17 @@ class TestDeepInput:
         assert main(["fmt", text]) == 0
         assert capsys.readouterr().out == text + "\n"
 
-    def test_reduce_deep_substitution(self):
-        # the substitution walk recurses once per level of the body
+    def test_reduce_deep_substitution(self, capsys):
         body = "f (" * 2999 + "f z" + ")" * 2999
-        assert main(["reduce", f"(\\z.{body}) y"]) in (0, 3)
+        assert main(["reduce", f"(\\z.{body}) y"]) == 0
+        assert capsys.readouterr().out == body.replace("z", "y") + "\n"
+
+    def test_reduce_deep_substitution_under_a_capturing_binder(self, capsys):
+        # y is free in the argument, so \y is renamed; that takes the free
+        # variables of the whole argument
+        arg = "f (" * 2999 + "f y" + ")" * 2999
+        assert main(["reduce", f"(\\x.\\y.x) ({arg})"]) == 0
+        assert capsys.readouterr().out == f"\\y'.{arg}\n"
 
     def test_reduce_church_40_times_40(self, capsys):
         def numeral(n):

@@ -97,21 +97,37 @@ class TestTransforms:
         assert out.conclusion.term == step(term, pos, "beta")
         assert type_equiv(out.conclusion.ty, ty)
 
-    @pytest.mark.parametrize("text, rule", [
-        (r"y:A, z:B |- (\x.x) y : A |", "beta"),
-        (r"y:A, z:B |- (mu a.[a] \x.x) y : A |", "mu"),
-        (r"y:A, z:B |- mu a.[a] mu b.[a] y : A |", "renaming"),
+    @pytest.mark.parametrize("wrap, text, rule", [
+        *((wrap, text, rule) for wrap in ("Thin", "Weaken") for text, rule in (
+            (r"y:A, z:B |- (\x.x) y : A |", "beta"),
+            (r"y:A, z:B |- (mu a.[a] \x.x) y : A |", "mu"),
+            (r"y:A, z:B |- mu a.[a] mu b.[a] y : A |", "renaming"))),
+        # a Weaken between the redex's ArrowE and its ArrowI
+        ("Weaken inside", r"v:A -> A, y:A, z:B |- v ((\x.x) y) : A |", "beta"),
     ])
-    @pytest.mark.parametrize("wrap", ["Thin", "Weaken"])
-    def test_sr_step_keeps_the_wrappers_at_the_redex(self, text, rule, wrap):
+    def test_sr_step_keeps_the_wrappers_at_the_redex(self, wrap, text, rule):
         gamma, term, ty, delta = parse_judgment(text)
-        d = thin(derive(gamma, term, ty, delta, SearchBudget(max_depth=8)))
+        d = derive(gamma, term, ty, delta, SearchBudget(max_depth=8))
+        pos = ()
+        if wrap in ("Thin", "Weaken"):
+            d = thin(d)
         if wrap == "Weaken":
             d = weaken(d, {**gamma, "u": A1}, {**delta, "k": A1})
+        if wrap == "Weaken inside":
+            # \x.x typed under y:A alone, weakened up to the redex's
+            # environments
+            pos, redex = (1,), d.premises[1]
+            j = redex.conclusion
+            fun = weaken(derive(*parse_judgment(r"y:A |- \x.x : A -> A |")),
+                         j.gamma, j.delta)
+            d = Derivation(d.rule, d.conclusion, (d.premises[0], Derivation(
+                "ArrowE", j, (fun, redex.premises[1]))))
+            check_derivation(d)
+            wrap = "ArrowE"
         assert d.rule == wrap
-        out = sr_step(d, (), rule)
+        out = sr_step(d, pos, rule)
         check_derivation(out)
-        assert out.conclusion.term == step(term, (), rule)
+        assert out.conclusion.term == step(term, pos, rule)
         assert out.conclusion.gamma == d.conclusion.gamma
         assert out.conclusion.delta == d.conclusion.delta
 

@@ -186,6 +186,25 @@ class TestLinearSteps:
         out = subst_term(m, "y", Var("z"))
         assert out == App(left, Var("z")) and out.fun is left
 
+    def test_capture_sets_are_computed_at_a_binder(self, monkeypatch):
+        """A substitution scans its argument for the identifiers a binder
+        could capture only when it meets a binder, once per kind."""
+        from lammu import reduction
+        calls = []
+        for name in ("free_term_vars", "free_names"):
+            fn = getattr(reduction, name)
+            monkeypatch.setattr(reduction, name,
+                                lambda m, fn=fn, name=name:
+                                calls.append(name) or fn(m))
+        fifty = parse_term("\\f.\\x." + "f (" * 49 + "f x" + ")" * 49)
+        step(App(parse_term("\\x.f (f x)"), fifty), (), "beta")
+        assert calls == []
+        out = step(parse_term("(\\x.\\y.x) z"), (), "beta")
+        assert (out, calls) == (Abs("y", Var("z")), ["free_term_vars"])
+        calls.clear()
+        step(parse_term("(mu a.[a] mu b.[a] x) z"), (), "mu")
+        assert calls == ["free_names"]
+
     def test_step_rejects_positions_outside_the_term(self):
         m = App(Abs("x", Var("x")), Var("y"))
         with pytest.raises(NotARedex):
