@@ -8,7 +8,8 @@ ASCII surface syntax with Unicode synonyms:
 
 Term variables are lowercase identifiers, type variables capitalized.  Names
 are declared by a ``mu`` binding; a free name is written with a leading tick,
-as in ``'b``.  Judgments read ``x:T, ... |- M : A | a:T, ...``.
+as in ``'b``.  Judgments read ``x:T, ... |- M : A | a:T, ...``.  Tokens
+carry no positions: only a ``ParseError`` computes spans, from the text.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .syntax import Abs, App, Mu, Term, Var
 from .typelang import (Arrow, Bottom, Inter, Top, TVar, TypeExpr, Union,
@@ -54,30 +56,35 @@ _BAD = {"/": "stray '/'", "-": "stray '-'",
         "'": "expected identifier after tick"}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    """Tokens as (kind, text, start, end); a final EOF token."""
+def _tokenize(text: str) -> list[tuple[str, str]]:
+    """Tokens as (kind, text); a final EOF token.  ``_spans`` has spans."""
     toks = []
-    for m in _TOKEN.finditer(text):
-        word = m[1]
-        start, end = m.span(1)
+    for word in _TOKEN.findall(text):
         kind = _KINDS.get(word)
         if kind is None:
             tick = word[0] == "'"
             c = word[tick:tick + 1]   # empty for a lone tick
             if not (c.isalpha() or c == "_"):
+                start = _spans(text)[len(toks)][0]
                 c = text[start]
                 raise ParseError(_BAD.get(c, f"unexpected character {c!r}"),
                                  SourceSpan(start, start + 1))
             kind = "TICK" if tick else "TYVAR" if c.isupper() else "IDENT"
             word = word[tick:]
-        toks.append((kind, word, start, end))
-    toks.append(("EOF", "", len(text), len(text)))
+        toks.append((kind, word))
+    toks.append(("EOF", ""))
     return toks
 
 
+def _spans(text: str) -> list[tuple[int, int]]:
+    """The (start, end) of each token of ``_tokenize(text)``, EOF's last."""
+    return [m.span(1) for m in _TOKEN.finditer(text)] + [(len(text),) * 2]
+
+
 class _Parser:
-    def __init__(self, toks: list[tuple]):
-        self.toks = toks
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = _tokenize(text)
         self.pos = 0
 
     def accept(self, kind: str) -> bool:
@@ -88,15 +95,14 @@ class _Parser:
 
     def expect(self, *kinds: str) -> str:
         """Consume a token of one of ``kinds`` and return its text."""
-        kind, text, start, end = self.toks[self.pos]
+        kind, text = self.toks[self.pos]
         if kind not in kinds:
-            raise ParseError(f"expected {' or '.join(kinds)}, found {kind}",
-                             SourceSpan(start, end))
+            self.fail(f"expected {' or '.join(kinds)}, found {kind}")
         self.pos += 1
         return text
 
-    def fail(self, message: str) -> None:
-        _, _, start, end = self.toks[self.pos]
+    def fail(self, message: str, at: int | None = None) -> NoReturn:
+        start, end = _spans(self.text)[self.pos if at is None else at]
         raise ParseError(message, SourceSpan(start, end))
 
     # -- terms ---------------------------------------------------------------
@@ -111,7 +117,7 @@ class _Parser:
         bound: Counter[str] = Counter()   # names of the open mu binders
         head: Term | None = None
         while True:
-            kind, text = toks[self.pos][:2]
+            kind, text = toks[self.pos]
             if kind == "IDENT":
                 self.pos += 1
                 arg = Var(text)
@@ -129,11 +135,9 @@ class _Parser:
                     continue
                 self.expect("LBRACK")
                 bound[x] += 1
-                kind, b, start, end = toks[self.pos]
+                kind, b = toks[self.pos]
                 if kind == "IDENT" and not bound[b]:
-                    raise ParseError(
-                        f"unbound name {b!r}; write '{b} for a free name",
-                        SourceSpan(start, end))
+                    self.fail(f"unbound name {b!r}; write '{b} for a free name")
                 if kind not in ("IDENT", "TICK"):
                     self.fail("expected a name")
                 self.pos += 1
@@ -177,7 +181,7 @@ class _Parser:
         return Inter(tuple(parts)) if op == "AND" else Union(tuple(parts))
 
     def type_atom(self) -> TypeExpr:
-        kind, text, start, end = self.toks[self.pos]
+        kind, text = self.toks[self.pos]
         self.pos += 1
         if kind == "TYVAR":
             return TVar(text)
@@ -187,7 +191,7 @@ class _Parser:
             ty = self.type()
             self.expect("RPAREN")
             return ty
-        raise ParseError("expected a type", SourceSpan(start, end))
+        self.fail("expected a type", self.pos - 1)
 
     # -- judgments -----------------------------------------------------------
 
@@ -197,10 +201,9 @@ class _Parser:
         env: dict[str, TypeExpr] = {}
         more = self.toks[self.pos][0] in kinds
         while more:
-            _, _, start, end = self.toks[self.pos]
             n = self.expect(*kinds)
             if n in env:
-                raise ParseError(f"{n} is bound twice", SourceSpan(start, end))
+                self.fail(f"{n} is bound twice", self.pos - 1)
             self.expect("COLON")
             env[n] = self.type()
             more = self.accept("COMMA")
@@ -219,14 +222,14 @@ class _Parser:
 
 
 def parse_term(text: str) -> Term:
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     m = p.term()
     p.expect("EOF")
     return m
 
 
 def parse_type(text: str, language: str = "iu") -> TypeExpr:
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     ty = p.type()
     p.expect("EOF")
     if not well_formed(ty, language):
@@ -236,7 +239,7 @@ def parse_type(text: str, language: str = "iu") -> TypeExpr:
 
 def parse_judgment(text: str, language: str = "iu"):
     """Parse ``G |- M : A | D``; returns (gamma, term, ty, delta)."""
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     gamma, term, ty, delta = p.judgment()
     for t in [ty, *gamma.values(), *delta.values()]:
         if not well_formed(t, language):
@@ -259,7 +262,7 @@ def _shared_judgment(text: str, envs: dict):
                 if len(e) != len(parts):   # an empty piece, or a name twice
                     raise ValueError(piece)
             else:
-                p = _Parser(_tokenize(piece))
+                p = _Parser(piece)
                 e = p.env(*kinds)
                 p.expect("EOF")
                 if not all(well_formed(t, "iu") for t in e.values()):
@@ -270,7 +273,7 @@ def _shared_judgment(text: str, envs: dict):
     try:
         i, k = text.index("|-"), text.rfind("|")
         gamma = env(text[:i], "IDENT")
-        p = _Parser(_tokenize(text[i + 2:k]))
+        p = _Parser(text[i + 2:k])
         term = p.term()
         p.expect("COLON")
         ty = p.type()

@@ -309,12 +309,21 @@ def gen_typed_judgment(rng: random.Random) -> Derivation:
 # -- term substitution lemma --------------------------------------------------
 
 def subst_derivation(dM: Derivation, x: str, dN: Derivation) -> Derivation:
-    """From G,x:C |- M : A | D and G |- N : C | D build G |- M[N/x] : A | D."""
+    """From G,x:C |- M : A | D and G |- N : C | D build G |- M[N/x] : A | D.
+
+    An environment that binds x binds it as G does, or not at all if G does
+    not (G's x is shadowed in M, but N may use it); a ``Thin`` node is
+    thinned again, since its term's free variables change."""
     n_term = dN.conclusion.term
+    outer = {y: t for y, t in dN.conclusion.gamma.items() if y == x}
 
     def go(d: Derivation) -> Derivation:
+        if d.rule == "Thin":
+            return thin(go(d.premises[0]))
         j = d.conclusion
-        gamma = {y: t for y, t in j.gamma.items() if y != x}
+        gamma = j.gamma
+        if x in gamma:
+            gamma = {y: t for y, t in gamma.items() if y != x} | outer
         if d.rule == "InterE" and isinstance(j.term, Var) and j.term.name == x:
             return weaken(project(dN, j.ty), gamma, j.delta)
         if isinstance(j.term, Abs) and j.term.var == x:

@@ -1,9 +1,10 @@
 """Abstract syntax of lambda-mu terms.
 
-Terms are immutable: frozen dataclasses with slots, so a node holds its
-fields and no instance dict.  Term variables and names (context variables)
-live in disjoint namespaces: a variable ``x`` and a name ``x`` never compare
-equal because they can only appear in distinct positions.  ``Mu(a, b, body)``
+Terms are immutable: frozen dataclasses with slots, built by the
+``__init__`` that ``slot_init`` writes, so a node holds its fields and no
+instance dict.  Term variables and names (context variables) live in
+disjoint namespaces: a variable ``x`` and a name ``x`` never compare equal
+because they can only appear in distinct positions.  ``Mu(a, b, body)``
 is the fused form "mu a.[b] body"; the pseudo-terms "mu a.M" and "[b]M" are
 never materialized on their own.
 """
@@ -13,29 +14,44 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+def slot_init(cls):
+    """Give a frozen slotted dataclass an ``__init__`` that fills each slot by
+    its descriptor (``App.fun.__set__``), not by ``object.__setattr__``."""
+    names = cls.__match_args__
+    scope = {f"_{n}": getattr(cls, n).__set__ for n in names}
+    exec(f"def __init__(self, {', '.join(names)}):\n"
+         + "".join(f"    _{n}(self, {n})\n" for n in names), scope)
+    cls.__init__ = scope["__init__"]
+    return cls
+
+
 class Term:
     """Base class for lambda-mu terms."""
 
     __slots__ = ()
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Abs(Term):
     var: str
     body: Term
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class App(Term):
     fun: Term
     arg: Term
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Mu(Term):
     bound: str      # the name bound by mu; binds in body and in the named slot

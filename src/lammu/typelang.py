@@ -7,7 +7,8 @@ One syntax tree serves three languages:
 * ``iu``     -- strict types extended with unions; intersections of unions are
   allowed, unions of intersections are not
 
-``top`` is the empty intersection and ``bot`` the empty union.
+``top`` is the empty intersection and ``bot`` the empty union.  Types are
+slotted frozen dataclasses built by ``syntax.slot_init``, as terms are.
 """
 
 from __future__ import annotations
@@ -16,12 +17,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
+from .syntax import slot_init
+
 
 class TypeExpr:
     """Base class for type expressions."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, repr=False)
+
+@slot_init
+@dataclass(frozen=True, slots=True, repr=False)
 class TVar(TypeExpr):
     name: str
 
@@ -29,7 +35,8 @@ class TVar(TypeExpr):
         return f"TVar({self.name})"
 
 
-@dataclass(frozen=True, repr=False)
+@slot_init
+@dataclass(frozen=True, slots=True, repr=False)
 class Arrow(TypeExpr):
     left: TypeExpr
     right: TypeExpr
@@ -38,7 +45,8 @@ class Arrow(TypeExpr):
         return f"Arrow({self.left!r}, {self.right!r})"
 
 
-@dataclass(frozen=True, repr=False)
+@slot_init
+@dataclass(frozen=True, slots=True, repr=False)
 class Inter(TypeExpr):
     parts: tuple[TypeExpr, ...]
 
@@ -46,7 +54,8 @@ class Inter(TypeExpr):
         return "Inter(%s)" % ", ".join(repr(p) for p in self.parts)
 
 
-@dataclass(frozen=True, repr=False)
+@slot_init
+@dataclass(frozen=True, slots=True, repr=False)
 class Union(TypeExpr):
     parts: tuple[TypeExpr, ...]
 

@@ -1,6 +1,11 @@
-"""Shared random generators for the property tests."""
+"""Shared random generators for the property tests, and the node contract."""
 
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError, fields
+
+import pytest
 
 from lammu.syntax import Abs, App, Mu, Term, Var
 from lammu.typelang import (Arrow, Bottom, Inter, Top, TVar, TypeExpr, Union,
@@ -56,3 +61,42 @@ def random_pure_term(rng: random.Random, depth: int = 4,
         return Abs(x, random_pure_term(rng, depth - 1, term_vars + (x,)))
     return App(random_pure_term(rng, depth - 1, term_vars),
                random_pure_term(rng, depth - 1, term_vars))
+
+
+def check_node_contract(samples: list, reference: dict) -> None:
+    """Check that ``samples``, which hold an instance of every class that
+    ``reference`` maps, behave as plain frozen dataclasses do: ``reference``
+    maps each node class to a ``@dataclass(frozen=True)`` copy of it.
+
+    A node's repr, hash and equality with every other sample agree with its
+    copy's; its fields cannot be set or deleted, and it has no instance
+    dict; its class takes the fields in order or by name; pickle and
+    deepcopy give back an equal node."""
+    def ref(x):
+        if type(x) is tuple:
+            return tuple(map(ref, x))
+        if type(x) not in reference:
+            return x
+        return reference[type(x)](*(ref(getattr(x, f.name))
+                                    for f in fields(x)))
+
+    assert set(reference) <= {type(n) for n in samples}
+    refs = [ref(n) for n in samples]
+    for n, r in zip(samples, refs):
+        cls = type(n)
+        assert cls.__match_args__ == type(r).__match_args__
+        assert repr(n) == repr(r)
+        assert hash(n) == hash(r)
+        assert [a == n for a in samples] == [b == r for b in refs]
+        assert not hasattr(n, "__dict__")
+        named = {f: getattr(n, f) for f in cls.__match_args__}
+        assert cls(*named.values()) == cls(**named) == n
+        assert cls(**named) is not n
+        assert pickle.loads(pickle.dumps(n)) == n
+        assert copy.deepcopy(n) == n
+        for f in named:
+            with pytest.raises(FrozenInstanceError):
+                setattr(n, f, named[f])
+            with pytest.raises(FrozenInstanceError):
+                delattr(n, f)
+        assert {f: getattr(n, f) for f in named} == named

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import random_iu_type, random_term
 from lammu.grammar import (LanguageViolation, ParseError, SourceSpan,
-                           _tokenize, parse_judgment, parse_term, parse_type,
-                           print_judgment, print_term, print_type)
+                           _spans, _tokenize, parse_judgment, parse_term,
+                           parse_type, print_judgment, print_term, print_type)
 from lammu.iu import (RULES, InvalidNode, MalformedCertificate,
                       check_derivation, derivation_from_json,
                       derivation_to_json)
@@ -210,6 +210,12 @@ def _reference_tokenize(text):
     return toks
 
 
+def _spanned_tokenize(text):
+    """``_tokenize`` with ``_spans`` zipped in, as (kind, text, start, end)."""
+    pairs = zip(_tokenize(text), _spans(text), strict=True)
+    return [(k, w, s, e) for (k, w), (s, e) in pairs]
+
+
 def _tokens_or_error(tokenize, text):
     try:
         return tokenize(text)
@@ -229,13 +235,13 @@ class TestTokenizer:
         "  ", "x:A, 'b:B \\/ C |- \\x.mu a.['b] x : A -> B | a:A",
     ])
     def test_fixed_texts_match_the_reference(self, text):
-        assert (_tokens_or_error(_tokenize, text)
+        assert (_tokens_or_error(_spanned_tokenize, text)
                 == _tokens_or_error(_reference_tokenize, text))
 
     @given(st.lists(st.sampled_from(_LEXEMES), max_size=16).map("".join))
     @settings(max_examples=400, deadline=None)
     def test_random_texts_match_the_reference(self, text):
-        assert (_tokens_or_error(_tokenize, text)
+        assert (_tokens_or_error(_spanned_tokenize, text)
                 == _tokens_or_error(_reference_tokenize, text))
 
 

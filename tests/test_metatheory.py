@@ -131,6 +131,33 @@ class TestTransforms:
         assert out.conclusion.gamma == d.conclusion.gamma
         assert out.conclusion.delta == d.conclusion.delta
 
+    @pytest.mark.parametrize("text, pos", [
+        (r"x:B, y:A |- (\x.x) y : A |", ()),
+        (r"v:A -> A, x:B, y:A |- v ((\x.x) y) : A |", (1,)),
+        (r"x:B, y:A |- (\x.\z.x) y : C -> A |", ()),
+        # the argument is the outer x
+        (r"x:B, y:A |- (\x.y) x : A |", ()),
+    ])
+    def test_sr_step_keeps_an_outer_binding_of_the_bound_variable(self, text,
+                                                                   pos):
+        gamma, term, ty, delta = parse_judgment(text)
+        d = derive(gamma, term, ty, delta, SearchBudget(max_depth=8))
+        out = sr_step(d, pos, "beta")
+        check_derivation(out)
+        assert out.conclusion.term == step(term, pos, "beta")
+        assert out.conclusion.gamma == gamma
+
+    def test_substitution_thins_a_thin_node_again(self):
+        """A Thin node in M loses x and gains N's free variables."""
+        leaf = derive(*parse_judgment("x:A, w:A |- x : A |"))
+        dM = weaken(thin(leaf), leaf.conclusion.gamma, {})
+        assert dM.premises[0].rule == "Thin"
+        dN = derive(*parse_judgment("w:A |- w : A |"))
+        out = subst_derivation(dM, "x", dN)
+        check_derivation(out)
+        assert out.conclusion.term == Var("w")
+        assert out.conclusion.gamma == {"w": TVar("A")}
+
     def test_substitutions_run_only_at_premise_free_nodes(self, monkeypatch):
         """Every call of the reducer's four substitutions made inside a
         derivation transform is on the term of a node without premises."""

@@ -1,6 +1,7 @@
 import random
+from dataclasses import make_dataclass
 
-from conftest import random_term
+from conftest import check_node_contract, random_term
 from lammu.syntax import (Abs, App, Mu, Var, all_identifiers, alpha_eq,
                           free_names, free_term_vars, fresh)
 
@@ -111,3 +112,20 @@ def test_walks_take_deep_terms():
     assert all_identifiers(m) == {"x0", "x1", "f", "a0", "a1", "k", "z"}
     assert alpha_eq(m, _chain("z", "y", "b"))
     assert not alpha_eq(m, _chain("w", "y", "b"))
+
+
+# plain @dataclass(frozen=True) copies of the term classes, the reference
+# for their contract
+_REFERENCE = {Var: make_dataclass("Var", ["name"], frozen=True),
+              Abs: make_dataclass("Abs", ["var", "body"], frozen=True),
+              App: make_dataclass("App", ["fun", "arg"], frozen=True),
+              Mu: make_dataclass("Mu", ["bound", "named", "body"],
+                                 frozen=True)}
+
+
+def test_terms_keep_the_frozen_dataclass_contract():
+    rng = random.Random(19)
+    samples = [random_term(rng, depth=3, names=("b",)) for _ in range(60)]
+    samples += [Var("x"), Abs("x", Var("x")), App(Var("x"), Var("y")),
+                Mu("a", "b", Var("x")), Mu(bound="a", named="b", body=Var("x"))]
+    check_node_contract(samples, _REFERENCE)

@@ -1,6 +1,7 @@
 import random
+from dataclasses import make_dataclass
 
-from conftest import random_iu_type, random_type
+from conftest import check_node_contract, random_iu_type, random_type
 from lammu.typelang import (Arrow, Bottom, Inter, Top, TVar, Union,
                             canonicalize, env_leq_left, env_leq_right,
                             inter_parts, is_strict, subexpressions, subtype,
@@ -143,3 +144,30 @@ def test_helpers():
     t = Arrow(Inter((A, B)), C)
     subs = set(subexpressions(t))
     assert {t, Inter((A, B)), A, B, C} <= subs
+
+
+def _parts_repr(self):
+    return f"{type(self).__name__}(%s)" % ", ".join(map(repr, self.parts))
+
+
+# plain @dataclass(frozen=True) copies of the type classes, with their own
+# reprs, the reference for their contract
+_REFERENCE = {
+    TVar: make_dataclass("TVar", ["name"], frozen=True, repr=False,
+                         namespace={"__repr__": lambda t: f"TVar({t.name})"}),
+    Arrow: make_dataclass(
+        "Arrow", ["left", "right"], frozen=True, repr=False,
+        namespace={"__repr__": lambda t: f"Arrow({t.left!r}, {t.right!r})"}),
+    Inter: make_dataclass("Inter", ["parts"], frozen=True, repr=False,
+                          namespace={"__repr__": _parts_repr}),
+    Union: make_dataclass("Union", ["parts"], frozen=True, repr=False,
+                          namespace={"__repr__": _parts_repr}),
+}
+
+
+def test_types_keep_the_frozen_dataclass_contract():
+    rng = random.Random(19)
+    samples = [random_type(rng) for _ in range(60)]
+    samples += [A, Arrow(A, B), Inter((A, B)), Union((A, B)), Top, Bottom,
+                Arrow(left=A, right=Inter(parts=(A,)))]
+    check_node_contract(samples, _REFERENCE)
