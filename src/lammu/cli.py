@@ -266,10 +266,9 @@ def main(argv: list[str] | None = None) -> int:
         _bad(str(e))
         return EXIT_USAGE
     except RecursionError:
-        # terms parse and print at any depth, but substitution into deep
-        # terms, certificates past json's depth limit, types nested
-        # thousands deep, and typing and search on deep terms still recurse:
-        # such input is neither accepted nor rejected
+        # terms parse, print and reduce at any depth, but a certificate past
+        # json's depth limit, a type nested thousands deep, and typing or
+        # search on a deep term still recurse: neither accepted nor rejected
         _bad("undecided: input nested too deeply")
         return EXIT_BUDGET
 

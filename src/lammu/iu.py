@@ -12,8 +12,9 @@ Derivations are explicit trees over six rules:
 
 plus the admissible wrappers ``Thin`` (restrict environments to the free
 variables and names) and ``Weaken`` (strengthen the left environment, widen
-the right one).  Types in a node are compared up to the equivalence induced by
-the preorder, except variable lookup, which projects components as written.
+the right one), which ``thin`` and ``weaken`` add and ``under`` dissolves.
+Types in a node are compared up to the equivalence induced by the preorder,
+except variable lookup, which projects components as written.
 
 ``check_derivation`` is the one statement of these rules.  The search returns
 only derivations it accepts, and the constructions turn a derivation it
@@ -256,6 +257,28 @@ def weaken(d: Derivation, gamma: dict[str, TypeExpr],
     if gamma == j.gamma and delta == j.delta:
         return d
     return Derivation("Weaken", Judgment(gamma, j.term, j.ty, delta), (d,))
+
+
+def under(d: Derivation, gamma: dict[str, TypeExpr],
+          delta: dict[str, TypeExpr]) -> Derivation:
+    """``d`` rebuilt top-down under ``gamma`` and ``delta``: ``ArrowI`` adds
+    its variable on the way down, a context switch its bound name.  ``Thin``
+    and ``Weaken`` dissolve; a lookup whose type is not a component of its new
+    entry becomes one ``Weaken`` over itself under its old entry alone.
+    PreconditionViolation if ``gamma`` leaves a looked-up variable unbound or
+    above its old entry; ``delta`` must bind every switch target, no lower."""
+    j = d.conclusion
+    if d.rule in ("Thin", "Weaken"):
+        return under(d.premises[0], gamma, delta)
+    if d.rule == "InterE":
+        x = j.term.name
+        if j.ty not in inter_parts(gamma.get(x, Top)):
+            return weaken(Derivation(d.rule, Judgment(
+                {x: j.gamma[x]}, j.term, j.ty, {})), gamma, delta)
+    g2 = {**gamma, j.term.var: j.ty.left} if d.rule == "ArrowI" else gamma
+    d2 = {**delta, j.term.bound: j.ty} if d.rule.startswith("UnionE") else delta
+    return Derivation(d.rule, Judgment(gamma, j.term, j.ty, delta),
+                      tuple(under(p, g2, d2) for p in d.premises))
 
 
 # -- bounded search -----------------------------------------------------------

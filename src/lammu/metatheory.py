@@ -20,8 +20,8 @@ import random
 from dataclasses import dataclass, field
 
 from .grammar import print_judgment
-from .iu import (Derivation, Judgment, PreconditionViolation, SearchBudget,
-                 check_derivation, derive, thin, weaken)
+from .iu import (Derivation, Judgment, SearchBudget, check_derivation, derive,
+                 under, weaken)
 from .reduction import (redexes, rename_name, replace_at, step,
                         subst_structural, subst_term, subterm_at)
 from .syntax import Abs, App, Mu, Term, Var, alpha_eq, free_term_vars
@@ -311,27 +311,25 @@ def gen_typed_judgment(rng: random.Random) -> Derivation:
 def subst_derivation(dM: Derivation, x: str, dN: Derivation) -> Derivation:
     """From G,x:C |- M : A | D and G |- N : C | D build G |- M[N/x] : A | D.
 
-    An environment that binds x binds it as G does, or not at all if G does
-    not (G's x is shadowed in M, but N may use it); a ``Thin`` node is
-    thinned again, since its term's free variables change."""
+    M is taken under its own environments (``under``) first, so x is looked
+    up bare or under one ``Weaken``.  An environment that binds x binds it as
+    G does, or none if G does not (G's x is shadowed in M, but N may use it)."""
     n_term = dN.conclusion.term
     outer = {y: t for y, t in dN.conclusion.gamma.items() if y == x}
 
     def go(d: Derivation) -> Derivation:
-        if d.rule == "Thin":
-            return thin(go(d.premises[0]))
         j = d.conclusion
         gamma = j.gamma
         if x in gamma:
             gamma = {y: t for y, t in gamma.items() if y != x} | outer
-        if d.rule == "InterE" and isinstance(j.term, Var) and j.term.name == x:
+        if j.term == Var(x) and d.rule != "InterI":
             return weaken(project(dN, j.ty), gamma, j.delta)
         if isinstance(j.term, Abs) and j.term.var == x:
             raise ConstructionMiss("binder shadows the substituted variable")
         return _node(d, map(go, d.premises), gamma=gamma, term=None
                      if d.premises else subst_term(j.term, x, n_term))
 
-    return go(dM)
+    return go(under(dM, dM.conclusion.gamma, dM.conclusion.delta))
 
 
 # -- structural substitution lemma --------------------------------------------
@@ -368,7 +366,7 @@ def struct_subst_derivation(dM: Derivation, alpha: str,
                          rule=rule, delta=delta)
         return _node(d, map(go, d.premises), delta=delta)
 
-    return go(dM)
+    return go(under(dM, dM.conclusion.gamma, dM.conclusion.delta))
 
 
 def rename_var_derivation(d: Derivation, y: str, x: str) -> Derivation:
@@ -377,52 +375,35 @@ def rename_var_derivation(d: Derivation, y: str, x: str) -> Derivation:
 
     def go(d: Derivation) -> Derivation:
         j = d.conclusion
-        if y not in j.gamma:
-            raise ConstructionMiss(f"{y} is not in the environment")
-        gamma = {**j.gamma, x: j.gamma[y]}
+        gamma = {**j.gamma, x: j.gamma[y]} if y in j.gamma else j.gamma
         return _node(d, map(go, d.premises), gamma=gamma, term=None
                      if d.premises else subst_term(j.term, y, Var(x)))
 
-    return go(d)
+    return go(under(d, d.conclusion.gamma, d.conclusion.delta))
 
 
 # -- subject reduction, constructively ----------------------------------------
-
-def _unwrap(d: Derivation) -> Derivation:
-    while d.rule in ("Thin", "Weaken"):
-        d = d.premises[0]
-    return d
-
 
 def _sr_local_beta(d: Derivation, expected: Term) -> Derivation:
     j = d.conclusion
     if d.rule != "ArrowE" or not isinstance(j.term.fun, Abs):
         raise ConstructionMiss("not an application of an abstraction")
-    fun = _unwrap(d.premises[0])
+    fun = d.premises[0]
     if fun.rule != "ArrowI" or len(d.premises) != 2:
         raise ConstructionMiss("the function premise is not a single arrow")
-    arg, wrapped = d.premises[1], fun is not d.premises[0]
-    if wrapped:
-        # wrappers bring the abstraction's environments up to the
-        # application's: substitute under the abstraction's, weaken after
-        try:
-            arg = weaken(thin(arg), fun.conclusion.gamma, fun.conclusion.delta)
-        except PreconditionViolation:
-            raise ConstructionMiss("the argument is not typed under the"
-                                   " abstraction's environments") from None
-    out = subst_derivation(fun.premises[0], j.term.fun.var, arg)
+    out = subst_derivation(fun.premises[0], j.term.fun.var, d.premises[1])
     if not type_equiv(out.conclusion.ty, j.ty):
         raise ConstructionMiss("contractum type drifted")
     if out.conclusion.ty != j.ty:
         out = _node(out, out.premises, ty=j.ty)
-    return weaken(out, j.gamma, j.delta) if wrapped else out
+    return out
 
 
 def _sr_local_mu(d: Derivation, expected: Term) -> Derivation:
     j = d.conclusion
     if d.rule != "ArrowE" or not isinstance(j.term.fun, Mu):
         raise ConstructionMiss("not an application of a context switch")
-    fun = _unwrap(d.premises[0])
+    fun = d.premises[0]
     if fun.rule not in ("UnionE_named", "UnionE_self"):
         raise ConstructionMiss("the function premise is not a context switch node")
     red = j.term.fun
@@ -438,7 +419,7 @@ def _sr_local_renaming(d: Derivation, expected: Term) -> Derivation:
     j = d.conclusion
     if d.rule not in ("UnionE_named", "UnionE_self"):
         raise ConstructionMiss("not a context switch node")
-    inner = _unwrap(d.premises[0])
+    inner = d.premises[0]
     if inner.rule not in ("UnionE_named", "UnionE_self"):
         raise ConstructionMiss("the body is not a context switch node")
     renamed = struct_subst_derivation(inner.premises[0], j.term.body.bound,
@@ -453,11 +434,11 @@ _SR_LOCAL = {"beta": _sr_local_beta, "mu": _sr_local_mu,
 
 
 def sr_step(d: Derivation, pos: tuple[int, ...], rule: str) -> Derivation:
-    """Rebuild ``d`` after contracting the redex at ``pos``.  On the way it
-    passes ``Weaken``, thins again at ``Thin`` and rebuilds each premise of an
-    ``InterI`` node (one with none types the contractum at top).  Below the
-    wrappers the redex is typed by ``ArrowE`` over ``ArrowI`` (beta) or over
-    a context switch (mu), or by a context switch over one (renaming)."""
+    """Rebuild ``d`` after contracting the redex at ``pos``.  It starts from
+    ``d`` under its own environments (``under``), so no wrapper is in the way,
+    and rebuilds each premise of an ``InterI`` (one with none types the
+    contractum at top).  The redex is typed by ``ArrowE`` over ``ArrowI``
+    (beta) or a context switch (mu), or by a switch over one (renaming)."""
     whole = step(d.conclusion.term, pos, rule)
     expected = subterm_at(whole, pos)
     local = _SR_LOCAL[rule]
@@ -467,9 +448,6 @@ def sr_step(d: Derivation, pos: tuple[int, ...], rule: str) -> Derivation:
             return _node(d, [go(p, pos) for p in d.premises], term=None
                          if d.premises else replace_at(d.conclusion.term, pos,
                                                        expected))
-        if d.rule in ("Thin", "Weaken"):
-            p = go(d.premises[0], pos)
-            return thin(p) if d.rule == "Thin" else _node(d, (p,))
         if not pos:
             return local(d, expected)
         i, rest = pos[0], pos[1:]
@@ -481,7 +459,7 @@ def sr_step(d: Derivation, pos: tuple[int, ...], rule: str) -> Derivation:
             raise ConstructionMiss(f"no premise {i} under rule {d.rule}")
         return _node(d, prems)
 
-    out = go(d, pos)
+    out = go(under(d, d.conclusion.gamma, d.conclusion.delta), pos)
     if out.conclusion.term != whole:
         raise ConstructionMiss("rebuilt term differs from the reduction output")
     return out

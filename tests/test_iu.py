@@ -11,7 +11,7 @@ from lammu.grammar import (ParseError, parse_judgment, parse_term,
 from lammu.iu import (Derivation, InvalidNode, Judgment,
                       PreconditionViolation, SearchBudget, check_derivation,
                       derivation_from_json, derivation_to_json, derive,
-                      embed_simple, thin, weaken)
+                      embed_simple, thin, under, weaken)
 from lammu.metatheory import (ConstructionMiss, base_environments,
                               gen_typed_judgment, project)
 from lammu.simple import SimpleJudgment, check_simple
@@ -331,6 +331,63 @@ class TestAdmissible:
         check_derivation(out)
         with pytest.raises(PreconditionViolation):
             weaken(d, {}, {})
+
+    @staticmethod
+    def _nodes(d):
+        out, stack = [], [d]
+        while stack:
+            out.append(stack.pop())
+            stack.extend(reversed(out[-1].premises))
+        return out
+
+    def test_under_its_own_environments_rebuilds_the_same_judgments(self):
+        rng = random.Random(11)
+        for d in [gen_typed_judgment(rng) for _ in range(100)] + \
+                _readme_derivations():
+            j = d.conclusion
+            before, after = self._nodes(d), self._nodes(under(d, j.gamma,
+                                                              j.delta))
+            assert [n.rule for n in after] == [n.rule for n in before]
+            assert [n.conclusion for n in after] == \
+                [n.conclusion for n in before]
+
+    def test_under_dissolves_thin_and_weaken(self):
+        # \x.y typed under y:A alone, thinned from y:A, w:B and weakened
+        # back up inside an application
+        gamma, term, ty, delta = parse_judgment(
+            "f:(A -> A) -> B, y:A, w:B |- f (\\x.y) : B | a:A")
+        d = derive(gamma, term, ty, delta)
+        fun = d.premises[1].conclusion
+        inner = thin(derive({"y": A, "w": B}, fun.term, fun.ty, {}))
+        d = weaken(Derivation(d.rule, d.conclusion, (
+            d.premises[0], weaken(inner, fun.gamma, fun.delta))),
+            {**gamma, "z": AB}, {**delta, "b": B})
+        check_derivation(d)
+        rules = [n.rule for n in self._nodes(d)]
+        assert rules.count("Thin") == 1 and rules.count("Weaken") == 2
+        out = under(d, d.conclusion.gamma, d.conclusion.delta)
+        check_derivation(out)
+        assert not {"Thin", "Weaken"} & {n.rule for n in self._nodes(out)}
+        assert out.conclusion == d.conclusion
+
+    def test_under_keeps_one_weaken_over_a_lookup_whose_entry_is_stronger(self):
+        a_or_b = canonicalize(Union((A, B)))
+        looked_up = var_node({"x": a_or_b}, "x", a_or_b)
+        for d in (looked_up, weaken(looked_up, {"x": a_or_b, "y": B}, {})):
+            out = under(d, {"x": A, "y": B}, {"a": A})
+            check_derivation(out)
+            assert [n.rule for n in self._nodes(out)] == ["Weaken", "InterE"]
+            assert out.conclusion.gamma == {"x": A, "y": B}
+        # a type that is still a component of the new entry needs none
+        out = under(var_node({"x": A}, "x", A), {"x": AB}, {})
+        check_derivation(out)
+        assert out.rule == "InterE"
+
+    def test_under_needs_every_used_binding(self):
+        with pytest.raises(PreconditionViolation):
+            under(var_node({"x": A}, "x", A), {"y": A}, {})
+        with pytest.raises(PreconditionViolation):
+            under(var_node({"x": A}, "x", A), {"x": B}, {})
 
     def test_weaken_shares_the_callers_environments(self):
         d = var_node({"x": A}, "x", A)

@@ -6,21 +6,106 @@ import re
 import pytest
 
 from lammu import metatheory
-from lammu.grammar import parse_judgment, print_judgment
+from lammu.grammar import parse_judgment, parse_type, print_judgment
 from lammu.iu import (Derivation, Judgment, SearchBudget, check_derivation,
-                      derivation_to_json, derive, thin, weaken)
+                      derivation_to_json, derive, thin, under, weaken)
 from lammu.metatheory import (INTER_POOL, ConstructionMiss, Generator,
                               base_environments, demo_erasing_failure,
-                              gen_typed_judgment, se_beta_vacuous, sr_step,
+                              gen_typed_judgment, rename_var_derivation,
+                              se_beta_vacuous, sr_step,
                               struct_subst_derivation, subst_derivation,
                               suite_struct_subst, suite_subject_expansion,
                               suite_subject_reduction, suite_term_subst,
                               top_typed, var_typed)
-from lammu.reduction import redexes, step, subst_term
+from lammu.reduction import redexes, step, subst_structural, subst_term
 from lammu.syntax import Mu, Var, alpha_eq
-from lammu.typelang import Top, TVar, Union, type_equiv
+from lammu.typelang import Inter, Top, TVar, Union, type_equiv, union_parts
 
 A1, A2 = TVar("A1"), TVar("A2")
+
+
+def _derive(text):
+    return derive(*parse_judgment(text), SearchBudget(max_depth=8))
+
+
+def _rederived(d, gamma):
+    """``d`` with its first premise derived again under ``gamma`` alone and
+    weakened back up to its environments."""
+    p = d.premises[0].conclusion
+    q = weaken(derive(gamma, p.term, p.ty, p.delta), p.gamma, p.delta)
+    return Derivation(d.rule, d.conclusion, (q, *d.premises[1:]))
+
+
+# Valid derivations with Thin or Weaken where a transform meets them: each
+# gives the derivation, the transform, the term the reducer gives and the
+# conclusion environments the result must have.
+
+def _beta_under_a_strengthening_weaken():
+    # \x.y derived under y:A, weakened to y:A /\ B; the argument y at A
+    a = parse_type("A")
+    gamma = {"v": parse_type("A -> A"), "y": parse_type(r"A /\ B")}
+    term = parse_judgment(r"|- v ((\x.y) y) : A |")[1]
+    fun = weaken(_derive(r"y:A |- \x.y : A -> A |"), gamma, {})
+    redex = Derivation("ArrowE", Judgment(gamma, term.arg, a, {}), (
+        fun, Derivation("InterE", Judgment(gamma, Var("y"), a, {}))))
+    d = Derivation("ArrowE", Judgment(gamma, term, a, {}), (Derivation(
+        "InterE", Judgment(gamma, Var("v"), gamma["v"], {})), redex))
+    return (d, lambda: sr_step(d, (1,), "beta"), step(term, (1,), "beta"),
+            gamma, {})
+
+
+def _substitution_under_a_weaken_of_a_smaller_lookup():
+    g = {"w": parse_type("A"), "y": parse_type("A")}
+    dM = weaken(_derive("x:A |- x : A |"), {**g, "x": parse_type("A")}, {})
+    dN = _derive("w:A, y:A |- y : A |")
+    return dM, lambda: subst_derivation(dM, "x", dN), Var("y"), g, {}
+
+
+def _structural_substitution_under_weaken_and_thin():
+    a_b = parse_type(r"A /\ B")
+    u = parse_type(r"(A -> B) \/ (B -> A)")
+    d = weaken(thin(_derive(r"y:A /\ B, w:A |- y : A /\ B |")),
+               {"y": a_b}, {"a": u})
+    arg_for = {arrow: var_typed({"y": a_b}, arrow.left, {})
+               for arrow in union_parts(u)}
+    new_union = parse_type(r"A \/ B")
+    return (d, lambda: struct_subst_derivation(d, "a", arg_for, "g",
+                                               new_union),
+            subst_structural(d.conclusion.term, "a", Var("y"), "g"),
+            {"y": a_b}, {"g": new_union})
+
+
+def _renaming_a_variable_under_thin_and_weaken():
+    looked_up = _derive("y:A, z:B |- y : A |")
+    d = thin(weaken(looked_up, {**looked_up.conclusion.gamma,
+                                "w": parse_type("A")}, {}))
+    a = parse_type("A")
+    return (d, lambda: rename_var_derivation(d, "y", "x"), Var("x"),
+            {"y": a, "x": a}, {})
+
+
+def _mu_over_a_weakened_switch():
+    d = _rederived(_derive(r"y:A, z:B |- (mu a.[a] \x.x) y : A |"),
+                   {"y": parse_type("A")})
+    j = d.conclusion
+    return (d, lambda: sr_step(d, (), "mu"), step(j.term, (), "mu"),
+            j.gamma, j.delta)
+
+
+def _renaming_over_a_weakened_switch():
+    d = _rederived(_derive(r"y:A, z:B |- mu a.[a] mu b.[a] y : A |"),
+                   {"y": parse_type("A")})
+    j = d.conclusion
+    return (d, lambda: sr_step(d, (), "renaming"),
+            step(j.term, (), "renaming"), j.gamma, j.delta)
+
+
+def _rules(d):
+    stack = [d]
+    while stack:
+        d = stack.pop()
+        yield d.rule
+        stack.extend(d.premises)
 
 
 class TestGenerator:
@@ -105,7 +190,8 @@ class TestTransforms:
         # a Weaken between the redex's ArrowE and its ArrowI
         ("Weaken inside", r"v:A -> A, y:A, z:B |- v ((\x.x) y) : A |", "beta"),
     ])
-    def test_sr_step_keeps_the_wrappers_at_the_redex(self, wrap, text, rule):
+    def test_sr_step_at_a_wrapped_redex_keeps_the_environments(self, wrap,
+                                                               text, rule):
         gamma, term, ty, delta = parse_judgment(text)
         d = derive(gamma, term, ty, delta, SearchBudget(max_depth=8))
         pos = ()
@@ -146,6 +232,39 @@ class TestTransforms:
         check_derivation(out)
         assert out.conclusion.term == step(term, pos, "beta")
         assert out.conclusion.gamma == gamma
+
+    @pytest.mark.parametrize("case", [
+        _beta_under_a_strengthening_weaken,
+        _substitution_under_a_weaken_of_a_smaller_lookup,
+        _structural_substitution_under_weaken_and_thin,
+        _renaming_a_variable_under_thin_and_weaken,
+        _mu_over_a_weakened_switch,
+        _renaming_over_a_weakened_switch,
+    ])
+    def test_transforms_pass_thin_and_weaken(self, case):
+        d, transform, term, gamma, delta = case()
+        check_derivation(d)
+        assert {"Thin", "Weaken"} & set(_rules(d))
+        out = transform()
+        check_derivation(out)
+        assert out.conclusion.term == term
+        assert out.conclusion.gamma == gamma
+        assert out.conclusion.delta == delta
+
+    def test_substitution_at_a_lookup_left_under_a_weaken(self):
+        """x's old entry writes a part of its new entry in another order, so
+        ``under`` keeps the Weaken over x's lookup; the pair is replaced."""
+        b_or_d = Union((TVar("B"), TVar("D")))
+        d_or_b = Union((TVar("D"), TVar("B")))
+        c = Inter((TVar("A"), b_or_d))
+        lookup = Derivation("InterE", Judgment({"x": d_or_b}, Var("x"),
+                                               d_or_b, {}))
+        dM = weaken(lookup, {"y": c, "x": c}, {})
+        assert under(dM, dM.conclusion.gamma, {}).rule == "Weaken"
+        out = subst_derivation(dM, "x", var_typed({"y": c}, c, {}))
+        check_derivation(out)
+        assert out.conclusion.term == Var("y")
+        assert out.conclusion.gamma == {"y": c}
 
     def test_substitution_thins_a_thin_node_again(self):
         """A Thin node in M loses x and gains N's free variables."""
@@ -208,9 +327,9 @@ class TestTransforms:
         assert called == {"subst_term", "subst_structural", "rename_name",
                           "replace_at"}
 
-    def test_renaming_keeps_wrapper_rules(self):
+    def test_renaming_dissolves_wrapper_rules(self):
         # mu a.['g] x under a Weaken wrapper; renaming g to b retargets the
-        # context switch and leaves the wrapper a Weaken node
+        # context switch, under the wrapper's environments, with no wrapper
         delta = {"g": A1, "b": A1}
         node = Derivation(
             "UnionE_named", Judgment({"x": A1}, Mu("a", "g", Var("x")), A2, delta),
@@ -219,7 +338,10 @@ class TestTransforms:
         wrapped = weaken(node, {"x": A1, "y": A2}, delta)
         out = struct_subst_derivation(wrapped, "g", None, "b", None)
         check_derivation(out)
-        assert out.rule == "Weaken"
+        assert out.rule == "UnionE_named"
+        assert out.premises[0].rule == "InterE"
+        assert out.conclusion.gamma == wrapped.conclusion.gamma
+        assert out.conclusion.delta == {"b": A1}
         assert out.conclusion.term == Mu("a", "b", Var("x"))
 
     def test_beta_expansion(self):
