@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NoReturn
 
 from .syntax import Abs, App, Mu, Term, Var
@@ -247,40 +248,48 @@ def parse_judgment(text: str, language: str = "iu"):
     return gamma, term, ty, delta
 
 
+@lru_cache(maxsize=1 << 16)
+def _decode(text: str, kinds: tuple[str, ...]):
+    """Stripped environment text ``text`` as (name, type) pairs, each name a
+    token of ``kinds``; with no ``kinds``, the type ``text`` is.  The text is
+    cut at its commas, which no name or type holds, so each binding is parsed
+    once.  Only iu types enter the table; a text that does not decode raises."""
+    if kinds and "," in text:
+        parts = [_decode(b.strip(), kinds) for b in text.split(",")]
+        pairs = tuple(pair for part in parts for pair in part)
+        if len(dict(pairs)) != len(parts):   # an empty piece, or a name twice
+            raise ValueError(text)
+        return pairs
+    p = _Parser(text)
+    env = p.env(*kinds) if kinds else {"": p.type()}
+    p.expect("EOF")
+    if not all(well_formed(t, "iu") for t in env.values()):
+        raise LanguageViolation(text)
+    return tuple(env.items()) if kinds else env[""]
+
+
 def _shared_judgment(text: str, envs: dict):
-    """parse_judgment(text), decoding each binding once per ``envs`` (one per
-    certificate): an environment text is cut at its commas, which no name or
-    type holds, each piece is parsed once, and equal environment texts share
-    one dict.  Text whose pieces, cut at the first ``|-`` and the last ``|``,
-    do not decode goes to parse_judgment whole, for its errors and spans."""
+    """parse_judgment(text) for the certificate decoder.  Each environment
+    text and goal-type text is parsed once per process, through ``_decode``'s
+    bounded table; the term is parsed every time.  ``envs`` (one per
+    certificate) turns each environment text into one fresh dict, which the
+    certificate's judgments share and no other decode sees.  Text whose
+    pieces, cut at the first ``|-``, the last ``|`` and the first ``:``
+    between them, do not decode goes to parse_judgment whole, for its errors
+    and spans; no failure is cached."""
     def env(piece: str, *kinds: str) -> dict[str, TypeExpr]:
         key = kinds, piece.strip()   # str.isspace is the tokenizer's \s
         if key not in envs:
-            if "," in piece:
-                parts = [env(b, *kinds) for b in piece.split(",")]
-                e = {n: t for part in parts for n, t in part.items()}
-                if len(e) != len(parts):   # an empty piece, or a name twice
-                    raise ValueError(piece)
-            else:
-                p = _Parser(piece)
-                e = p.env(*kinds)
-                p.expect("EOF")
-                if not all(well_formed(t, "iu") for t in e.values()):
-                    raise LanguageViolation(piece)
-            envs[key] = e
+            envs[key] = dict(_decode(key[1], kinds))
         return envs[key]
 
     try:
         i, k = text.index("|-"), text.rfind("|")
         gamma = env(text[:i], "IDENT")
-        p = _Parser(text[i + 2:k])
-        term = p.term()
-        p.expect("COLON")
-        ty = p.type()
-        p.expect("EOF")
+        m, _, t = text[i + 2:k].partition(":")   # no term or type holds ":"
+        term, ty = parse_term(m), _decode(t.strip(), ())
         delta = env(text[k + 1:], "IDENT", "TICK")
-        if well_formed(ty, "iu"):
-            return gamma, term, ty, delta
+        return gamma, term, ty, delta
     except (ValueError, ParseError, LanguageViolation):   # ValueError: no |-,
         pass                              # or an empty or repeated binding
     return parse_judgment(text)

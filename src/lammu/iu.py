@@ -266,7 +266,7 @@ def under(d: Derivation, gamma: dict[str, TypeExpr],
     and ``Weaken`` dissolve; a lookup whose type is not a component of its new
     entry becomes one ``Weaken`` over itself under its old entry alone.
     PreconditionViolation if ``gamma`` leaves a looked-up variable unbound or
-    above its old entry; ``delta`` must bind every switch target, no lower."""
+    not below its old entry; ``delta`` must bind every switch target, no lower."""
     j = d.conclusion
     if d.rule in ("Thin", "Weaken"):
         return under(d.premises[0], gamma, delta)

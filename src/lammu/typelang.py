@@ -193,8 +193,11 @@ def type_equiv(a: TypeExpr, b: TypeExpr) -> bool:
 
 
 def env_leq_left(g: dict[str, TypeExpr], g2: dict[str, TypeExpr]) -> bool:
-    """``g <= g2`` on left environments: g2's bindings are all weakened in g."""
-    return all(x in g and subtype(g[x], a2) for x, a2 in g2.items())
+    """``g <= g2`` on left environments: g binds each of g2's names, and each
+    intersection component of g2's entry is equivalent to one of g's entry,
+    all that a lookup can use; a union-introducing subtype is not below."""
+    return all(x in g and all(any(type_equiv(p, q) for q in inter_parts(g[x]))
+                              for p in inter_parts(a2)) for x, a2 in g2.items())
 
 
 def env_leq_right(d: dict[str, TypeExpr], d2: dict[str, TypeExpr]) -> bool:

@@ -176,6 +176,20 @@ class TestCertificates:
         bad.write_text(text)
         assert main(["verify", str(bad)]) == 1
 
+    def test_verify_and_check_iu_agree_on_a_union_weakening(self, capsys,
+                                                             monkeypatch):
+        """x:A lies below x:A \\/ B, but no lookup of x:A gives A \\/ B: the
+        search misses the judgment, so a Weaken may not conclude it."""
+        judgment = "x:A |- x : A \\/ B |"
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            '{"rule": "Weaken", "judgment": "x:A |- x : A \\\\/ B |",'
+            ' "premises": [{"rule": "InterE",'
+            ' "judgment": "x:A \\\\/ B |- x : A \\\\/ B |"}]}'))
+        assert main(["verify", "-"]) == 1
+        assert "must lie below the premise's" in capsys.readouterr().err
+        assert main(["check-iu", judgment]) == 1
+        assert capsys.readouterr().err == "not found\n"
+
     def test_verify_from_stdin(self, capsys, monkeypatch, tmp_path):
         cert = tmp_path / "cert.json"
         assert main(["check-iu", "--cert", str(cert),

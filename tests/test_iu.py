@@ -6,8 +6,8 @@ from importlib import resources
 import pytest
 
 from conftest import random_iu_type, random_term, random_type
-from lammu.grammar import (ParseError, parse_judgment, parse_term,
-                           print_judgment)
+from lammu.grammar import (LanguageViolation, ParseError, parse_judgment,
+                           parse_term, parse_type, print_judgment)
 from lammu.iu import (Derivation, InvalidNode, Judgment,
                       PreconditionViolation, SearchBudget, check_derivation,
                       derivation_from_json, derivation_to_json, derive,
@@ -372,12 +372,17 @@ class TestAdmissible:
 
     def test_under_keeps_one_weaken_over_a_lookup_whose_entry_is_stronger(self):
         a_or_b = canonicalize(Union((A, B)))
+        # a_or_b written in another order, with one more component
+        stronger = Inter((Union((B, A)), Arrow(A, B)))
         looked_up = var_node({"x": a_or_b}, "x", a_or_b)
         for d in (looked_up, weaken(looked_up, {"x": a_or_b, "y": B}, {})):
-            out = under(d, {"x": A, "y": B}, {"a": A})
+            out = under(d, {"x": stronger, "y": B}, {"a": A})
             check_derivation(out)
             assert [n.rule for n in self._nodes(out)] == ["Weaken", "InterE"]
-            assert out.conclusion.gamma == {"x": A, "y": B}
+            assert out.conclusion.gamma == {"x": stronger, "y": B}
+            # A lies below A \/ B, but no lookup of x:A gives A \/ B
+            with pytest.raises(PreconditionViolation):
+                under(d, {"x": A, "y": B}, {"a": A})
         # a type that is still a component of the new entry needs none
         out = under(var_node({"x": A}, "x", A), {"x": AB}, {})
         check_derivation(out)
@@ -549,6 +554,54 @@ class TestCertificates:
         for p in d.premises:
             assert p.conclusion.gamma is root.gamma
             assert p.conclusion.delta is root.delta
+
+    def test_decodes_share_no_environment_dict(self):
+        text = derivation_to_json(
+            derive({"x": AB}, Var("x"), Inter((B, A)), {"b": A}))
+        first, second = derivation_from_json(text), derivation_from_json(text)
+        assert first == second
+        for n1, n2 in zip(TestAdmissible._nodes(first),
+                          TestAdmissible._nodes(second), strict=True):
+            assert n1.conclusion.gamma is not n2.conclusion.gamma
+            assert n1.conclusion.delta is not n2.conclusion.delta
+        first.conclusion.gamma["y"] = B
+        first.conclusion.delta.clear()
+        third = derivation_from_json(text)
+        assert second == third
+        assert third.conclusion.gamma == {"x": AB}
+        assert third.conclusion.delta == {"b": A}
+        check_derivation(third)
+
+    @pytest.mark.parametrize("bad", [
+        "x:(A /\\ B) \\/ A, y:B |- y : B |",   # a binding outside iu
+        "y:B |- y : (A /\\ B) \\/ A |",        # a goal type outside iu
+        "y:B, x:A, y:B |- y : B |",            # a name bound twice
+        "y:B |- y : B | 'b:A, 'b:B",           # the same, on the right
+    ])
+    def test_a_text_that_fails_fails_alike_every_time(self, bad):
+        def outcome(decode, text):
+            with pytest.raises((ParseError, LanguageViolation)) as e:
+                decode(text)
+            return type(e.value), str(e.value), getattr(e.value, "span", None)
+
+        def cert(judgment):
+            return json.dumps({"rule": "InterE", "judgment": judgment})
+
+        want = outcome(parse_judgment, bad)
+        assert outcome(derivation_from_json, cert(bad)) == want
+        assert outcome(derivation_from_json, cert(bad)) == want
+        # a good certificate with the bad text's other bindings
+        derivation_from_json(cert("x:A, y:B |- y : B | 'b:A"))
+        assert outcome(derivation_from_json, cert(bad)) == want
+
+    @pytest.mark.parametrize("ty", [
+        "A", "A -> B", "(A \\/ B) /\\ (A -> B)", "top", "bot -> A"])
+    def test_a_goal_type_and_an_entry_of_one_text_decode_alike(self, ty):
+        for judgment in (f"|- y : {ty} |", f"x:{ty} |- x : {ty} |"):
+            d = derivation_from_json(
+                json.dumps({"rule": "InterE", "judgment": judgment}))
+            assert d.conclusion.ty == parse_type(ty)
+        assert d.conclusion.gamma == {"x": d.conclusion.ty}
 
     def test_writer_matches_json_dumps(self):
         rng = random.Random(13)

@@ -131,6 +131,20 @@ class TestEnvOrders:
         assert env_leq_left({"x": A, "y": B}, {"x": A})
         assert not env_leq_left({"x": A}, {"x": A, "y": B})
 
+    def test_left_order_strengthens_only_by_intersection_components(self):
+        a_or_b = Union((A, B))
+        assert env_leq_left({"x": Union((B, A))}, {"x": a_or_b})
+        assert env_leq_left({"x": Inter((Union((B, A)), C))}, {"x": a_or_b})
+        assert env_leq_left({"x": Inter((A, Union((B, C))))},
+                            {"x": Inter((Union((C, B)), A))})
+        # each new entry is a subtype of the old one, but no lookup of x
+        # under it gives the old entry
+        assert not env_leq_left({"x": A}, {"x": a_or_b})
+        assert not env_leq_left({"x": Bottom}, {"x": a_or_b})
+        assert not env_leq_left({"x": Inter((A, C))}, {"x": a_or_b})
+        assert not env_leq_left({"x": Bottom}, {"x": A})
+        assert not env_leq_left({"x": Union((A, B))}, {"x": Union((A, B, C))})
+
     def test_right_order_flips(self):
         assert env_leq_right({"a": A}, {"a": Union((A, B))})
         assert not env_leq_right({"a": Union((A, B))}, {"a": A})
