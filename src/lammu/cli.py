@@ -51,14 +51,14 @@ def _read_source(arg: str | None) -> str:
 
 
 def _verdict(verdict: str, d, path: str | None) -> None:
-    """Print ``verdict`` and write ``d``'s certificate to ``path``, if any.
-    For - the certificate goes alone to stdout and the verdict to stderr."""
+    """Write ``d``'s certificate to ``path``, if any, then print ``verdict``.
+    For - the verdict goes to stderr and the certificate alone to stdout."""
+    if path and path != "-":
+        with open(path, "w") as fh:
+            fh.write(derivation_to_json(d) + "\n")
     print(verdict, file=sys.stderr if path == "-" else sys.stdout)
     if path == "-":
         print(derivation_to_json(d))
-    elif path:
-        with open(path, "w") as fh:
-            fh.write(derivation_to_json(d) + "\n")
 
 
 def cmd_fmt(args) -> int:

@@ -15,7 +15,6 @@ carry no positions: only a ``ParseError`` computes spans, from the text.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NoReturn
@@ -115,7 +114,7 @@ class _Parser:
         inside the innermost of them, None before its first atom."""
         toks = self.toks
         stack: list[tuple] = []
-        bound: Counter[str] = Counter()   # names of the open mu binders
+        bound: dict[str, int] = {}   # names of the open mu binders
         head: Term | None = None
         while True:
             kind, text = toks[self.pos]
@@ -135,9 +134,9 @@ class _Parser:
                     stack.append((Abs, x))
                     continue
                 self.expect("LBRACK")
-                bound[x] += 1
+                bound[x] = bound.get(x, 0) + 1
                 kind, b = toks[self.pos]
-                if kind == "IDENT" and not bound[b]:
+                if kind == "IDENT" and not bound.get(b):
                     self.fail(f"unbound name {b!r}; write '{b} for a free name")
                 if kind not in ("IDENT", "TICK"):
                     self.fail("expected a name")
@@ -268,26 +267,34 @@ def _decode(text: str, kinds: tuple[str, ...]):
     return tuple(env.items()) if kinds else env[""]
 
 
-def _shared_judgment(text: str, envs: dict):
-    """parse_judgment(text) for the certificate decoder.  Each environment
-    text and goal-type text is parsed once per process, through ``_decode``'s
-    bounded table; the term is parsed every time.  ``envs`` (one per
-    certificate) turns each environment text into one fresh dict, which the
-    certificate's judgments share and no other decode sees.  Text whose
-    pieces, cut at the first ``|-``, the last ``|`` and the first ``:``
-    between them, do not decode goes to parse_judgment whole, for its errors
-    and spans; no failure is cached."""
+def _once(memo: dict, f, x, *args):
+    """``f(x, *args)``, once per ``memo``, which ``x`` must outlive."""
+    if id(x) not in memo:
+        memo[id(x)] = f(x, *args)
+    return memo[id(x)]
+
+
+def _shared_judgment(text: str, memo: dict, sub: Term | None):
+    """parse_judgment(text) for the certificate decoder.  Environment and
+    goal-type texts are parsed once per process, by ``_decode``.  ``memo``,
+    an identity memo over one certificate, gives each environment text one
+    fresh dict and prints ``sub``, the term the rule above fixes, once: a
+    subterm of a parsed term, so a term text that is its print exactly is
+    ``sub`` itself.  Text whose pieces, cut at the first ``|-``, the last
+    ``|`` and the first ``:`` between them, do not decode goes to
+    parse_judgment whole, for its errors and spans; no failure is cached."""
     def env(piece: str, *kinds: str) -> dict[str, TypeExpr]:
         key = kinds, piece.strip()   # str.isspace is the tokenizer's \s
-        if key not in envs:
-            envs[key] = dict(_decode(key[1], kinds))
-        return envs[key]
+        if key not in memo:
+            memo[key] = dict(_decode(key[1], kinds))
+        return memo[key]
 
     try:
         i, k = text.index("|-"), text.rfind("|")
         gamma = env(text[:i], "IDENT")
         m, _, t = text[i + 2:k].partition(":")   # no term or type holds ":"
-        term, ty = parse_term(m), _decode(t.strip(), ())
+        fixed = sub is not None and m.strip() == _once(memo, print_term, sub)
+        term, ty = sub if fixed else parse_term(m), _decode(t.strip(), ())
         delta = env(text[k + 1:], "IDENT", "TICK")
         return gamma, term, ty, delta
     except (ValueError, ParseError, LanguageViolation):   # ValueError: no |-,
@@ -300,8 +307,10 @@ def _shared_judgment(text: str, envs: dict):
 def print_term(m: Term) -> str:
     # One loop over a work stack of text to emit, (term, wrap_abs, wrap_app)
     # to print, and Mu nodes whose body is done, so its name leaves ``bound``.
+    if type(m) is Var:
+        return m.name
     out: list[str] = []
-    bound: Counter[str] = Counter()
+    bound: dict[str, int] = {}
     work: list = [(m, False, False)]
     while work:
         item = work.pop()
@@ -326,8 +335,8 @@ def print_term(m: Term) -> str:
             if isinstance(m, Abs):
                 out.append(f"\\{m.var}.")
             else:
-                bound[m.bound] += 1
-                ref = m.named if bound[m.named] else f"'{m.named}"
+                bound[m.bound] = bound.get(m.bound, 0) + 1
+                ref = m.named if bound.get(m.named) else f"'{m.named}"
                 out.append(f"mu {m.bound}.[{ref}] ")
                 work.append(m)
             work.append((m.body, False, False))
@@ -355,13 +364,14 @@ def print_type(t: TypeExpr) -> str:
     return go(t, "top")
 
 
-def print_env(env: dict[str, TypeExpr]) -> str:
-    return ", ".join(f"{x}:{print_type(t)}" for x, t in sorted(env.items()))
+def print_env(env: dict[str, TypeExpr], show=print_type) -> str:
+    return ", ".join(f"{x}:{show(t)}" for x, t in sorted(env.items()))
 
 
 def print_judgment(gamma, term, ty, delta) -> str:
-    return _print_judgment(print_env(gamma), term, ty, print_env(delta))
+    return _print_judgment(print_env(gamma), print_term(term), print_type(ty),
+                           print_env(delta))
 
 
-def _print_judgment(gamma: str, term: Term, ty: TypeExpr, delta: str) -> str:
-    return f"{gamma} |- {print_term(term)} : {print_type(ty)} | {delta}".strip()
+def _print_judgment(gamma: str, term: str, ty: str, delta: str) -> str:
+    return f"{gamma} |- {term} : {ty} | {delta}".strip()

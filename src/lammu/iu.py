@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, product
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -38,7 +39,7 @@ RULES = ("InterE", "InterI", "ArrowI", "ArrowE",
          "UnionE_named", "UnionE_self", "Thin", "Weaken")
 
 
-@dataclass
+@dataclass(slots=True)
 class Judgment:
     """``gamma |- term : ty | delta``.  Judgments share environment dicts
     (a premise often holds its conclusion's), so treat ``gamma`` and ``delta``
@@ -49,7 +50,7 @@ class Judgment:
     delta: dict[str, TypeExpr]
 
 
-@dataclass
+@dataclass(slots=True)
 class Derivation:
     rule: str
     conclusion: Judgment
@@ -83,21 +84,30 @@ def _env_equiv(a: dict[str, TypeExpr], b: dict[str, TypeExpr]) -> bool:
         set(a) == set(b) and all(type_equiv(a[k], b[k]) for k in a))
 
 
-def _check_node(d: Derivation, path: tuple[int, ...], envs_ok: dict) -> None:
+def _is_iu(ok: dict, t: TypeExpr) -> bool:
+    """well_formed(t, "iu"), kept in ``ok`` by ``id(t)`` once it holds."""
+    if id(t) not in ok and not well_formed(t, "iu"):
+        return False
+    ok[id(t)] = t   # holding t keeps its id from being reused
+    return True
+
+
+def _check_node(d: Derivation, path: tuple[int, ...], ok: dict) -> None:
     j = d.conclusion
 
     def bad(reason: str):
         raise InvalidNode(path, reason)
 
-    if not well_formed(j.ty, "iu"):
+    if not _is_iu(ok, j.ty):
         bad("type outside the intersection-union language")
     for role, env in (("gamma", j.gamma), ("delta", j.delta)):
-        if (role, id(env)) not in envs_ok:
-            if not all(well_formed(t, "iu") for t in env.values()):
+        if (role, id(env)) not in ok:
+            if not all(_is_iu(ok, t) for t in env.values()):
                 bad("type outside the intersection-union language")
-            if role == "delta" and not all(map(is_strict, env.values())):
+            # an iu type is strict unless it is an intersection
+            if role == "delta" and Inter in map(type, env.values()):
                 bad("right environment entries must be strict")
-            envs_ok[role, id(env)] = env
+            ok[role, id(env)] = env
 
     if d.rule == "InterE":
         if not isinstance(j.term, Var):
@@ -222,13 +232,13 @@ def _check_node(d: Derivation, path: tuple[int, ...], envs_ok: dict) -> None:
 
 
 def check_derivation(d: Derivation) -> None:
-    """Validate every node; raises InvalidNode at the first violation."""
-    # the environment dicts that passed in this walk, by role and id; holding
-    # them keeps their ids from being reused while it lasts
-    envs_ok: dict = {}
+    """Validate every node; raises InvalidNode at the first violation.  One
+    identity memo per walk keeps the environment dicts (by role) and the types
+    that passed, so shared ones are checked once; no failure is kept."""
+    ok: dict = {}
 
     def walk(d: Derivation, path: tuple[int, ...]) -> None:
-        _check_node(d, path, envs_ok)
+        _check_node(d, path, ok)
         for i, p in enumerate(d.premises):
             walk(p, path + (i,))
 
@@ -474,12 +484,12 @@ def derivation_to_json(d: Derivation) -> str:
     """The certificate text of ``d``: what ``json.dumps`` gives, with
     ``indent=2`` and ASCII escapes, for nested objects whose keys are
     ``rule``, ``judgment`` and ``premises`` in that order, written without
-    building the objects.  One pass over an explicit stack, so any depth."""
-    from .grammar import _print_judgment, print_env
-    printed: dict[int, str] = {}   # by id: judgments share environment dicts
-
-    def env(e: dict[str, TypeExpr]) -> str:
-        return printed.get(id(e)) or printed.setdefault(id(e), print_env(e))
+    building the objects.  One pass over an explicit stack, so any depth; one
+    identity memo prints each environment, term and type object once."""
+    from .grammar import (_once, _print_judgment, print_env, print_term,
+                          print_type)
+    printed: dict[int, str] = {}
+    ty = partial(_once, printed, print_type)
 
     chunks: list[str] = []
     # a node as (the text before it, the node, its newline and indent); the
@@ -492,7 +502,10 @@ def derivation_to_json(d: Derivation) -> str:
             continue
         before, d, nl = item
         j = d.conclusion
-        judgment = _print_judgment(env(j.gamma), j.term, j.ty, env(j.delta))
+        judgment = _print_judgment(
+            _once(printed, print_env, j.gamma, ty),
+            _once(printed, print_term, j.term), ty(j.ty),
+            _once(printed, print_env, j.delta, ty))
         head = (f'{before}{{{nl}  "rule": {_json_str(d.rule)},{nl}  '
                 f'"judgment": {_json_str(judgment)},{nl}  "premises": ')
         if not d.premises:
@@ -512,9 +525,9 @@ def derivation_from_json(text: str) -> Derivation:
     an object with a string ``rule``, a string ``judgment`` and, if present,
     a list of ``premises``."""
     from .grammar import _shared_judgment
-    envs: dict = {}   # environment texts parsed so far, for _shared_judgment
+    memo: dict = {}   # for _shared_judgment, over this certificate
 
-    def dec(obj, path: tuple[int, ...]) -> Derivation:
+    def dec(obj, path: tuple[int, ...], sub: Term | None) -> Derivation:
         if not isinstance(obj, dict):
             raise MalformedCertificate(
                 path, f"expected an object, not {type(obj).__name__}")
@@ -526,12 +539,18 @@ def derivation_from_json(text: str) -> Derivation:
         premises = obj.get("premises", [])
         if not isinstance(premises, list):
             raise MalformedCertificate(path, "field 'premises' must be a list")
-        gamma, term, ty, delta = _shared_judgment(obj["judgment"], envs)
-        return Derivation(obj["rule"], Judgment(gamma, term, ty, delta),
-                          tuple(dec(p, path + (i,))
+        rule = obj["rule"]
+        gamma, term, ty, delta = _shared_judgment(obj["judgment"], memo, sub)
+        # the premises' terms as the rule fixes them, for _shared_judgment
+        subs = [getattr(term, "body", None) if rule in (
+            "ArrowI", "UnionE_named", "UnionE_self") else term] * len(premises)
+        if rule == "ArrowE" and type(term) is App:
+            subs = [term.fun] + [term.arg] * len(premises)
+        return Derivation(rule, Judgment(gamma, term, ty, delta),
+                          tuple(dec(p, path + (i,), subs[i])
                                 for i, p in enumerate(premises)))
 
-    return dec(json.loads(text), ())
+    return dec(json.loads(text), (), None)
 
 
 def embed_simple(d: Derivation) -> Derivation:

@@ -143,6 +143,16 @@ class TestCertificates:
         bundled = resources.files("lammu").joinpath(f"certs/{name}.json")
         assert cert.read_bytes() == bundled.read_bytes()
 
+    @pytest.mark.parametrize("command, judgment", [
+        ("check-iu", "x:A |- x : A |"), ("check-simple", PEIRCE)])
+    def test_an_unwritable_cert_path_gives_no_verdict(self, command, judgment,
+                                                      capsys, tmp_path):
+        path = tmp_path / "missing" / "cert.json"
+        assert main([command, "--cert", str(path), judgment]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert str(path) in err and not path.exists()
+
     @pytest.mark.parametrize("text, field", [
         ('{"rule": "InterE"}', "'judgment'"),
         ('{"judgment": "x:A |- x : A |"}', "'rule'"),

@@ -7,14 +7,15 @@ import pytest
 
 from conftest import random_iu_type, random_term, random_type
 from lammu.grammar import (LanguageViolation, ParseError, parse_judgment,
-                           parse_term, parse_type, print_judgment)
+                           parse_term, parse_type, print_judgment, print_term)
 from lammu.iu import (Derivation, InvalidNode, Judgment,
                       PreconditionViolation, SearchBudget, check_derivation,
                       derivation_from_json, derivation_to_json, derive,
                       embed_simple, thin, under, weaken)
 from lammu.metatheory import (ConstructionMiss, base_environments,
                               gen_typed_judgment, project)
-from lammu.simple import SimpleJudgment, check_simple
+from lammu.simple import (SimpleJudgment, UntypableError, check_simple,
+                          infer_simple)
 from lammu.syntax import Abs, App, Mu, Var
 from lammu.typelang import (Arrow, Inter, Top, TVar, Union, canonicalize,
                             subexpressions, type_equiv, well_formed)
@@ -294,6 +295,32 @@ class TestInvalidNodes:
         assert (e.value.reason, e.value.path) == (
             "type outside the intersection-union language", ())
 
+    def test_a_non_iu_type_shared_by_two_nodes_fails_at_the_first(self):
+        # one type object, outside iu but equivalent to A, in two dicts
+        bad = Union((A, AB))
+        leaf = Derivation("InterE", Judgment({"x": A, "y": bad}, Var("x"), A,
+                                             {}))
+        mid = Derivation("Weaken", Judgment({"x": A, "y": bad}, Var("x"), A,
+                                            {}), (leaf,))
+        d = Derivation("Weaken", Judgment({"x": A, "y": A}, Var("x"), A, {}),
+                       (mid,))
+        for _ in range(2):
+            with pytest.raises(InvalidNode) as e:
+                check_derivation(d)
+            assert (e.value.reason, e.value.path) == (
+                "type outside the intersection-union language", (0,))
+
+    def test_a_type_that_passed_on_the_left_is_still_tested_on_the_right(self):
+        # AB is iu, so it passes as a left entry, but it is not strict
+        leaf = Derivation("InterE", Judgment({"x": AB}, Var("x"), A,
+                                             {"b": AB}))
+        d = Derivation("Weaken", Judgment({"x": AB}, Var("x"), A, {"b": A}),
+                       (leaf,))
+        with pytest.raises(InvalidNode) as e:
+            check_derivation(d)
+        assert (e.value.reason, e.value.path) == (
+            "right environment entries must be strict", (0,))
+
     @pytest.mark.parametrize("d, reason, path", _REJECTIONS)
     def test_every_rejection(self, d, reason, path):
         with pytest.raises(InvalidNode) as e:
@@ -532,6 +559,64 @@ class TestSearch:
             "6ac51bd2f82a4a5c99fbde70efdee21a424b62faa219e51c1eea86f529db8f6a")
 
 
+def _reference_decode(text):
+    """The decoder's oracle: every node's judgment through parse_judgment."""
+    def dec(obj):
+        return Derivation(obj["rule"], Judgment(*parse_judgment(obj["judgment"])),
+                          tuple(dec(p) for p in obj.get("premises", [])))
+    return dec(json.loads(text))
+
+
+def _outcome(decode, text):
+    """The derivation ``decode`` gives, or the type and text of its error."""
+    try:
+        return decode(text)
+    except (ParseError, LanguageViolation) as e:
+        return type(e), str(e)
+
+
+def _fixed_terms(d):
+    """(premise term, the conclusion subterm its rule fixes) over ``d``."""
+    for n in TestAdmissible._nodes(d):
+        m = n.conclusion.term
+        for i, p in enumerate(n.premises):
+            if n.rule == "ArrowE":
+                yield p.conclusion.term, m.arg if i else m.fun
+            elif n.rule in ("ArrowI", "UnionE_named", "UnionE_self"):
+                yield p.conclusion.term, m.body
+            else:
+                yield p.conclusion.term, m
+
+
+def _subterms(m):
+    out, stack = [], [m]
+    while stack:
+        out.append(stack.pop())
+        t = out[-1]
+        stack += ([t.fun, t.arg] if isinstance(t, App)
+                  else [t.body] if isinstance(t, (Abs, Mu)) else [])
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """Certificate texts: 600 generated derivations, 200 check_simple ones,
+    the README's and the bundled files."""
+    rng = random.Random(22)
+    ds = [gen_typed_judgment(rng) for _ in range(600)]
+    simple = []
+    while len(simple) < 200:
+        term = random_term(rng)
+        try:
+            gamma, ty, delta = infer_simple(term)
+        except UntypableError:
+            continue
+        simple.append(check_simple(SimpleJudgment(gamma, term, ty, delta)))
+    texts = [derivation_to_json(d) for d in ds + simple + _readme_derivations()]
+    certs = resources.files("lammu").joinpath("certs")
+    return texts + [path.read_text() for path in certs.iterdir()]
+
+
 class TestCertificates:
     def test_json_round_trip(self):
         d = derive({"x": AB}, Var("x"), Inter((B, A)), {})
@@ -602,6 +687,93 @@ class TestCertificates:
                 json.dumps({"rule": "InterE", "judgment": judgment}))
             assert d.conclusion.ty == parse_type(ty)
         assert d.conclusion.gamma == {"x": d.conclusion.ty}
+
+    def test_decoder_matches_a_reference_that_parses_every_node(self, corpus):
+        for text in corpus:
+            d = derivation_from_json(text)
+            assert d == _reference_decode(text)
+            check_derivation(d)
+            # every premise holds the very term object its rule fixes
+            for premise_term, fixed in _fixed_terms(d):
+                assert premise_term is fixed
+
+    def test_mutated_judgments_decode_as_the_reference_decodes(self, corpus):
+        rng = random.Random(2024)
+        alphabet = "xyab AB().\\:,|->/'[]mu"
+        mismatches = []
+        for _ in range(2000):
+            obj = json.loads(rng.choice(corpus))
+            nodes, stack = [], [obj]
+            while stack:
+                nodes.append(stack.pop())
+                stack += nodes[-1].get("premises", [])
+            node = rng.choice(nodes)
+            j = node["judgment"]
+            k = rng.randrange(len(j) + 1)
+            c = rng.choice(alphabet)
+            node["judgment"] = rng.choice([j[:k] + c + j[k:],
+                                           j[:k] + c + j[k + 1:],
+                                           j[:k] + j[k + 1:]])
+            text = json.dumps(obj)
+            got = _outcome(derivation_from_json, text)
+            if got != _outcome(_reference_decode, text):
+                mismatches.append(node["judgment"])
+        assert mismatches == []
+
+    def test_a_printed_subterm_parses_back_to_itself(self):
+        # the decoder's fast path rests on this, structurally, not up to
+        # renaming; a subterm under a mu prints its free names with a tick
+        rng = random.Random(5)
+        ticked = 0
+        for _ in range(600):
+            for n in TestAdmissible._nodes(gen_typed_judgment(rng)):
+                for m in _subterms(n.conclusion.term):
+                    text = print_term(m)
+                    ticked += "'" in text
+                    assert parse_term(text) == m, text
+        assert ticked
+
+    @pytest.mark.parametrize("written", ["( x )", "(x)", "x   ", "  ((x))"])
+    def test_a_premise_term_written_otherwise_is_parsed(self, written):
+        text = json.dumps({"rule": "InterI", "judgment": "x:A |- x : A /\\ A |",
+                           "premises": [
+                               {"rule": "InterE", "judgment": "x:A |- x : A |"},
+                               {"rule": "InterE",
+                                "judgment": f"x:A |- {written} : A |"}]})
+        d = derivation_from_json(text)
+        assert d == _reference_decode(text)
+        check_derivation(d)
+        first, second = (p.conclusion.term for p in d.premises)
+        assert first is d.conclusion.term
+        assert (second is d.conclusion.term) == (written.strip() == "x")
+
+    def test_an_application_with_extra_spaces_is_parsed(self):
+        judgment = "f:A -> B, y:A |- {} : {} |"
+        text = json.dumps({"rule": "ArrowE", "judgment": judgment.format(
+            "f  y", "B"), "premises": [
+                {"rule": "InterE", "judgment": judgment.format("f", "A -> B")},
+                {"rule": "InterE", "judgment": judgment.format(" y ", "A")}]})
+        d = derivation_from_json(text)
+        assert d == _reference_decode(text)
+        assert d.conclusion.term == App(Var("f"), Var("y"))
+        fun, arg = (p.conclusion.term for p in d.premises)
+        assert fun == Var("f") and arg == Var("y")
+        check_derivation(d)
+
+    @pytest.mark.parametrize("rule, conclusion, premise", [
+        ("ArrowI", "|- \\x.x : A -> A |", "x:A |- y : A |"),
+        ("ArrowI", "|- \\x.x : A -> A |", "x:A |- (x x) : A |"),
+        ("UnionE_self", "x:A |- mu a.[a] x : A |", "x:A |- y : A | 'a:A"),
+    ])
+    def test_a_premise_with_another_term_is_rejected_as_before(
+            self, rule, conclusion, premise):
+        text = json.dumps({"rule": rule, "judgment": conclusion, "premises": [
+            {"rule": "InterE", "judgment": premise}]})
+        d = derivation_from_json(text)
+        assert d == _reference_decode(text)
+        with pytest.raises(InvalidNode) as e:
+            check_derivation(d)
+        assert (e.value.path, e.value.reason) == ((), "premise must type the body")
 
     def test_writer_matches_json_dumps(self):
         rng = random.Random(13)
