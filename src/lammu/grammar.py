@@ -52,16 +52,17 @@ _KINDS = {"\\/": "OR", "∪": "OR", "/\\": "AND", "∩": "AND",
           "|": "BAR", "⊤": "TOP", "top": "TOP", "⊥": "BOT", "bot": "BOT",
           ".": "DOT", "[": "LBRACK", "]": "RBRACK", "(": "LPAREN",
           ")": "RPAREN", ":": "COLON", ",": "COMMA"}
+_TOKENS = {word: (kind, word) for word, kind in _KINDS.items()}
 _BAD = {"/": "stray '/'", "-": "stray '-'",
         "'": "expected identifier after tick"}
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
-    """Tokens as (kind, text); a final EOF token.  ``_spans`` has spans."""
-    toks = []
+    """Tokens as (kind, text) and a final EOF; each word classified once."""
+    toks, seen = [], _TOKENS.copy()
     for word in _TOKEN.findall(text):
-        kind = _KINDS.get(word)
-        if kind is None:
+        tok = seen.get(word)
+        if tok is None:
             tick = word[0] == "'"
             c = word[tick:tick + 1]   # empty for a lone tick
             if not (c.isalpha() or c == "_"):
@@ -70,10 +71,19 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
                 raise ParseError(_BAD.get(c, f"unexpected character {c!r}"),
                                  SourceSpan(start, start + 1))
             kind = "TICK" if tick else "TYVAR" if c.isupper() else "IDENT"
-            word = word[tick:]
-        toks.append((kind, word))
+            tok = seen[word] = (kind, word[tick:])
+        toks.append(tok)
     toks.append(("EOF", ""))
     return toks
+
+
+@lru_cache(maxsize=1 << 12)
+def _is_identifier(x: str) -> bool:
+    """Whether ``_tokenize(x)`` gives one IDENT token, so ``x`` reads back
+    as a variable or name; cached for the certificate writer."""
+    m, c = _TOKEN.match(x), x[:1]
+    return (m is not None and m.span(1) == (0, len(x)) and x not in _KINDS
+            and (c.isalpha() or c == "_") and not c.isupper())
 
 
 def _spans(text: str) -> list[tuple[int, int]]:
@@ -115,12 +125,13 @@ class _Parser:
         toks = self.toks
         stack: list[tuple] = []
         bound: dict[str, int] = {}   # names of the open mu binders
+        leaves: dict[str, Var] = {}  # one Var per identifier
         head: Term | None = None
         while True:
             kind, text = toks[self.pos]
             if kind == "IDENT":
                 self.pos += 1
-                arg = Var(text)
+                arg = leaves.get(text) or leaves.setdefault(text, Var(text))
             elif kind == "LPAREN":
                 self.pos += 1
                 stack.append((None, head))

@@ -29,7 +29,8 @@ from functools import partial
 from itertools import combinations, product
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .syntax import Abs, App, Mu, Term, Var, free_names, free_term_vars
+from .syntax import (Abs, App, Mu, Term, Var, all_identifiers, free_names,
+                     free_term_vars)
 from .typelang import (Arrow, Bottom, Inter, Top, TypeExpr, Union,
                        canonicalize, env_leq_left, env_leq_right, inter_parts,
                        is_strict, subexpressions, subtype, type_equiv,
@@ -485,9 +486,17 @@ def derivation_to_json(d: Derivation) -> str:
     ``indent=2`` and ASCII escapes, for nested objects whose keys are
     ``rule``, ``judgment`` and ``premises`` in that order, written without
     building the objects.  One pass over an explicit stack, so any depth; one
-    identity memo prints each environment, term and type object once."""
-    from .grammar import (_once, _print_judgment, print_env, print_term,
-                          print_type)
+    identity memo prints each environment, term and type object once.
+    Raises ValueError for a variable or name that would not read back, such
+    as ``mu`` or ``Ab``; the root's are checked, as in a checked derivation
+    every node's term is a subterm of the root's."""
+    from .grammar import (_is_identifier, _once, _print_judgment, print_env,
+                          print_term, print_type)
+    j = d.conclusion
+    ids = all_identifiers(j.term).union(j.gamma, j.delta)
+    if not all(map(_is_identifier, ids)):
+        bad = min(x for x in ids if not _is_identifier(x))
+        raise ValueError(f"{bad!r} cannot be written as a variable or name")
     printed: dict[int, str] = {}
     ty = partial(_once, printed, print_type)
 

@@ -6,25 +6,27 @@ eta-expansion).  Redex positions are paths of child indices (Abs/Mu body = 0,
 App fun = 0, arg = 1).  Fresh names are drawn deterministically from the
 identifiers of the term at hand, so reduction is a pure function.
 
-One preorder walk over a zipper finds redexes, leftmost-outermost first: it
-lists them for ``iter_redexes``, and ``normalize`` resumes it after each
-contraction at p.  Nodes before p in preorder that are not ancestors of p are
-unchanged and hold no redex; the rebuilt ancestors keep their constructor and
-their child's, so beta, mu, renaming and eta_mu can newly match only at p's
-parent, and erasing at any ``mu a.[a]`` ancestor.  So the next redex is the
-first such ancestor, top-down, or else the first redex at or after p.
-``step`` checks only the redex it is given, with the walk's own match.  The
-substitutions hand back every subterm in which the substituted variable or
-name is not free as it is, so one step walks the term a bounded number of
-times instead of rescanning each subterm for free variables.
+One preorder walk over a zipper (Huet, *The Zipper*, JFP 1997) finds
+redexes, leftmost-outermost first: it lists them for ``iter_redexes``, and
+``normalize`` resumes it after each contraction at p.  Nodes before p in
+preorder that are not ancestors of p are unchanged and hold no redex; the
+ancestors keep their constructor and their child's, so beta, mu, renaming
+and eta_mu can newly match only at p's parent, and erasing at any
+``mu a.[a]`` ancestor.  So the next redex is the first such ancestor,
+top-down, or else the first redex at or after p.  ``step`` checks only the
+redex it is given, with the walk's own match.
+
+A contraction leaves the ancestors of p stale: one is rebuilt over its new
+child only when the walk climbs out of it or ``resume`` tests it, and the
+rest once at the end, for ``final``.  The trace keeps each step's position,
+rule and contractum, from which ``ReductionTrace.terms`` replays the whole
+terms.  Fresh names avoid the whole term's identifiers, read off the zipper
+as the redex's and each ancestor's own names and off-path child's.
 
 Substitution is one walk over an explicit stack, so it takes terms of any
-depth, and it scans the argument for identifiers a binder could capture
-only when it meets a binder.  The mu and eta_mu rules still draw their
-fresh name from one scan of the whole term's identifiers: ``fresh`` picks
-the first free ``g``, ``g'``, ..., so a cheaper superset would change names,
-and keeping an exact count up to date costs a walk of the redex and of the
-contractum, which on a chain of mu redexes is nearly the whole term.
+depth.  It hands back every subterm in which the substituted variable or
+name is not free as it is, and scans the argument for identifiers a binder
+could capture only when it meets a binder.
 """
 
 from __future__ import annotations
@@ -48,13 +50,20 @@ class NotARedex(Exception):
 
 @dataclass
 class ReductionTrace:
+    """What ``normalize`` did: each step as ``(position, rule, contractum)``,
+    the redex's position and the term that replaced it there; the normal
+    form, or the term the fuel left, ``final``; whether a redex was left."""
     initial: Term
     steps: list[tuple[Position, str, Term]] = field(default_factory=list)
     fuel_exhausted: bool = False
+    final: Term | None = None
 
-    @property
-    def final(self) -> Term:
-        return self.steps[-1][2] if self.steps else self.initial
+    def terms(self) -> Iterator[Term]:
+        """The whole term after each step, replayed from ``initial``."""
+        m = self.initial
+        for pos, _, contractum in self.steps:
+            m = replace_at(m, pos, contractum)
+            yield m
 
 
 def subterm_at(m: Term, pos: Position) -> Term:
@@ -79,22 +88,20 @@ def _spine(m: Term, pos: Position) -> list[Term]:
 
 
 def replace_at(m: Term, pos: Position, new: Term) -> Term:
-    return _rebuild(_spine(m, pos)[:-1], pos, new)
-
-
-def _rebuild(parents: list[Term], path, new: Term) -> Term:
-    """Rebuild ``parents`` in place over ``new`` along ``path``; the root."""
+    parents = _spine(m, pos)[:-1]
     for j in reversed(range(len(parents))):
-        parent = parents[j]
-        kind = type(parent)
-        if kind is App:
-            new = App(new, parent.arg) if path[j] == 0 else App(parent.fun, new)
-        elif kind is Abs:
-            new = Abs(parent.var, new)
-        else:
-            new = Mu(parent.bound, parent.named, new)
-        parents[j] = new
+        new = _over(parents[j], pos[j], new)
     return new
+
+
+def _over(parent: Term, i: int, new: Term) -> Term:
+    """``parent`` with ``new`` for its child ``i``."""
+    kind = type(parent)
+    if kind is App:
+        return App(new, parent.arg) if i == 0 else App(parent.fun, new)
+    if kind is Abs:
+        return Abs(parent.var, new)
+    return Mu(parent.bound, parent.named, new)
 
 
 _DONE = object()    # on _subst's stack: the node under it has its children
@@ -231,51 +238,81 @@ def _free_names(m: Term, memo: dict) -> frozenset[str]:
 
 class _Walk:
     """A preorder walk over a zipper: the focus, its ancestors ``parents``
-    (root first) and the child indices ``path`` taken at them.  ``names``
-    is the walk's free-name memo."""
+    (root first) and the child indices ``path`` taken at them.  Each of
+    ``parents[:stale]`` still holds its child from before the contractions
+    under it (see the module docstring).  ``names`` is the free-name memo."""
 
     def __init__(self, m: Term, enabled: set[str]):
         self.checks: dict[type, list] = {App: [], Mu: []}
         for rule in (r for r in RULES if r in enabled):
             self.checks[_REDEX[rule][0]].append((rule, _REDEX[rule][1]))
-        self.focus, self.parents, self.path = m, [], []
+        self.focus, self.parents, self.path, self.stale = m, [], [], 0
         self.erasing = "erasing" in enabled
         self.names: dict[int, tuple[Term, frozenset[str]]] = {}
 
     def walk(self) -> Iterator[str]:
         """Each enabled redex from the focus on, in preorder; the focus is
-        on a redex when its rule is yielded."""
-        checks, names = self.checks, self.names
+        on a redex when its rule is yielded, and on the whole term when the
+        walk ends.  A walk is not resumed after a contraction."""
+        checks, names, stale = self.checks, self.names, self.stale
         parents, path, t = self.parents, self.path, self.focus
         while True:
             for rule, test in checks.get(type(t), ()):
                 if test(t, names):
-                    self.focus = t
+                    self.focus, self.stale = t, stale
                     yield rule
             if isinstance(t, (App, Abs, Mu)):
                 parents.append(t)
                 path.append(0)
                 t = t.fun if isinstance(t, App) else t.body
                 continue
-            # a leaf: on to the argument of the nearest App entered by its fun
+            # a leaf: up to the nearest App entered by its fun, rebuilding each
+            # stale ancestor over the subterm t left, and on to its argument
             while parents and (path[-1] or not isinstance(parents[-1], App)):
-                parents.pop()
-                path.pop()
+                p, i = parents.pop(), path.pop()
+                t = _over(p, i, t) if len(parents) < stale else p
             if not parents:
+                self.focus, self.stale = t, 0
                 return
+            if len(parents) <= stale:
+                stale = len(parents) - 1
+                parents[-1] = App(t, parents[-1].arg)
             path[-1] = 1
             t = parents[-1].arg
+
+    def settle(self, lo: int) -> Term:
+        """Rebuild the stale ancestors from depth ``lo``, at most ``stale``,
+        down; the node at depth ``lo``, the whole term for 0."""
+        parents, k = self.parents, self.stale
+        new = parents[k] if k < len(parents) else self.focus
+        for j in reversed(range(lo, k)):
+            new = parents[j] = _over(parents[j], self.path[j], new)
+        self.stale = lo
+        return new
+
+    def identifiers(self) -> set[str]:
+        """``all_identifiers`` of the whole term, read off the zipper, where a
+        stale ancestor differs from its rebuilt self only on the path."""
+        out, kids = set(), [self.focus]
+        for p, i in zip(self.parents, self.path):
+            if type(p) is App:
+                kids.append(p.fun if i else p.arg)
+            else:
+                out.update((p.var,) if type(p) is Abs else (p.bound, p.named))
+        return out | all_identifiers(*kids)
 
     def resume(self) -> str | None:
         """After a contraction at the focus, move the focus onto the next
         redex and give its rule, or None (see the module docstring)."""
         k = len(self.parents)
-        for j in range(0 if self.erasing else max(k - 1, 0), k):
+        lo = 0 if self.erasing else max(k - 1, 0)
+        self.settle(lo)
+        for j in range(lo, k):
             a = self.parents[j]
             rule = next((r for r, test in self.checks.get(type(a), ())
                          if test(a, self.names)), None)
             if rule is not None:
-                self.focus = self.parents[j]
+                self.focus = a
                 del self.parents[j:], self.path[j:]
                 return rule
         return next(self.walk(), None)
@@ -294,15 +331,15 @@ def redexes(m: Term, enabled: set[str]) -> list[tuple[Position, str]]:
     return list(iter_redexes(m, enabled))
 
 
-def _contract(m: Term, rule: str, whole: Term) -> Term:
-    """Contract the redex ``m``; fresh names avoid every identifier of
-    ``whole``, the term that contains it, so ``g`` needs no freshness check
-    in ``subst_structural``."""
+def _contract(m: Term, rule: str, ids) -> Term:
+    """Contract the redex ``m``; fresh names avoid ``ids()``, every
+    identifier of the term that contains it, so ``g`` needs no freshness
+    check in ``subst_structural``."""
     if rule == "beta":
         return subst_term(m.fun.body, m.fun.var, m.arg)
     if rule == "mu":
         red, n = m.fun, m.arg
-        g = fresh(all_identifiers(whole), "g")
+        g = fresh(ids(), "g")
         body = _subst(red.body, red.bound, n, g)
         if red.named == red.bound:
             # the outer named occurrence is itself transformed
@@ -316,20 +353,21 @@ def _contract(m: Term, rule: str, whole: Term) -> Term:
     if rule == "erasing":
         return m.body
     # eta_mu: mu a.[b]M becomes \x.(mu a.[b]M) x, whose body mu contracts
-    x = fresh(all_identifiers(whole), "x")
-    return Abs(x, _contract(App(m, Var(x)), "mu", whole))
+    avoid = ids()
+    x = fresh(avoid, "x")
+    return Abs(x, _contract(App(m, Var(x)), "mu", lambda: avoid))
 
 
 def step(m: Term, at: Position, rule: str) -> Term:
     """Contract exactly the redex ``(at, rule)`` in ``m``."""
     try:
-        *parents, sub = _spine(m, at)
+        sub = subterm_at(m, at)
     except IndexError:
         raise NotARedex(f"no subterm at {at}") from None
     if rule not in _REDEX or not (isinstance(sub, _REDEX[rule][0])
                                   and _REDEX[rule][1](sub, {})):
         raise NotARedex(f"{rule} does not apply at {at}")
-    return _rebuild(parents, at, _contract(sub, rule, m))
+    return replace_at(m, at, _contract(sub, rule, lambda: all_identifiers(m)))
 
 
 def normalize(m: Term, enabled: set[str], fuel: int = 1000) -> ReductionTrace:
@@ -342,12 +380,13 @@ def normalize(m: Term, enabled: set[str], fuel: int = 1000) -> ReductionTrace:
     rule = next(w.walk(), None)
     for _ in range(fuel):
         if rule is None:
-            return trace
-        w.focus = _contract(w.focus, rule, m)
-        m = _rebuild(w.parents, w.path, w.focus)
-        trace.steps.append((tuple(w.path), rule, m))
+            break
+        w.focus = _contract(w.focus, rule, w.identifiers)
+        w.stale = len(w.parents)
+        trace.steps.append((tuple(w.path), rule, w.focus))
         rule = w.resume()
     trace.fuel_exhausted = rule is not None
+    trace.final = w.settle(0)
     return trace
 
 
@@ -358,7 +397,7 @@ def format_position(pos: Position) -> str:
 def format_trace(trace: ReductionTrace) -> str:
     from .grammar import print_term
     lines = [f"- start ~> {print_term(trace.initial)}"]
-    for pos, rule, term in trace.steps:
+    for (pos, rule, _), term in zip(trace.steps, trace.terms()):
         lines.append(f"{format_position(pos)} {rule} ~> {print_term(term)}")
     if trace.fuel_exhausted:
         lines.append("! fuel exhausted")

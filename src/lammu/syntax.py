@@ -115,11 +115,11 @@ def free_names(m: Term) -> set[str]:
     return out
 
 
-def all_identifiers(m: Term) -> set[str]:
-    """Every variable and name occurring in ``m``, bound or free, found by
-    one walk with an explicit stack that adds into a single set."""
+def all_identifiers(*ms: Term) -> set[str]:
+    """Every variable and name occurring in the terms ``ms``, bound or free,
+    found by one walk with an explicit stack that adds into a single set."""
     out: set[str] = set()
-    todo = [m]
+    todo = list(ms)
     while todo:
         t = todo.pop()
         kind = type(t)

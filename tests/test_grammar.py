@@ -138,6 +138,31 @@ class TestRoundTrips:
             m = random_term(rng)
             assert alpha_eq(parse_term(print_term(m)), m)
 
+    def test_terms_exactly(self):
+        # not only up to renaming: the same binders, variables and names,
+        # free names among them
+        rng = random.Random(13)
+        for _ in range(500):
+            m = random_term(rng, rng.choice((3, 5, 7)), names=("b", "c"))
+            assert parse_term(print_term(m)) == m
+
+    def test_one_var_object_per_identifier(self):
+        m = parse_term("\\x.x (y x) (\\y.y x) (mu a.[a] x y) x_1 x")
+        leaves: dict[str, list] = {}
+        todo = [m]
+        while todo:
+            t = todo.pop()
+            if isinstance(t, Var):
+                leaves.setdefault(t.name, []).append(t)
+            elif isinstance(t, App):
+                todo += (t.fun, t.arg)
+            else:
+                todo.append(t.body)
+        assert {x: len(vs) for x, vs in leaves.items()} == \
+            {"x": 5, "y": 3, "x_1": 1}
+        for vs in leaves.values():
+            assert all(v is vs[0] for v in vs)
+
     def test_types(self):
         rng = random.Random(5)
         for _ in range(300):

@@ -626,6 +626,22 @@ class TestCertificates:
         assert back.rule == d.rule
         assert type_equiv(back.conclusion.ty, d.conclusion.ty)
 
+    @pytest.mark.parametrize("ident", ["mu", "Ab", "top"])
+    def test_an_identifier_that_would_not_read_back_is_refused(self, ident):
+        # printed, \mu.mu, \Ab.Ab and \top.top do not parse; the writer
+        # names the identifier instead of writing a certificate that cannot
+        # be decoded, whether it is a variable, a name or an entry
+        for gamma, term, delta in (
+                ({}, Abs(ident, Var(ident)), {}),
+                ({}, Abs("x", Mu(ident, ident, Var("x"))), {}),
+                ({ident: A}, Abs("x", Var("x")), {}),
+                ({}, Abs("x", Var("x")), {ident: A})):
+            d = derive(gamma, term, Arrow(A, A), delta)
+            assert d is not None
+            check_derivation(d)
+            with pytest.raises(ValueError, match=repr(ident)):
+                derivation_to_json(d)
+
     def test_equal_environment_texts_share_one_dict(self):
         def node(rule, ty, *premises):
             return {"rule": rule, "judgment": f"x:A /\\ B |- x : {ty} | 'b:A",
@@ -786,12 +802,15 @@ class TestCertificates:
         leaf = Derivation(odd, Judgment({"x": TVar(odd)}, Var("x"), TVar(odd),
                                         {"b": TVar("é")}))
         ds = [leaf,
-              Derivation("InterI", Judgment({}, Var(odd), Inter((A, B)), {}),
+              Derivation("InterI", Judgment({}, Var("é"), Inter((A, B)), {}),
                          (leaf, var_node({}, "é", TVar('"')))),
               Derivation("Weaken", leaf.conclusion,
                          (Derivation("Thin", leaf.conclusion, (leaf,)),))]
         for d in ds:
             assert derivation_to_json(d) == json.dumps(_cert_dict(d), indent=2)
+        # a variable so named would not read back, so it is refused
+        with pytest.raises(ValueError):
+            derivation_to_json(var_node({}, odd, A))
 
     def test_writer_reaches_as_deep_as_the_reader(self):
         # json.loads stops at about 495 levels; the writer must get that far

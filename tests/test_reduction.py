@@ -297,16 +297,20 @@ def test_eta_mu_traces_are_pinned():
 
 def restarting_normalize(m, enabled, fuel):
     """The reference for ``normalize``: each step looks for the first redex
-    from the root again."""
-    trace = ReductionTrace(m)
+    from the root again.  Gives the trace, which records each contractum as
+    it stands in the new term, and the whole term after each step."""
+    trace, wholes = ReductionTrace(m), []
     for _ in range(fuel):
         first = next(iter_redexes(m, enabled), None)
         if first is None:
-            return trace
+            break
         m = step(m, *first)
-        trace.steps.append((*first, m))
-    trace.fuel_exhausted = next(iter_redexes(m, enabled), None) is not None
-    return trace
+        trace.steps.append((*first, subterm_at(m, first[0])))
+        wholes.append(m)
+    else:
+        trace.fuel_exhausted = next(iter_redexes(m, enabled), None) is not None
+    trace.final = m
+    return trace, wholes
 
 
 class TestResumedWalk:
@@ -319,8 +323,11 @@ class TestResumedWalk:
         for _ in range(150):
             m = random_open_term(rng, rng.choice((7, 8)))
             for enabled in rule_sets:
-                assert format_trace(normalize(m, enabled, fuel=40)) == \
-                    format_trace(restarting_normalize(m, enabled, 40))
+                trace = normalize(m, enabled, fuel=40)
+                ref, wholes = restarting_normalize(m, enabled, 40)
+                assert trace == ref
+                assert list(trace.terms()) == wholes
+                assert format_trace(trace) == format_trace(ref)
 
     def test_redexes_under_a_deep_spine(self):
         # R = ((\x.x) (\z.z)) (... (((\x.x) (\z.z)) y)): contracting the
@@ -333,12 +340,35 @@ class TestResumedWalk:
         for _ in range(10_000):
             m = App(Var("f"), m)
         trace = normalize(m, {"beta", "mu"}, fuel=40)
-        ref = restarting_normalize(m, {"beta", "mu"}, 40)
+        ref, wholes = restarting_normalize(m, {"beta", "mu"}, 40)
         assert len(trace.steps) == 30 and not trace.fuel_exhausted
-        assert [(pos, rule, print_term(t)) for pos, rule, t in trace.steps] \
-            == [(pos, rule, print_term(t)) for pos, rule, t in ref.steps]
+        # the whole terms compare as text: == on them would recurse too deep
+        assert trace.steps == ref.steps
+        assert [print_term(t) for t in (*trace.terms(), trace.final)] == \
+            [print_term(t) for t in (*wholes, ref.final)]
         assert trace.steps[0][0] == (1,) * 10_000 + (0,)
         assert trace.steps[1][0] == (1,) * 10_000
+
+
+def test_final_is_the_last_replayed_term():
+    """Over random terms and every rule set, with fuel cut-offs: ``final``
+    is the last term ``terms()`` replays (``initial`` for no step), and
+    ``fuel_exhausted`` says whether a redex is left exactly when the steps
+    used up the fuel."""
+    rng = random.Random(23)
+    rule_sets = RULE_SETS + [{"erasing", "beta"}, {"eta_mu", "renaming"},
+                             {"eta_mu", "beta", "mu", "renaming"}]
+    for _ in range(200):
+        m = random_open_term(rng, rng.choice((5, 6, 7)))
+        for enabled in rule_sets:
+            fuel = rng.choice((1, 2, 5, 40))
+            trace = normalize(m, enabled, fuel=fuel)
+            replayed = [m, *trace.terms()]
+            assert len(replayed) == len(trace.steps) + 1 <= fuel + 1
+            assert trace.final == replayed[-1]
+            left = next(iter_redexes(trace.final, enabled), None)
+            assert trace.fuel_exhausted == (left is not None)
+            assert left is None or len(trace.steps) == fuel
 
 
 def positions(m):
