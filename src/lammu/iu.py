@@ -3,18 +3,16 @@ bounded search and certificates.
 
 Derivations are explicit trees over six rules:
 
-* ``InterE``       variable lookup, projecting one component of its environment type
+* ``InterE``       variable lookup, one component of its entry up to equivalence
 * ``InterI``       intersection introduction (n components, n != 1)
 * ``ArrowI``       abstraction
 * ``ArrowE``       application against a union of arrows (n >= 1 branches)
 * ``UnionE_named`` context switch ``mu a.[b] M`` targeting an environment name b
 * ``UnionE_self``  context switch ``mu b.[b] M`` targeting its own bound name
 
-plus the admissible wrappers ``Thin`` (restrict environments to the free
-variables and names) and ``Weaken`` (strengthen the left environment, widen
-the right one), which ``thin`` and ``weaken`` add and ``under`` dissolves.
-Types in a node are compared up to the equivalence induced by the preorder,
-except variable lookup, which projects components as written.
+Types in a node are compared up to the equivalence induced by the preorder.
+Thinning and weakening are admissible, not rules: ``under`` rebuilds a
+derivation under thinner or stronger environments.
 
 ``check_derivation`` is the one statement of these rules.  The search returns
 only derivations it accepts, and the constructions turn a derivation it
@@ -29,15 +27,12 @@ from functools import partial
 from itertools import combinations, product
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .syntax import (Abs, App, Mu, Term, Var, all_identifiers, free_names,
-                     free_term_vars)
+from .syntax import Abs, App, Mu, Term, Var, all_identifiers
 from .typelang import (Arrow, Bottom, Inter, Top, TypeExpr, Union,
-                       canonicalize, env_leq_left, env_leq_right, inter_parts,
-                       is_strict, subexpressions, subtype, type_equiv,
-                       union_parts, well_formed)
+                       canonicalize, inter_parts, is_strict, subexpressions,
+                       subtype, type_equiv, union_parts, well_formed)
 
-RULES = ("InterE", "InterI", "ArrowI", "ArrowE",
-         "UnionE_named", "UnionE_self", "Thin", "Weaken")
+RULES = ("InterE", "InterI", "ArrowI", "ArrowE", "UnionE_named", "UnionE_self")
 
 
 @dataclass(slots=True)
@@ -85,6 +80,12 @@ def _env_equiv(a: dict[str, TypeExpr], b: dict[str, TypeExpr]) -> bool:
         set(a) == set(b) and all(type_equiv(a[k], b[k]) for k in a))
 
 
+def _is_component(t: TypeExpr, entry: TypeExpr) -> bool:
+    """Is ``t`` equivalent to a component of ``entry``?"""
+    parts = inter_parts(entry)
+    return t in parts or any(type_equiv(t, p) for p in parts)
+
+
 def _is_iu(ok: dict, t: TypeExpr) -> bool:
     """well_formed(t, "iu"), kept in ``ok`` by ``id(t)`` once it holds."""
     if id(t) not in ok and not well_formed(t, "iu"):
@@ -117,7 +118,7 @@ def _check_node(d: Derivation, path: tuple[int, ...], ok: dict) -> None:
             bad("variable lookup takes no premises")
         if j.term.name not in j.gamma:
             bad(f"variable {j.term.name} not in environment")
-        if j.ty not in inter_parts(j.gamma[j.term.name]):
+        if not _is_component(j.ty, j.gamma[j.term.name]):
             bad("type is not a component of the environment entry")
         return
 
@@ -211,24 +212,6 @@ def _check_node(d: Derivation, path: tuple[int, ...], ok: dict) -> None:
             bad("premise type must lie below the target union")
         return
 
-    if d.rule in ("Thin", "Weaken"):
-        verb = "thinning" if d.rule == "Thin" else "weakening"
-        if len(d.premises) != 1:
-            bad(f"{verb} takes one premise")
-        p = d.premises[0].conclusion
-        if p.term != j.term or not type_equiv(p.ty, j.ty):
-            bad(f"{verb} preserves the term and type")
-        if d.rule == "Thin":
-            want = thin(d.premises[0]).conclusion
-            if not (_env_equiv(j.gamma, want.gamma)
-                    and _env_equiv(j.delta, want.delta)):
-                bad("environments must be restricted to the free variables and names")
-        elif not env_leq_left(j.gamma, p.gamma):
-            bad("conclusion left environment must lie below the premise's")
-        elif not env_leq_right(p.delta, j.delta):
-            bad("premise right environment must lie below the conclusion's")
-        return
-
     bad(f"unknown rule {d.rule!r}")
 
 
@@ -248,44 +231,20 @@ def check_derivation(d: Derivation) -> None:
 
 # -- admissible constructions -------------------------------------------------
 
-def thin(d: Derivation) -> Derivation:
-    j = d.conclusion
-    fv, fn = free_term_vars(j.term), free_names(j.term)
-    g = {x: t for x, t in j.gamma.items() if x in fv}
-    dl = {a: t for a, t in j.delta.items() if a in fn}
-    if g == j.gamma and dl == j.delta:
-        return d
-    return Derivation("Thin", Judgment(g, j.term, j.ty, dl), (d,))
-
-
-def weaken(d: Derivation, gamma: dict[str, TypeExpr],
-           delta: dict[str, TypeExpr]) -> Derivation:
-    j = d.conclusion
-    if not env_leq_left(gamma, j.gamma):
-        raise PreconditionViolation("new left environment is not below the old one")
-    if not env_leq_right(j.delta, delta):
-        raise PreconditionViolation("old right environment is not below the new one")
-    if gamma == j.gamma and delta == j.delta:
-        return d
-    return Derivation("Weaken", Judgment(gamma, j.term, j.ty, delta), (d,))
-
-
 def under(d: Derivation, gamma: dict[str, TypeExpr],
           delta: dict[str, TypeExpr]) -> Derivation:
     """``d`` rebuilt top-down under ``gamma`` and ``delta``: ``ArrowI`` adds
-    its variable on the way down, a context switch its bound name.  ``Thin``
-    and ``Weaken`` dissolve; a lookup whose type is not a component of its new
-    entry becomes one ``Weaken`` over itself under its old entry alone.
-    PreconditionViolation if ``gamma`` leaves a looked-up variable unbound or
-    not below its old entry; ``delta`` must bind every switch target, no lower."""
+    its variable on the way down, a context switch its bound name.  So it
+    thins (the new environments may drop what ``d`` does not use) and
+    weakens: they may add bindings, strengthen a left entry by components,
+    reorder them, and widen a right entry.  PreconditionViolation if ``gamma`` leaves a
+    looked-up variable unbound, or its entry has no component equivalent to
+    the lookup's type; ``delta`` must bind every switch target, no lower."""
     j = d.conclusion
-    if d.rule in ("Thin", "Weaken"):
-        return under(d.premises[0], gamma, delta)
-    if d.rule == "InterE":
-        x = j.term.name
-        if j.ty not in inter_parts(gamma.get(x, Top)):
-            return weaken(Derivation(d.rule, Judgment(
-                {x: j.gamma[x]}, j.term, j.ty, {})), gamma, delta)
+    if d.rule == "InterE" and not _is_component(
+            j.ty, gamma.get(j.term.name, Top)):
+        raise PreconditionViolation(
+            f"the new entry of {j.term.name} has no component for its lookup")
     g2 = {**gamma, j.term.var: j.ty.left} if d.rule == "ArrowI" else gamma
     d2 = {**delta, j.term.bound: j.ty} if d.rule.startswith("UnionE") else delta
     return Derivation(d.rule, Judgment(gamma, j.term, j.ty, delta),

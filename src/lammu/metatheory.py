@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .grammar import print_judgment
 from .iu import (Derivation, Judgment, SearchBudget, check_derivation, derive,
-                 under, weaken)
+                 under)
 from .reduction import (redexes, rename_name, replace_at, step,
                         subst_structural, subst_term, subterm_at)
 from .syntax import Abs, App, Mu, Term, Var, alpha_eq, free_term_vars
@@ -94,13 +94,11 @@ def var_typed(gamma: dict, ty: TypeExpr, delta: dict) -> Derivation | None:
 
 
 def project(d: Derivation, ty: TypeExpr) -> Derivation:
-    """Narrow a derivation to the component ``ty`` of its conclusion, through
-    ``Thin``/``Weaken``, to the ``InterI`` premise that concludes ``ty``."""
+    """Narrow a derivation to the component ``ty`` of its conclusion: the
+    ``InterI`` premise that concludes ``ty``."""
     j = d.conclusion
     if j.ty == ty:
         return d
-    if d.rule in ("Thin", "Weaken"):
-        return _node(d, (project(d.premises[0], ty),), ty=ty)
     if d.rule == "InterI":
         for p in d.premises:
             if type_equiv(p.conclusion.ty, ty):
@@ -115,7 +113,7 @@ def _node(d: Derivation, premises, *, term: Term | None = None,
     ``d``'s rule, type and environments, and takes the term its rule builds
     from ``d``'s term m and the premises' terms p0, p1: \\x.p0 for ``ArrowI``
     and mu a.[b] p0 for a context switch (x, a and b as in m), p0 p1 for
-    ``ArrowE``, p0 for ``InterI``, ``Thin`` and ``Weaken``; m if none."""
+    ``ArrowE``, p0 for ``InterI``; m if none."""
     j = d.conclusion
     premises = tuple(premises)
     rule = rule or d.rule
@@ -144,7 +142,7 @@ def _apply_arrows(fun: Derivation,
     """Apply ``fun``, which concludes a union of arrows, to N.
 
     ``arg_for`` maps each arrow (up to equivalence) to a derivation of N at
-    its source; those are weakened to ``fun``'s environments."""
+    its source; those are taken ``under`` ``fun``'s environments."""
     c = fun.conclusion
     parts = union_parts(c.ty)
     if not parts or not all(isinstance(p, Arrow) for p in parts):
@@ -154,7 +152,7 @@ def _apply_arrows(fun: Derivation,
     def match(arrow: Arrow) -> Derivation:
         for a, dn in arg_for.items():
             if type_equiv(arrow, a):
-                return weaken(dn, c.gamma, c.delta)
+                return under(dn, c.gamma, c.delta)
         raise ConstructionMiss("premise arrow matches no argument derivation")
 
     args = tuple(match(p) for p in parts)
@@ -311,9 +309,9 @@ def gen_typed_judgment(rng: random.Random) -> Derivation:
 def subst_derivation(dM: Derivation, x: str, dN: Derivation) -> Derivation:
     """From G,x:C |- M : A | D and G |- N : C | D build G |- M[N/x] : A | D.
 
-    M is taken under its own environments (``under``) first, so x is looked
-    up bare or under one ``Weaken``.  An environment that binds x binds it as
-    G does, or none if G does not (G's x is shadowed in M, but N may use it)."""
+    M is taken under its own environments (``under``) first.  An environment
+    that binds x binds it as G does, or none if G does not (G's x is shadowed
+    in M, but N may use it)."""
     n_term = dN.conclusion.term
     outer = {y: t for y, t in dN.conclusion.gamma.items() if y == x}
 
@@ -323,7 +321,7 @@ def subst_derivation(dM: Derivation, x: str, dN: Derivation) -> Derivation:
         if x in gamma:
             gamma = {y: t for y, t in gamma.items() if y != x} | outer
         if j.term == Var(x) and d.rule != "InterI":
-            return weaken(project(dN, j.ty), gamma, j.delta)
+            return under(project(dN, j.ty), gamma, j.delta)
         if isinstance(j.term, Abs) and j.term.var == x:
             raise ConstructionMiss("binder shadows the substituted variable")
         return _node(d, map(go, d.premises), gamma=gamma, term=None
@@ -435,10 +433,10 @@ _SR_LOCAL = {"beta": _sr_local_beta, "mu": _sr_local_mu,
 
 def sr_step(d: Derivation, pos: tuple[int, ...], rule: str) -> Derivation:
     """Rebuild ``d`` after contracting the redex at ``pos``.  It starts from
-    ``d`` under its own environments (``under``), so no wrapper is in the way,
-    and rebuilds each premise of an ``InterI`` (one with none types the
-    contractum at top).  The redex is typed by ``ArrowE`` over ``ArrowI``
-    (beta) or a context switch (mu), or by a switch over one (renaming)."""
+    ``d`` under its own environments (``under``) and rebuilds each premise of
+    an ``InterI`` (one with none types the contractum at top).  The redex is
+    typed by ``ArrowE`` over ``ArrowI`` (beta) or a context switch (mu), or
+    by a switch over one (renaming)."""
     whole = step(d.conclusion.term, pos, rule)
     expected = subterm_at(whole, pos)
     local = _SR_LOCAL[rule]
@@ -479,7 +477,7 @@ def se_beta_vacuous(d: Derivation, rng: random.Random,
     j = d.conclusion
     fresh = "b" + gen.fresh_var()
     q = rng.choice(_TOP_ARGS)
-    inner = weaken(d, {**j.gamma, fresh: Top}, j.delta)
+    inner = under(d, {**j.gamma, fresh: Top}, j.delta)
     fun = _node(d, (inner,), term=Abs(fresh, j.term), rule="ArrowI",
                 ty=Arrow(Top, j.ty))
     return _app(fun, top_typed(j.gamma, q, j.delta)), d, "beta"
@@ -521,11 +519,11 @@ def se_mu_named(d: Derivation, rng: random.Random,
     beta, delta = _covering_name(j.ty, j.delta, alpha)
     b_goal = _F1
     fun_ty = Arrow(Top, b_goal)
-    inner = weaken(d, j.gamma, {**delta, alpha: fun_ty})
+    inner = under(d, j.gamma, {**delta, alpha: fun_ty})
     fun = _node(d, (inner,), term=Mu(alpha, beta, j.term),
                 rule="UnionE_named", ty=fun_ty, delta=delta)
     exp = _app(fun, top_typed(j.gamma, rng.choice(_TOP_ARGS), delta))
-    red_inner = weaken(d, j.gamma, {**delta, gname: b_goal})
+    red_inner = under(d, j.gamma, {**delta, gname: b_goal})
     red = _node(fun, (red_inner,), term=Mu(gname, beta, j.term), ty=b_goal)
     return exp, red, "mu"
 
@@ -541,11 +539,11 @@ def se_mu_self(d: Derivation, rng: random.Random,
     if arg is None:
         raise ConstructionMiss("no variable for the arrow source")
     alpha, gname = "m" + gen.fresh_name(), "g" + gen.fresh_name()
-    inner = weaken(d, j.gamma, {**j.delta, alpha: u})
+    inner = under(d, j.gamma, {**j.delta, alpha: u})
     fun = _node(d, (inner,), term=Mu(alpha, alpha, j.term), rule="UnionE_self")
-    exp = _app(fun, weaken(arg, j.gamma, j.delta))
+    exp = _app(fun, under(arg, j.gamma, j.delta))
     d2 = {**j.delta, gname: u.right}
-    app = _app(weaken(d, j.gamma, d2), weaken(arg, j.gamma, d2))
+    app = _app(under(d, j.gamma, d2), under(arg, j.gamma, d2))
     red = _node(fun, (app,), term=Mu(gname, gname, app.conclusion.term),
                 ty=u.right)
     return exp, red, "mu"
@@ -559,12 +557,12 @@ def se_renaming(d: Derivation, rng: random.Random,
     beta, delta = _covering_name(j.ty, j.delta, alpha)
     b_goal = _F1
     d_in = {**delta, alpha: b_goal}
-    inner_body = weaken(d, j.gamma, {**d_in, gname: j.ty})
+    inner_body = under(d, j.gamma, {**d_in, gname: j.ty})
     inner = _node(d, (inner_body,), term=Mu(gname, beta, j.term),
                   rule="UnionE_named", delta=d_in)
     exp = _node(inner, (inner,), term=Mu(alpha, beta, inner.conclusion.term),
                 ty=b_goal, delta=delta)
-    red = _node(exp, (weaken(d, j.gamma, d_in),))
+    red = _node(exp, (under(d, j.gamma, d_in),))
     return exp, red, "renaming"
 
 

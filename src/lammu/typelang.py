@@ -192,19 +192,6 @@ def type_equiv(a: TypeExpr, b: TypeExpr) -> bool:
     return _leq(ca, cb) and _leq(cb, ca)
 
 
-def env_leq_left(g: dict[str, TypeExpr], g2: dict[str, TypeExpr]) -> bool:
-    """``g <= g2`` on left environments: g binds each of g2's names, and each
-    intersection component of g2's entry is equivalent to one of g's entry,
-    all that a lookup can use; a union-introducing subtype is not below."""
-    return all(x in g and all(any(type_equiv(p, q) for q in inter_parts(g[x]))
-                              for p in inter_parts(a2)) for x, a2 in g2.items())
-
-
-def env_leq_right(d: dict[str, TypeExpr], d2: dict[str, TypeExpr]) -> bool:
-    """``d <= d2`` on right environments; note the direction flip."""
-    return all(a in d2 and subtype(t, d2[a]) for a, t in d.items())
-
-
 def subexpressions(t: TypeExpr) -> Iterable[TypeExpr]:
     """All sub-type-expressions of ``t`` (including ``t``)."""
     yield t

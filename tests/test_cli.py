@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from lammu.cli import main
+from lammu.grammar import parse_judgment
+from lammu.iu import Derivation, Judgment, derivation_to_json
 
 PEIRCE = "|- \\x.mu a.[a](x (\\y.mu b.[a] y)) : ((A -> B) -> A) -> A |"
 DNE = "|- \\y.mu a.['b](y (\\x.mu d.[a] x)) : ((A -> bot) -> bot) -> A | 'b:bot"
@@ -189,16 +191,30 @@ class TestCertificates:
     def test_verify_and_check_iu_agree_on_a_union_weakening(self, capsys,
                                                              monkeypatch):
         """x:A lies below x:A \\/ B, but no lookup of x:A gives A \\/ B: the
-        search misses the judgment, so a Weaken may not conclude it."""
+        search misses the judgment, and a lookup may not conclude it."""
         judgment = "x:A |- x : A \\/ B |"
         monkeypatch.setattr("sys.stdin", io.StringIO(
-            '{"rule": "Weaken", "judgment": "x:A |- x : A \\\\/ B |",'
-            ' "premises": [{"rule": "InterE",'
-            ' "judgment": "x:A \\\\/ B |- x : A \\\\/ B |"}]}'))
+            '{"rule": "InterE", "judgment": "x:A |- x : A \\\\/ B |"}'))
         assert main(["verify", "-"]) == 1
-        assert "must lie below the premise's" in capsys.readouterr().err
+        assert "not a component" in capsys.readouterr().err
         assert main(["check-iu", judgment]) == 1
         assert capsys.readouterr().err == "not found\n"
+
+    def test_verify_looks_up_a_component_up_to_equivalence(self, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            '{"rule": "InterE", "judgment": "x:B \\\\/ A |- x : A \\\\/ B |"}'))
+        assert main(["verify", "-"]) == 0
+        assert capsys.readouterr().out == "valid: x:B \\/ A |- x : A \\/ B |\n"
+
+    @pytest.mark.parametrize("rule", ["Thin", "Weaken"])
+    def test_verify_knows_no_wrapper_rule(self, rule, capsys, monkeypatch):
+        # thinning and weakening are admissible, not rules of a derivation
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            f'{{"rule": "{rule}", "judgment": "x:A |- x : A |", "premises":'
+            ' [{"rule": "InterE", "judgment": "x:A |- x : A |"}]}'))
+        assert main(["verify", "-"]) == 1
+        assert f"unknown rule {rule!r}" in capsys.readouterr().err
 
     def test_verify_from_stdin(self, capsys, monkeypatch, tmp_path):
         cert = tmp_path / "cert.json"
@@ -239,11 +255,14 @@ class TestDeepInput:
     definite "invalid"."""
 
     def test_verify_deep_certificate(self, monkeypatch):
-        text = '{"rule": "InterE", "judgment": "x:A |- x : A |"}'
+        # 900 intersection introductions of x : A /\ A, each over the next
+        # and a lookup of x : A
+        leaf = Derivation("InterE", Judgment(*parse_judgment("x:A |- x : A |")))
+        j = Judgment(*parse_judgment("x:A |- x : A /\\ A |"))
+        d = leaf
         for _ in range(900):
-            text = ('{"rule": "Thin", "judgment": "x:A |- x : A |",'
-                    ' "premises": [' + text + ']}')
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            d = Derivation("InterI", j, (d, leaf))
+        monkeypatch.setattr("sys.stdin", io.StringIO(derivation_to_json(d)))
         assert main(["verify", "-"]) in (0, 3)
 
     def test_fmt_deep_application_chain(self, capsys):

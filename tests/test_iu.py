@@ -11,14 +11,15 @@ from lammu.grammar import (LanguageViolation, ParseError, parse_judgment,
 from lammu.iu import (Derivation, InvalidNode, Judgment,
                       PreconditionViolation, SearchBudget, check_derivation,
                       derivation_from_json, derivation_to_json, derive,
-                      embed_simple, thin, under, weaken)
+                      embed_simple, under)
 from lammu.metatheory import (ConstructionMiss, base_environments,
                               gen_typed_judgment, project)
 from lammu.simple import (SimpleJudgment, UntypableError, check_simple,
                           infer_simple)
-from lammu.syntax import Abs, App, Mu, Var
+from lammu.syntax import Abs, App, Mu, Var, free_names, free_term_vars
 from lammu.typelang import (Arrow, Inter, Top, TVar, Union, canonicalize,
-                            subexpressions, type_equiv, well_formed)
+                            inter_parts, subexpressions, type_equiv,
+                            well_formed)
 
 A, B = TVar("A"), TVar("B")
 AB = Inter((A, B))
@@ -38,13 +39,21 @@ def _cert_dict(d):
             "premises": [_cert_dict(p) for p in d.premises]}
 
 
-def _weaken_chain(n):
-    """``n`` Weaken nodes over the lookup x:A |- x : A |, all at that
-    judgment."""
+def _chain(n):
+    """``n`` one-premise nodes over the lookup x:A |- x : A |, all at that
+    judgment, for the writer tests.  Their rule name, ``Chain``, is no rule:
+    the writer never checks a derivation."""
     d = var_node({"x": A}, "x", A)
     for _ in range(n):
-        d = Derivation("Weaken", d.conclusion, (d,))
+        d = Derivation("Chain", d.conclusion, (d,))
     return d
+
+
+def _reordered(t):
+    """``t`` with its intersection and union components in reverse order."""
+    parts = [Union(p.parts[::-1]) if isinstance(p, Union) else p
+             for p in inter_parts(t)[::-1]]
+    return parts[0] if len(parts) == 1 else Inter(tuple(parts))
 
 
 def _readme_derivations():
@@ -66,6 +75,12 @@ class TestValidNodes:
     def test_variable_projection(self):
         check_derivation(var_node({"x": AB}, "x", A))
         check_derivation(var_node({"x": AB}, "x", B))
+
+    def test_variable_projection_up_to_equivalence(self):
+        # B \/ A is a component of x's entry written in another order
+        check_derivation(var_node({"x": Union((A, B))}, "x", Union((B, A))))
+        check_derivation(var_node({"x": Inter((Union((A, B)), Arrow(A, B)))},
+                                  "x", Union((B, A))))
 
     def test_intersection_introduction(self):
         d = Derivation("InterI", Judgment({"x": AB}, Var("x"), Inter((B, A)), {}),
@@ -119,14 +134,19 @@ def node(rule, text, *premises):
     return Derivation(rule, Judgment(*parse_judgment(text)), premises)
 
 
-def reject(d, reason, wrapped=False):
-    """A case of ``test_every_rejection``: ``d`` fails with ``reason``, at
-    the root or, ``wrapped`` under a weakening that changes nothing, at 0."""
-    case_id = f"{d.rule}: {reason}"
-    if wrapped:
-        return pytest.param(Derivation("Weaken", d.conclusion, (d,)),
-                            reason, (0,), id=case_id)
-    return pytest.param(d, reason, (), id=case_id)
+def twice(d):
+    """Intersection introduction of ``d``'s strict type twice, over ``d`` as
+    both premises: a valid node above ``d``."""
+    j = d.conclusion
+    return Derivation("InterI", Judgment(j.gamma, j.term, Inter((j.ty, j.ty)),
+                                         j.delta), (d, d))
+
+
+def reject(d, reason, path=()):
+    """A case of ``test_every_rejection``: ``d`` fails with ``reason`` at
+    ``path``, the root or premise 0."""
+    failing = d.premises[0] if path else d
+    return pytest.param(d, reason, path, id=f"{failing.rule}: {reason}")
 
 
 # One node for each reason the rest of the suite never makes the checker give.
@@ -135,9 +155,11 @@ _REJECTIONS = [
            "type outside the intersection-union language"),
     reject(node("InterE", "x:A |- x : A |", node("InterE", "x:A |- x : A |")),
            "variable lookup takes no premises"),
-    reject(node("InterI", "x:A /\\ B |- x : A /\\ B |",
-                node("InterE", "x:A /\\ B |- x : A |")),
-           "one premise per component required", wrapped=True),
+    # under a context switch, since `twice` needs a strict type
+    reject(node("UnionE_self", "x:A /\\ B |- mu a.[a] x : A |",
+                node("InterI", "x:A /\\ B |- x : A /\\ B | a:A",
+                     node("InterE", "x:A /\\ B |- x : A | a:A"))),
+           "one premise per component required", (0,)),
     reject(node("InterI", "x:A /\\ B |- x : A /\\ B |",
                 node("InterE", "x:A /\\ B |- x : B |"),
                 node("InterE", "x:A /\\ B |- x : A |")),
@@ -150,9 +172,9 @@ _REJECTIONS = [
            "conclusion must be an arrow"),
     reject(node("ArrowI", "|- \\x.x : A -> A |"),
            "arrow introduction takes one premise"),
-    reject(node("ArrowI", "|- \\x.x : A -> A |",
-                node("InterE", "x:A, y:A |- y : A |")),
-           "premise must type the body", wrapped=True),
+    reject(twice(node("ArrowI", "|- \\x.x : A -> A |",
+                      node("InterE", "x:A, y:A |- y : A |"))),
+           "premise must type the body", (0,)),
     reject(node("ArrowI", "|- \\x.x : A -> B |",
                 node("InterE", "x:A |- x : A |")),
            "premise type must be the arrow target"),
@@ -174,10 +196,10 @@ _REJECTIONS = [
                 node("InterE", "f:A -> B, y:A |- y : A |"),
                 node("InterE", "f:A -> B, y:A |- y : A |")),
            "one argument premise per union branch required"),
-    reject(node("ArrowE", "f:A -> B, y:A |- f y : B |",
-                node("InterE", "f:A -> B, y:A |- f : A -> B |"),
-                node("InterE", "f:A -> B, y:A |- f : A -> B |")),
-           "argument premises must type the argument", wrapped=True),
+    reject(twice(node("ArrowE", "f:A -> B, y:A |- f y : B |",
+                      node("InterE", "f:A -> B, y:A |- f : A -> B |"),
+                      node("InterE", "f:A -> B, y:A |- f : A -> B |"))),
+           "argument premises must type the argument", (0,)),
     reject(node("ArrowE", "f:A -> B, y:A /\\ B |- f y : B |",
                 node("InterE", "f:A -> B, y:A /\\ B |- f : A -> B |"),
                 node("InterE", "f:A -> B, y:A /\\ B |- y : B |")),
@@ -198,9 +220,9 @@ _REJECTIONS = [
     reject(node("UnionE_named", "x:A |- mu a.[a] x : A |",
                 node("InterE", "x:A |- x : A | a:A")),
            "the named slot refers to the bound name; use the self variant"),
-    reject(node("UnionE_named", "x:A |- mu a.['b] x : A |",
-                node("InterE", "x:A |- x : A | a:A")),
-           "name b not in environment", wrapped=True),
+    reject(twice(node("UnionE_named", "x:A |- mu a.['b] x : A |",
+                      node("InterE", "x:A |- x : A | a:A"))),
+           "name b not in environment", (0,)),
     reject(node("UnionE_self", "x:A |- mu a.['b] x : A | 'b:A",
                 node("InterE", "x:A |- x : A | a:A, 'b:A")),
            "the named slot differs from the bound name; use the named variant"),
@@ -210,19 +232,13 @@ _REJECTIONS = [
     reject(node("UnionE_self", "x:B |- mu a.[a] x : A |",
                 node("InterE", "x:B |- x : B | a:A")),
            "premise type must lie below the target union"),
-    reject(node("Thin", "x:A |- x : B |", node("InterE", "x:A |- x : A |")),
-           "thinning preserves the term and type"),
-    reject(node("Thin", "x:A, y:B |- x : A |",
-                node("InterE", "x:A, y:B |- x : A |")),
-           "environments must be restricted to the free variables and names"),
-    reject(node("Weaken", "x:A |- x : B |", node("InterE", "x:A |- x : A |")),
-           "weakening preserves the term and type"),
-    reject(node("Weaken", "|- x : A |", node("InterE", "x:A |- x : A |")),
-           "conclusion left environment must lie below the premise's",
-           wrapped=True),
-    reject(node("Weaken", "x:A |- x : A |",
-                node("InterE", "x:A |- x : A | 'b:A")),
-           "premise right environment must lie below the conclusion's"),
+    # thinning and weakening are no rules: `under` does their work
+    reject(twice(node("Thin", "x:A |- x : A |",
+                      node("InterE", "x:A |- x : A |"))),
+           "unknown rule 'Thin'", (0,)),
+    reject(twice(node("Weaken", "x:A |- x : A |",
+                      node("InterE", "x:A |- x : A |"))),
+           "unknown rule 'Weaken'", (0,)),
 ]
 
 
@@ -300,10 +316,10 @@ class TestInvalidNodes:
         bad = Union((A, AB))
         leaf = Derivation("InterE", Judgment({"x": A, "y": bad}, Var("x"), A,
                                              {}))
-        mid = Derivation("Weaken", Judgment({"x": A, "y": bad}, Var("x"), A,
-                                            {}), (leaf,))
-        d = Derivation("Weaken", Judgment({"x": A, "y": A}, Var("x"), A, {}),
-                       (mid,))
+        mid = Derivation("InterI", Judgment({"x": A, "y": bad}, Var("x"),
+                                            Inter((A, A)), {}), (leaf, leaf))
+        d = Derivation("InterI", Judgment({"x": A, "y": A}, Var("x"),
+                                          Inter((A, A)), {}), (mid, mid))
         for _ in range(2):
             with pytest.raises(InvalidNode) as e:
                 check_derivation(d)
@@ -311,11 +327,13 @@ class TestInvalidNodes:
                 "type outside the intersection-union language", (0,))
 
     def test_a_type_that_passed_on_the_left_is_still_tested_on_the_right(self):
-        # AB is iu, so it passes as a left entry, but it is not strict
-        leaf = Derivation("InterE", Judgment({"x": AB}, Var("x"), A,
-                                             {"b": AB}))
-        d = Derivation("Weaken", Judgment({"x": AB}, Var("x"), A, {"b": A}),
-                       (leaf,))
+        # A /\ A is iu, so it passes as a left entry, and equivalent to the
+        # root's right entry A, but it is not strict
+        aa = Inter((A, A))
+        leaf = Derivation("InterE", Judgment({"x": aa}, Var("x"), A,
+                                             {"b": aa}))
+        d = Derivation("InterI", Judgment({"x": aa}, Var("x"), aa, {"b": A}),
+                       (leaf, leaf))
         with pytest.raises(InvalidNode) as e:
             check_derivation(d)
         assert (e.value.reason, e.value.path) == (
@@ -330,34 +348,14 @@ class TestInvalidNodes:
 
 class TestAdmissible:
     def test_project(self):
-        # the wrapper lists the components as A /\ B, its premise as B /\ A
+        # the conclusion lists the components as B /\ A
         gamma = {"x": AB}
         d = Derivation("InterI", Judgment(gamma, Var("x"), Inter((B, A)), {}),
                        (var_node(gamma, "x", B), var_node(gamma, "x", A)))
-        wrapped = Derivation("Weaken", Judgment({"x": AB, "y": B}, Var("x"),
-                                                AB, {"a": A}), (d,))
-        check_derivation(wrapped)
-        proj = project(wrapped, A)
-        check_derivation(proj)
-        assert proj.rule == "Weaken"
-        assert proj.conclusion.ty == A
-        assert proj.premises[0] is d.premises[1]
+        assert project(d, Inter((B, A))) is d
+        assert project(d, A) is d.premises[1]
         with pytest.raises(ConstructionMiss):
-            project(wrapped, Arrow(A, B))
-
-    def test_thin(self):
-        d = var_node({"x": A, "y": B}, "x", A, {"a": A})
-        out = thin(d)
-        assert out.conclusion.gamma == {"x": A}
-        assert out.conclusion.delta == {}
-        check_derivation(out)
-
-    def test_weaken(self):
-        d = var_node({"x": A}, "x", A)
-        out = weaken(d, {"x": A, "y": B}, {"a": A})
-        check_derivation(out)
-        with pytest.raises(PreconditionViolation):
-            weaken(d, {}, {})
+            project(d, Arrow(A, B))
 
     @staticmethod
     def _nodes(d):
@@ -378,42 +376,74 @@ class TestAdmissible:
             assert [n.conclusion for n in after] == \
                 [n.conclusion for n in before]
 
-    def test_under_dissolves_thin_and_weaken(self):
-        # \x.y typed under y:A alone, thinned from y:A, w:B and weakened
-        # back up inside an application
-        gamma, term, ty, delta = parse_judgment(
-            "f:(A -> A) -> B, y:A, w:B |- f (\\x.y) : B | a:A")
-        d = derive(gamma, term, ty, delta)
-        fun = d.premises[1].conclusion
-        inner = thin(derive({"y": A, "w": B}, fun.term, fun.ty, {}))
-        d = weaken(Derivation(d.rule, d.conclusion, (
-            d.premises[0], weaken(inner, fun.gamma, fun.delta))),
-            {**gamma, "z": AB}, {**delta, "b": B})
-        check_derivation(d)
-        rules = [n.rule for n in self._nodes(d)]
-        assert rules.count("Thin") == 1 and rules.count("Weaken") == 2
-        out = under(d, d.conclusion.gamma, d.conclusion.delta)
-        check_derivation(out)
-        assert not {"Thin", "Weaken"} & {n.rule for n in self._nodes(out)}
-        assert out.conclusion == d.conclusion
+    # Each environment change ``under`` must absorb, as the new (gamma, delta)
+    # for a judgment ``j`` with free variables ``fv`` and names ``fn``.
+    _CHANGES = {
+        "thinned": lambda j, fv, fn: (
+            {x: t for x, t in j.gamma.items() if x in fv},
+            {a: t for a, t in j.delta.items() if a in fn}),
+        "added bindings": lambda j, fv, fn: (
+            {**j.gamma, "z": A}, {**j.delta, "c": B}),
+        "added components": lambda j, fv, fn: (
+            {x: Inter((*inter_parts(t), Arrow(A, B)))
+             for x, t in j.gamma.items()}, j.delta),
+        "reordered components": lambda j, fv, fn: (
+            {x: _reordered(t) for x, t in j.gamma.items()}, j.delta),
+        "widened right entries": lambda j, fv, fn: (
+            j.gamma, {a: Union((t, Arrow(A, B))) for a, t in j.delta.items()}),
+    }
 
-    def test_under_keeps_one_weaken_over_a_lookup_whose_entry_is_stronger(self):
+    @pytest.mark.parametrize("change", list(_CHANGES))
+    def test_under_thins_and_weakens(self, change):
+        """``under`` rebuilds a derivation, with its term and type, under the
+        environments cut to its free variables and names, or with bindings
+        added, left entries strengthened by components or written in another
+        order, or right entries widened."""
+        rng = random.Random(31)
+        for _ in range(200):
+            d = gen_typed_judgment(rng)
+            j = d.conclusion
+            gamma, delta = self._CHANGES[change](
+                j, free_term_vars(j.term), free_names(j.term))
+            out = under(d, gamma, delta)
+            check_derivation(out)
+            assert (out.conclusion.term, out.conclusion.ty) == (j.term, j.ty)
+            assert (out.conclusion.gamma, out.conclusion.delta) == (gamma,
+                                                                    delta)
+
+    @pytest.mark.parametrize("refusal", ["unbound", "no equivalent component"])
+    def test_under_refuses_a_lookup_it_cannot_rebuild(self, refusal):
+        """``under`` refuses a left environment that leaves a looked-up
+        variable unbound or gives it no equivalent component."""
+        rng = random.Random(31)
+        refused = 0
+        for _ in range(200):
+            d = gen_typed_judgment(rng)
+            j = d.conclusion
+            looked_up = {n.conclusion.term.name for n in self._nodes(d)
+                         if n.rule == "InterE"} & set(j.gamma)
+            for x in looked_up:
+                if refusal == "unbound":
+                    gamma = {y: t for y, t in j.gamma.items() if y != x}
+                else:
+                    gamma = {**j.gamma, x: TVar("Z")}
+                with pytest.raises(PreconditionViolation):
+                    under(d, gamma, j.delta)
+                refused += 1
+        assert refused > 100
+
+    def test_under_looks_up_an_equivalent_component(self):
         a_or_b = canonicalize(Union((A, B)))
         # a_or_b written in another order, with one more component
         stronger = Inter((Union((B, A)), Arrow(A, B)))
         looked_up = var_node({"x": a_or_b}, "x", a_or_b)
-        for d in (looked_up, weaken(looked_up, {"x": a_or_b, "y": B}, {})):
-            out = under(d, {"x": stronger, "y": B}, {"a": A})
-            check_derivation(out)
-            assert [n.rule for n in self._nodes(out)] == ["Weaken", "InterE"]
-            assert out.conclusion.gamma == {"x": stronger, "y": B}
-            # A lies below A \/ B, but no lookup of x:A gives A \/ B
-            with pytest.raises(PreconditionViolation):
-                under(d, {"x": A, "y": B}, {"a": A})
-        # a type that is still a component of the new entry needs none
-        out = under(var_node({"x": A}, "x", A), {"x": AB}, {})
+        out = under(looked_up, {"x": stronger, "y": B}, {"a": A})
         check_derivation(out)
-        assert out.rule == "InterE"
+        assert out.rule == "InterE" and not out.premises
+        assert out.conclusion.gamma == {"x": stronger, "y": B}
+        # A lies below A \/ B, but no lookup of x:A gives A \/ B
+        with pytest.raises(PreconditionViolation):
+            under(looked_up, {"x": A, "y": B}, {"a": A})
 
     def test_under_needs_every_used_binding(self):
         with pytest.raises(PreconditionViolation):
@@ -421,10 +451,10 @@ class TestAdmissible:
         with pytest.raises(PreconditionViolation):
             under(var_node({"x": A}, "x", A), {"x": B}, {})
 
-    def test_weaken_shares_the_callers_environments(self):
+    def test_under_shares_the_callers_environments(self):
         d = var_node({"x": A}, "x", A)
         gamma, delta = {"x": A, "y": B}, {"a": A}
-        out = weaken(d, gamma, delta).conclusion
+        out = under(d, gamma, delta).conclusion
         assert out.gamma is gamma and out.delta is delta
 
 
@@ -794,7 +824,7 @@ class TestCertificates:
     def test_writer_matches_json_dumps(self):
         rng = random.Random(13)
         ds = [gen_typed_judgment(rng) for _ in range(600)] + _readme_derivations()
-        for d in ds + [_weaken_chain(150)]:
+        for d in ds + [_chain(150)]:
             assert derivation_to_json(d) == json.dumps(_cert_dict(d), indent=2)
 
     def test_writer_escapes_like_json_dumps(self):
@@ -804,8 +834,8 @@ class TestCertificates:
         ds = [leaf,
               Derivation("InterI", Judgment({}, Var("é"), Inter((A, B)), {}),
                          (leaf, var_node({}, "é", TVar('"')))),
-              Derivation("Weaken", leaf.conclusion,
-                         (Derivation("Thin", leaf.conclusion, (leaf,)),))]
+              Derivation("Chain", leaf.conclusion,
+                         (Derivation("Chain", leaf.conclusion, (leaf,)),))]
         for d in ds:
             assert derivation_to_json(d) == json.dumps(_cert_dict(d), indent=2)
         # a variable so named would not read back, so it is refused
@@ -814,14 +844,14 @@ class TestCertificates:
 
     def test_writer_reaches_as_deep_as_the_reader(self):
         # json.loads stops at about 495 levels; the writer must get that far
-        text = derivation_to_json(_weaken_chain(400))
+        text = derivation_to_json(_chain(400))
         assert derivation_to_json(derivation_from_json(text)) == text
 
     def test_writer_needs_no_recursion(self):
         # a writer that recursed per premise would overflow the default
         # recursion limit here
-        text = derivation_to_json(_weaken_chain(3000))
-        assert text.count('"rule": "Weaken"') == 3000
+        text = derivation_to_json(_chain(3000))
+        assert text.count('"rule": "Chain"') == 3000
         assert text.count("]") == 3001 and text.endswith("\n  ]\n}")
 
     def test_bundled_certificates_reencode_to_their_files(self):

@@ -8,7 +8,7 @@ import pytest
 from lammu import metatheory
 from lammu.grammar import parse_judgment, parse_type, print_judgment
 from lammu.iu import (Derivation, Judgment, SearchBudget, check_derivation,
-                      derivation_to_json, derive, thin, under, weaken)
+                      derivation_to_json, derive, under)
 from lammu.metatheory import (INTER_POOL, ConstructionMiss, Generator,
                               base_environments, demo_erasing_failure,
                               gen_typed_judgment, rename_var_derivation,
@@ -18,7 +18,7 @@ from lammu.metatheory import (INTER_POOL, ConstructionMiss, Generator,
                               suite_subject_reduction, suite_term_subst,
                               top_typed, var_typed)
 from lammu.reduction import redexes, step, subst_structural, subst_term
-from lammu.syntax import Mu, Var, alpha_eq
+from lammu.syntax import Mu, Var, alpha_eq, free_names, free_term_vars
 from lammu.typelang import Inter, Top, TVar, Union, type_equiv, union_parts
 
 A1, A2 = TVar("A1"), TVar("A2")
@@ -28,24 +28,33 @@ def _derive(text):
     return derive(*parse_judgment(text), SearchBudget(max_depth=8))
 
 
+def _thinned(d):
+    """``d`` under its environments cut to its free variables and names."""
+    j = d.conclusion
+    fv, fn = free_term_vars(j.term), free_names(j.term)
+    return under(d, {x: t for x, t in j.gamma.items() if x in fv},
+                 {a: t for a, t in j.delta.items() if a in fn})
+
+
 def _rederived(d, gamma):
     """``d`` with its first premise derived again under ``gamma`` alone and
-    weakened back up to its environments."""
+    taken back under its environments."""
     p = d.premises[0].conclusion
-    q = weaken(derive(gamma, p.term, p.ty, p.delta), p.gamma, p.delta)
+    q = under(derive(gamma, p.term, p.ty, p.delta), p.gamma, p.delta)
     return Derivation(d.rule, d.conclusion, (q, *d.premises[1:]))
 
 
-# Valid derivations with Thin or Weaken where a transform meets them: each
-# gives the derivation, the transform, the term the reducer gives and the
-# conclusion environments the result must have.
+# Valid derivations with parts derived under other environments and taken
+# under these by ``under``, where a transform meets them: each gives the
+# derivation, the transform, the term the reducer gives and the conclusion
+# environments the result must have.
 
-def _beta_under_a_strengthening_weaken():
-    # \x.y derived under y:A, weakened to y:A /\ B; the argument y at A
+def _beta_under_a_strengthened_entry():
+    # \x.y derived under y:A, taken under y:A /\ B; the argument y at A
     a = parse_type("A")
     gamma = {"v": parse_type("A -> A"), "y": parse_type(r"A /\ B")}
     term = parse_judgment(r"|- v ((\x.y) y) : A |")[1]
-    fun = weaken(_derive(r"y:A |- \x.y : A -> A |"), gamma, {})
+    fun = under(_derive(r"y:A |- \x.y : A -> A |"), gamma, {})
     redex = Derivation("ArrowE", Judgment(gamma, term.arg, a, {}), (
         fun, Derivation("InterE", Judgment(gamma, Var("y"), a, {}))))
     d = Derivation("ArrowE", Judgment(gamma, term, a, {}), (Derivation(
@@ -54,18 +63,18 @@ def _beta_under_a_strengthening_weaken():
             gamma, {})
 
 
-def _substitution_under_a_weaken_of_a_smaller_lookup():
+def _substitution_of_a_lookup_taken_under_more_bindings():
     g = {"w": parse_type("A"), "y": parse_type("A")}
-    dM = weaken(_derive("x:A |- x : A |"), {**g, "x": parse_type("A")}, {})
+    dM = under(_derive("x:A |- x : A |"), {**g, "x": parse_type("A")}, {})
     dN = _derive("w:A, y:A |- y : A |")
     return dM, lambda: subst_derivation(dM, "x", dN), Var("y"), g, {}
 
 
-def _structural_substitution_under_weaken_and_thin():
+def _structural_substitution_thinned_and_weakened():
     a_b = parse_type(r"A /\ B")
     u = parse_type(r"(A -> B) \/ (B -> A)")
-    d = weaken(thin(_derive(r"y:A /\ B, w:A |- y : A /\ B |")),
-               {"y": a_b}, {"a": u})
+    d = under(_derive(r"y:A /\ B, w:A |- y : A /\ B |"), {"y": a_b},
+              {"a": u})
     arg_for = {arrow: var_typed({"y": a_b}, arrow.left, {})
                for arrow in union_parts(u)}
     new_union = parse_type(r"A \/ B")
@@ -75,16 +84,14 @@ def _structural_substitution_under_weaken_and_thin():
             {"y": a_b}, {"g": new_union})
 
 
-def _renaming_a_variable_under_thin_and_weaken():
-    looked_up = _derive("y:A, z:B |- y : A |")
-    d = thin(weaken(looked_up, {**looked_up.conclusion.gamma,
-                                "w": parse_type("A")}, {}))
+def _renaming_a_variable_thinned():
+    d = _thinned(_derive("y:A, z:B |- y : A |"))
     a = parse_type("A")
     return (d, lambda: rename_var_derivation(d, "y", "x"), Var("x"),
             {"y": a, "x": a}, {})
 
 
-def _mu_over_a_weakened_switch():
+def _mu_over_a_rederived_switch():
     d = _rederived(_derive(r"y:A, z:B |- (mu a.[a] \x.x) y : A |"),
                    {"y": parse_type("A")})
     j = d.conclusion
@@ -92,20 +99,12 @@ def _mu_over_a_weakened_switch():
             j.gamma, j.delta)
 
 
-def _renaming_over_a_weakened_switch():
+def _renaming_over_a_rederived_switch():
     d = _rederived(_derive(r"y:A, z:B |- mu a.[a] mu b.[a] y : A |"),
                    {"y": parse_type("A")})
     j = d.conclusion
     return (d, lambda: sr_step(d, (), "renaming"),
             step(j.term, (), "renaming"), j.gamma, j.delta)
-
-
-def _rules(d):
-    stack = [d]
-    while stack:
-        d = stack.pop()
-        yield d.rule
-        stack.extend(d.premises)
 
 
 class TestGenerator:
@@ -171,46 +170,46 @@ class TestTransforms:
         (r"y:A /\ B |- (\x.mu a.[a] x) y : A /\ B |", ()),
         # the redex inside an argument typed at top
         (r"w:A |- (\x.w) ((\z.z) w) : A |", (1,)),
-        # a Thin node above a redex whose contraction drops y
+        # thinned environments above a redex whose contraction drops y
         (r"v:A -> A, y:A, w:A, z:B |- v ((\x.w) y) : A |", (1,)),
     ])
     def test_sr_step_rebuilds_intersections_and_top(self, text, pos):
         gamma, term, ty, delta = parse_judgment(text)
-        d = thin(derive(gamma, term, ty, delta, SearchBudget(max_depth=8)))
+        d = _thinned(derive(gamma, term, ty, delta, SearchBudget(max_depth=8)))
         out = sr_step(d, pos, "beta")
         check_derivation(out)
         assert out.conclusion.term == step(term, pos, "beta")
         assert type_equiv(out.conclusion.ty, ty)
 
-    @pytest.mark.parametrize("wrap, text, rule", [
-        *((wrap, text, rule) for wrap in ("Thin", "Weaken") for text, rule in (
-            (r"y:A, z:B |- (\x.x) y : A |", "beta"),
-            (r"y:A, z:B |- (mu a.[a] \x.x) y : A |", "mu"),
-            (r"y:A, z:B |- mu a.[a] mu b.[a] y : A |", "renaming"))),
-        # a Weaken between the redex's ArrowE and its ArrowI
-        ("Weaken inside", r"v:A -> A, y:A, z:B |- v ((\x.x) y) : A |", "beta"),
+    @pytest.mark.parametrize("envs, text, rule", [
+        *((envs, text, rule) for envs in ("thinned", "weakened")
+          for text, rule in (
+              (r"y:A, z:B |- (\x.x) y : A |", "beta"),
+              (r"y:A, z:B |- (mu a.[a] \x.x) y : A |", "mu"),
+              (r"y:A, z:B |- mu a.[a] mu b.[a] y : A |", "renaming"))),
+        # the redex's function derived under fewer bindings than the redex
+        ("inside", r"v:A -> A, y:A, z:B |- v ((\x.x) y) : A |", "beta"),
     ])
-    def test_sr_step_at_a_wrapped_redex_keeps_the_environments(self, wrap,
-                                                               text, rule):
+    def test_sr_step_under_other_environments_keeps_them(self, envs, text,
+                                                         rule):
         gamma, term, ty, delta = parse_judgment(text)
         d = derive(gamma, term, ty, delta, SearchBudget(max_depth=8))
         pos = ()
-        if wrap in ("Thin", "Weaken"):
-            d = thin(d)
-        if wrap == "Weaken":
-            d = weaken(d, {**gamma, "u": A1}, {**delta, "k": A1})
-        if wrap == "Weaken inside":
-            # \x.x typed under y:A alone, weakened up to the redex's
+        if envs in ("thinned", "weakened"):
+            d = _thinned(d)
+        if envs == "weakened":
+            j = d.conclusion
+            d = under(d, {**j.gamma, "u": A1}, {**j.delta, "k": A1})
+        if envs == "inside":
+            # \x.x typed under y:A alone, taken under the redex's
             # environments
             pos, redex = (1,), d.premises[1]
             j = redex.conclusion
-            fun = weaken(derive(*parse_judgment(r"y:A |- \x.x : A -> A |")),
-                         j.gamma, j.delta)
+            fun = under(derive(*parse_judgment(r"y:A |- \x.x : A -> A |")),
+                        j.gamma, j.delta)
             d = Derivation(d.rule, d.conclusion, (d.premises[0], Derivation(
                 "ArrowE", j, (fun, redex.premises[1]))))
-            check_derivation(d)
-            wrap = "ArrowE"
-        assert d.rule == wrap
+        check_derivation(d)
         out = sr_step(d, pos, rule)
         check_derivation(out)
         assert out.conclusion.term == step(term, pos, rule)
@@ -234,43 +233,43 @@ class TestTransforms:
         assert out.conclusion.gamma == gamma
 
     @pytest.mark.parametrize("case", [
-        _beta_under_a_strengthening_weaken,
-        _substitution_under_a_weaken_of_a_smaller_lookup,
-        _structural_substitution_under_weaken_and_thin,
-        _renaming_a_variable_under_thin_and_weaken,
-        _mu_over_a_weakened_switch,
-        _renaming_over_a_weakened_switch,
+        _beta_under_a_strengthened_entry,
+        _substitution_of_a_lookup_taken_under_more_bindings,
+        _structural_substitution_thinned_and_weakened,
+        _renaming_a_variable_thinned,
+        _mu_over_a_rederived_switch,
+        _renaming_over_a_rederived_switch,
     ])
-    def test_transforms_pass_thin_and_weaken(self, case):
+    def test_transforms_pass_derivations_taken_under(self, case):
         d, transform, term, gamma, delta = case()
         check_derivation(d)
-        assert {"Thin", "Weaken"} & set(_rules(d))
         out = transform()
         check_derivation(out)
         assert out.conclusion.term == term
         assert out.conclusion.gamma == gamma
         assert out.conclusion.delta == delta
 
-    def test_substitution_at_a_lookup_left_under_a_weaken(self):
+    def test_substitution_at_a_lookup_of_an_equivalent_component(self):
         """x's old entry writes a part of its new entry in another order, so
-        ``under`` keeps the Weaken over x's lookup; the pair is replaced."""
+        x's lookup is of a component only up to equivalence."""
         b_or_d = Union((TVar("B"), TVar("D")))
         d_or_b = Union((TVar("D"), TVar("B")))
         c = Inter((TVar("A"), b_or_d))
         lookup = Derivation("InterE", Judgment({"x": d_or_b}, Var("x"),
                                                d_or_b, {}))
-        dM = weaken(lookup, {"y": c, "x": c}, {})
-        assert under(dM, dM.conclusion.gamma, {}).rule == "Weaken"
+        dM = under(lookup, {"y": c, "x": c}, {})
+        check_derivation(dM)
+        assert dM.rule == "InterE" and dM.conclusion.ty == d_or_b
         out = subst_derivation(dM, "x", var_typed({"y": c}, c, {}))
         check_derivation(out)
         assert out.conclusion.term == Var("y")
         assert out.conclusion.gamma == {"y": c}
 
-    def test_substitution_thins_a_thin_node_again(self):
-        """A Thin node in M loses x and gains N's free variables."""
-        leaf = derive(*parse_judgment("x:A, w:A |- x : A |"))
-        dM = weaken(thin(leaf), leaf.conclusion.gamma, {})
-        assert dM.premises[0].rule == "Thin"
+    def test_substitution_of_a_thinned_lookup(self):
+        """x's lookup, derived under x alone and taken under w too, loses x
+        and keeps N's free variable w."""
+        leaf = derive(*parse_judgment("x:A |- x : A |"))
+        dM = under(leaf, {"x": TVar("A"), "w": TVar("A")}, {})
         dN = derive(*parse_judgment("w:A |- w : A |"))
         out = subst_derivation(dM, "x", dN)
         check_derivation(out)
@@ -327,20 +326,20 @@ class TestTransforms:
         assert called == {"subst_term", "subst_structural", "rename_name",
                           "replace_at"}
 
-    def test_renaming_dissolves_wrapper_rules(self):
-        # mu a.['g] x under a Weaken wrapper; renaming g to b retargets the
-        # context switch, under the wrapper's environments, with no wrapper
+    def test_renaming_a_switch_taken_under_more_bindings(self):
+        # mu a.['g] x taken under y too; renaming g to b retargets the
+        # context switch under those environments
         delta = {"g": A1, "b": A1}
         node = Derivation(
             "UnionE_named", Judgment({"x": A1}, Mu("a", "g", Var("x")), A2, delta),
             (Derivation("InterE",
                         Judgment({"x": A1}, Var("x"), A1, {**delta, "a": A2})),))
-        wrapped = weaken(node, {"x": A1, "y": A2}, delta)
-        out = struct_subst_derivation(wrapped, "g", None, "b", None)
+        wider = under(node, {"x": A1, "y": A2}, delta)
+        out = struct_subst_derivation(wider, "g", None, "b", None)
         check_derivation(out)
         assert out.rule == "UnionE_named"
         assert out.premises[0].rule == "InterE"
-        assert out.conclusion.gamma == wrapped.conclusion.gamma
+        assert out.conclusion.gamma == wider.conclusion.gamma
         assert out.conclusion.delta == {"b": A1}
         assert out.conclusion.term == Mu("a", "b", Var("x"))
 
@@ -395,8 +394,8 @@ class TestSuites:
             d = gen_typed_judgment(random.Random(seed))
             h.update(derivation_to_json(d).encode() + b"\n")
         assert len(checked) == 348
-        assert h.hexdigest() == ("ac15a4d84c1f8a8bf5ddf1b1036830ba"
-                                 "5b473291fe83e89a25f2054cdafffa23")
+        assert h.hexdigest() == ("9955b37bbfb8d04f7a8be4f0e9650df5"
+                                 "18fc4f8e0fed586aeed3d0d347c86739")
 
     def test_suite_budget_keeps_its_node_cap(self):
         report = suite_term_subst(seed=1, cases=5,

@@ -3,9 +3,9 @@ from dataclasses import make_dataclass
 
 from conftest import check_node_contract, random_iu_type, random_type
 from lammu.typelang import (Arrow, Bottom, Inter, Top, TVar, Union,
-                            canonicalize, env_leq_left, env_leq_right,
-                            inter_parts, is_strict, subexpressions, subtype,
-                            type_equiv, union_parts, well_formed)
+                            canonicalize, inter_parts, is_strict,
+                            subexpressions, subtype, type_equiv, union_parts,
+                            well_formed)
 
 A, B, C = TVar("A"), TVar("B"), TVar("C")
 
@@ -122,33 +122,6 @@ class TestEquiv:
     def test_distinct_types_not_equiv(self):
         assert not type_equiv(A, Union((A, B)))
         assert not type_equiv(Inter((A, B)), Union((A, B)))
-
-
-class TestEnvOrders:
-    def test_left_order_wants_stronger_entries(self):
-        assert env_leq_left({"x": Inter((A, B))}, {"x": A})
-        assert not env_leq_left({"x": A}, {"x": Inter((A, B))})
-        assert env_leq_left({"x": A, "y": B}, {"x": A})
-        assert not env_leq_left({"x": A}, {"x": A, "y": B})
-
-    def test_left_order_strengthens_only_by_intersection_components(self):
-        a_or_b = Union((A, B))
-        assert env_leq_left({"x": Union((B, A))}, {"x": a_or_b})
-        assert env_leq_left({"x": Inter((Union((B, A)), C))}, {"x": a_or_b})
-        assert env_leq_left({"x": Inter((A, Union((B, C))))},
-                            {"x": Inter((Union((C, B)), A))})
-        # each new entry is a subtype of the old one, but no lookup of x
-        # under it gives the old entry
-        assert not env_leq_left({"x": A}, {"x": a_or_b})
-        assert not env_leq_left({"x": Bottom}, {"x": a_or_b})
-        assert not env_leq_left({"x": Inter((A, C))}, {"x": a_or_b})
-        assert not env_leq_left({"x": Bottom}, {"x": A})
-        assert not env_leq_left({"x": Union((A, B))}, {"x": Union((A, B, C))})
-
-    def test_right_order_flips(self):
-        assert env_leq_right({"a": A}, {"a": Union((A, B))})
-        assert not env_leq_right({"a": Union((A, B))}, {"a": A})
-        assert env_leq_right({"a": A}, {"a": A, "b": B})
 
 
 def test_helpers():
