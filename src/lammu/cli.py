@@ -50,13 +50,16 @@ def _read_source(arg: str | None) -> str:
     return arg
 
 
-def _verdict(verdict: str, d, path: str | None) -> None:
-    """Write ``d``'s certificate to ``path``, if any, then print ``verdict``.
-    For - the verdict goes to stderr and the certificate alone to stdout."""
+def _verdict(word: str, d, path: str | None) -> None:
+    """Write ``d``'s certificate to ``path``, if any, then print ``word`` and
+    the judgment ``d`` proves.  For - the verdict goes to stderr and the
+    certificate alone to stdout."""
     if path and path != "-":
         with open(path, "w") as fh:
             fh.write(derivation_to_json(d) + "\n")
-    print(verdict, file=sys.stderr if path == "-" else sys.stdout)
+    j = d.conclusion
+    print(f"{word}: {print_judgment(j.gamma, j.term, j.ty, j.delta)}",
+          file=sys.stderr if path == "-" else sys.stdout)
     if path == "-":
         print(derivation_to_json(d))
 
@@ -94,7 +97,7 @@ def cmd_check_simple(args) -> int:
     except CheckFailure as e:
         _bad(f"invalid: {e}")
         return EXIT_FAIL
-    _verdict(f"valid: {print_judgment(gamma, term, ty, delta)}", d, args.cert)
+    _verdict("valid", d, args.cert)
     return EXIT_OK
 
 
@@ -116,7 +119,7 @@ def cmd_check_iu(args) -> int:
     if d is None:
         _bad("not found" + (" (budget exhausted)" if budget.exhausted else ""))
         return EXIT_BUDGET if budget.exhausted else EXIT_FAIL
-    _verdict(f"found: {print_judgment(gamma, term, ty, delta)}", d, args.cert)
+    _verdict("found", d, args.cert)
     return EXIT_OK
 
 
@@ -128,8 +131,7 @@ def _verify(text: str) -> int:
     except InvalidNode as e:
         _bad(f"invalid: {e}")
         return EXIT_FAIL
-    j = d.conclusion
-    print(f"valid: {print_judgment(j.gamma, j.term, j.ty, j.delta)}")
+    _verdict("valid", d, None)
     return EXIT_OK
 
 

@@ -79,11 +79,12 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 @lru_cache(maxsize=1 << 12)
 def _is_identifier(x: str) -> bool:
-    """Whether ``_tokenize(x)`` gives one IDENT token, so ``x`` reads back
-    as a variable or name; cached for the certificate writer."""
-    m, c = _TOKEN.match(x), x[:1]
-    return (m is not None and m.span(1) == (0, len(x)) and x not in _KINDS
-            and (c.isalpha() or c == "_") and not c.isupper())
+    """Whether ``_tokenize(x)`` is the one token IDENT ``x``, so ``x`` reads
+    back as a variable or name; cached for the certificate writer."""
+    try:
+        return _tokenize(x) == [("IDENT", x), ("EOF", "")]
+    except ParseError:
+        return False
 
 
 def _spans(text: str) -> list[tuple[int, int]]:

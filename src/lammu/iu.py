@@ -12,7 +12,8 @@ Derivations are explicit trees over six rules:
 
 Types in a node are compared up to the equivalence induced by the preorder.
 Thinning and weakening are admissible, not rules: ``under`` rebuilds a
-derivation under thinner or stronger environments.
+derivation under thinner or stronger environments.  It is also where every
+derivation built after the fact gets its environments.
 
 ``check_derivation`` is the one statement of these rules.  The search returns
 only derivations it accepts, and the constructions turn a derivation it
@@ -233,13 +234,15 @@ def check_derivation(d: Derivation) -> None:
 
 def under(d: Derivation, gamma: dict[str, TypeExpr],
           delta: dict[str, TypeExpr]) -> Derivation:
-    """``d`` rebuilt top-down under ``gamma`` and ``delta``: ``ArrowI`` adds
-    its variable on the way down, a context switch its bound name.  So it
-    thins (the new environments may drop what ``d`` does not use) and
-    weakens: they may add bindings, strengthen a left entry by components,
-    reorder them, and widen a right entry.  PreconditionViolation if ``gamma`` leaves a
-    looked-up variable unbound, or its entry has no component equivalent to
-    the lookup's type; ``delta`` must bind every switch target, no lower."""
+    """``d`` rebuilt top-down under ``gamma`` and ``delta``, whatever its own
+    environments: ``ArrowI`` adds its variable, a context switch its bound
+    name, and other premises share their conclusion's dicts.  So it thins
+    (the new environments may drop what ``d`` does not use), weakens (they
+    may add bindings, strengthen a left entry by components, reorder them and
+    widen a right entry) and gives a construction its environments.
+    PreconditionViolation if ``gamma`` leaves a looked-up variable unbound,
+    or its entry has no component equivalent to the lookup's type; ``delta``
+    must bind every switch target, no lower."""
     j = d.conclusion
     if d.rule == "InterE" and not _is_component(
             j.ty, gamma.get(j.term.name, Top)):

@@ -12,6 +12,9 @@ and a miss that no limit explains are failures (the first 20 messages kept).
 Generated derivations follow the convention that every binder is globally
 fresh, so no rebuilt node needs a binder renamed.  The suites check this, not
 assume it: each compares the rebuilt term with the reducer's output.
+
+The transforms and constructions build rules, terms and types only; one
+``iu.under`` call on each finished result gives every node its environments.
 """
 
 from __future__ import annotations
@@ -107,13 +110,13 @@ def project(d: Derivation, ty: TypeExpr) -> Derivation:
 
 
 def _node(d: Derivation, premises, *, term: Term | None = None,
-          rule: str | None = None, ty: TypeExpr | None = None,
-          gamma: dict | None = None, delta: dict | None = None) -> Derivation:
+          rule: str | None = None, ty: TypeExpr | None = None) -> Derivation:
     """``d``'s node rebuilt over ``premises``; unless they are given, it keeps
-    ``d``'s rule, type and environments, and takes the term its rule builds
-    from ``d``'s term m and the premises' terms p0, p1: \\x.p0 for ``ArrowI``
-    and mu a.[b] p0 for a context switch (x, a and b as in m), p0 p1 for
-    ``ArrowE``, p0 for ``InterI``; m if none."""
+    ``d``'s rule and type, and takes the term its rule builds from ``d``'s
+    term m and the premises' terms p0, p1: \\x.p0 for ``ArrowI`` and
+    mu a.[b] p0 for a context switch (x, a and b as in m), p0 p1 for
+    ``ArrowE``, p0 for ``InterI``; m if none.  Its environments are ``d``'s,
+    maybe stale: ``under`` on the finished result gives each node its own."""
     j = d.conclusion
     premises = tuple(premises)
     rule = rule or d.rule
@@ -123,16 +126,14 @@ def _node(d: Derivation, premises, *, term: Term | None = None,
                 else App(*p) if rule == "ArrowE"
                 else Mu(m.bound, m.named, p[0]) if rule.startswith("UnionE")
                 else p[0])
-    return Derivation(rule, Judgment(j.gamma if gamma is None else gamma, term,
-                                     j.ty if ty is None else ty,
-                                     j.delta if delta is None else delta),
-                      premises)
+    return Derivation(rule, Judgment(j.gamma, term, j.ty if ty is None else ty,
+                                     j.delta), premises)
 
 
 def _app(fun: Derivation, *args: Derivation,
          ty: TypeExpr | None = None) -> Derivation:
-    """``fun`` applied to the term that ``args`` type, under ``fun``'s
-    environments; at ``ty``, by default the target of ``fun``'s arrow."""
+    """``fun`` applied to the term that ``args`` type, at ``ty``, by default
+    the target of ``fun``'s arrow."""
     return _node(fun, (fun, *args), rule="ArrowE",
                  ty=fun.conclusion.ty.right if ty is None else ty)
 
@@ -142,20 +143,15 @@ def _apply_arrows(fun: Derivation,
     """Apply ``fun``, which concludes a union of arrows, to N.
 
     ``arg_for`` maps each arrow (up to equivalence) to a derivation of N at
-    its source; those are taken ``under`` ``fun``'s environments."""
-    c = fun.conclusion
-    parts = union_parts(c.ty)
+    its source, taken as it is."""
+    parts = union_parts(fun.conclusion.ty)
     if not parts or not all(isinstance(p, Arrow) for p in parts):
         raise ConstructionMiss("premise below the freed name is not a"
                                " nonempty union of arrows")
-
-    def match(arrow: Arrow) -> Derivation:
-        for a, dn in arg_for.items():
-            if type_equiv(arrow, a):
-                return under(dn, c.gamma, c.delta)
+    args = [next((dn for a, dn in arg_for.items() if type_equiv(p, a)), None)
+            for p in parts]
+    if None in args:
         raise ConstructionMiss("premise arrow matches no argument derivation")
-
-    args = tuple(match(p) for p in parts)
     return _app(fun, *args,
                 ty=canonicalize(Union(tuple(p.right for p in parts))))
 
@@ -309,25 +305,24 @@ def gen_typed_judgment(rng: random.Random) -> Derivation:
 def subst_derivation(dM: Derivation, x: str, dN: Derivation) -> Derivation:
     """From G,x:C |- M : A | D and G |- N : C | D build G |- M[N/x] : A | D.
 
-    M is taken under its own environments (``under``) first.  An environment
-    that binds x binds it as G does, or none if G does not (G's x is shadowed
-    in M, but N may use it)."""
+    Each lookup of x becomes N's derivation at its type.  The root's left
+    environment is M's without x, plus N's binding of x if any (G's x is
+    shadowed in M, but N may use it)."""
+    j = dM.conclusion
     n_term = dN.conclusion.term
-    outer = {y: t for y, t in dN.conclusion.gamma.items() if y == x}
+    gamma = {y: t for y, t in j.gamma.items() if y != x}
+    gamma.update((y, t) for y, t in dN.conclusion.gamma.items() if y == x)
 
     def go(d: Derivation) -> Derivation:
         j = d.conclusion
-        gamma = j.gamma
-        if x in gamma:
-            gamma = {y: t for y, t in gamma.items() if y != x} | outer
         if j.term == Var(x) and d.rule != "InterI":
-            return under(project(dN, j.ty), gamma, j.delta)
+            return project(dN, j.ty)
         if isinstance(j.term, Abs) and j.term.var == x:
             raise ConstructionMiss("binder shadows the substituted variable")
-        return _node(d, map(go, d.premises), gamma=gamma, term=None
+        return _node(d, map(go, d.premises), term=None
                      if d.premises else subst_term(j.term, x, n_term))
 
-    return go(under(dM, dM.conclusion.gamma, dM.conclusion.delta))
+    return under(go(dM), gamma, j.delta)
 
 
 # -- structural substitution lemma --------------------------------------------
@@ -345,26 +340,26 @@ def struct_subst_derivation(dM: Derivation, alpha: str,
     environments; sound whenever a's type lies below g's."""
     n_term = (None if arg_for is None
               else next(iter(arg_for.values())).conclusion.term)
-    added = {} if new_union is None else {g: new_union}
+    delta = {b: t for b, t in dM.conclusion.delta.items() if b != alpha}
+    delta |= {} if new_union is None else {g: new_union}
 
     def go(d: Derivation) -> Derivation:
         j = d.conclusion
         if isinstance(j.term, Mu) and j.term.bound == alpha:
             raise ConstructionMiss("binder shadows the substituted name")
-        delta = {**{b: t for b, t in j.delta.items() if b != alpha}, **added}
         if not d.premises:
             term = (rename_name(j.term, alpha, g) if arg_for is None
                     else subst_structural(j.term, alpha, n_term, g))
-            return _node(d, (), term=term, delta=delta)
+            return _node(d, (), term=term)
         if d.rule.startswith("UnionE") and j.term.named == alpha:
             p = go(d.premises[0])
             p = p if arg_for is None else _apply_arrows(p, arg_for)
             rule = "UnionE_self" if g == j.term.bound else "UnionE_named"
             return _node(d, (p,), term=Mu(j.term.bound, g, p.conclusion.term),
-                         rule=rule, delta=delta)
-        return _node(d, map(go, d.premises), delta=delta)
+                         rule=rule)
+        return _node(d, map(go, d.premises))
 
-    return go(under(dM, dM.conclusion.gamma, dM.conclusion.delta))
+    return under(go(dM), dM.conclusion.gamma, delta)
 
 
 def rename_var_derivation(d: Derivation, y: str, x: str) -> Derivation:
@@ -372,12 +367,12 @@ def rename_var_derivation(d: Derivation, y: str, x: str) -> Derivation:
     around unused, so environments only grow)."""
 
     def go(d: Derivation) -> Derivation:
-        j = d.conclusion
-        gamma = {**j.gamma, x: j.gamma[y]} if y in j.gamma else j.gamma
-        return _node(d, map(go, d.premises), gamma=gamma, term=None
-                     if d.premises else subst_term(j.term, y, Var(x)))
+        return _node(d, map(go, d.premises), term=None if d.premises
+                     else subst_term(d.conclusion.term, y, Var(x)))
 
-    return go(under(d, d.conclusion.gamma, d.conclusion.delta))
+    j = d.conclusion
+    gamma = {**j.gamma, x: j.gamma[y]} if y in j.gamma else j.gamma
+    return under(go(d), gamma, j.delta)
 
 
 # -- subject reduction, constructively ----------------------------------------
@@ -432,11 +427,11 @@ _SR_LOCAL = {"beta": _sr_local_beta, "mu": _sr_local_mu,
 
 
 def sr_step(d: Derivation, pos: tuple[int, ...], rule: str) -> Derivation:
-    """Rebuild ``d`` after contracting the redex at ``pos``.  It starts from
-    ``d`` under its own environments (``under``) and rebuilds each premise of
-    an ``InterI`` (one with none types the contractum at top).  The redex is
-    typed by ``ArrowE`` over ``ArrowI`` (beta) or a context switch (mu), or
-    by a switch over one (renaming)."""
+    """Rebuild ``d`` after contracting the redex at ``pos``, rebuilding each
+    premise of an ``InterI`` (one with none types the contractum at top).
+    The redex is typed by ``ArrowE`` over ``ArrowI`` (beta) or a context
+    switch (mu), or by a switch over one (renaming).  ``under`` gives the
+    result ``d``'s environments at the root, and every node its own."""
     whole = step(d.conclusion.term, pos, rule)
     expected = subterm_at(whole, pos)
     local = _SR_LOCAL[rule]
@@ -457,7 +452,7 @@ def sr_step(d: Derivation, pos: tuple[int, ...], rule: str) -> Derivation:
             raise ConstructionMiss(f"no premise {i} under rule {d.rule}")
         return _node(d, prems)
 
-    out = go(under(d, d.conclusion.gamma, d.conclusion.delta), pos)
+    out = under(go(d, pos), d.conclusion.gamma, d.conclusion.delta)
     if out.conclusion.term != whole:
         raise ConstructionMiss("rebuilt term differs from the reduction output")
     return out
@@ -477,10 +472,10 @@ def se_beta_vacuous(d: Derivation, rng: random.Random,
     j = d.conclusion
     fresh = "b" + gen.fresh_var()
     q = rng.choice(_TOP_ARGS)
-    inner = under(d, {**j.gamma, fresh: Top}, j.delta)
-    fun = _node(d, (inner,), term=Abs(fresh, j.term), rule="ArrowI",
+    fun = _node(d, (d,), term=Abs(fresh, j.term), rule="ArrowI",
                 ty=Arrow(Top, j.ty))
-    return _app(fun, top_typed(j.gamma, q, j.delta)), d, "beta"
+    return under(_app(fun, top_typed(j.gamma, q, j.delta)), j.gamma,
+                 j.delta), d, "beta"
 
 
 def se_beta_var(d: Derivation, rng: random.Random,
@@ -496,7 +491,8 @@ def se_beta_var(d: Derivation, rng: random.Random,
     renamed = rename_var_derivation(d, y, fresh)
     fun = _node(d, (renamed,), term=Abs(fresh, renamed.conclusion.term),
                 rule="ArrowI", ty=Arrow(c, j.ty))
-    return _app(fun, _var_at(j.gamma, y, c, j.delta)), d, "beta"
+    return under(_app(fun, _var_at(j.gamma, y, c, j.delta)), j.gamma,
+                 j.delta), d, "beta"
 
 
 def _covering_name(s: TypeExpr, delta: dict,
@@ -517,15 +513,11 @@ def se_mu_named(d: Derivation, rng: random.Random,
     j = d.conclusion
     alpha, gname = "m" + gen.fresh_name(), "g" + gen.fresh_name()
     beta, delta = _covering_name(j.ty, j.delta, alpha)
-    b_goal = _F1
-    fun_ty = Arrow(Top, b_goal)
-    inner = under(d, j.gamma, {**delta, alpha: fun_ty})
-    fun = _node(d, (inner,), term=Mu(alpha, beta, j.term),
-                rule="UnionE_named", ty=fun_ty, delta=delta)
-    exp = _app(fun, top_typed(j.gamma, rng.choice(_TOP_ARGS), delta))
-    red_inner = under(d, j.gamma, {**delta, gname: b_goal})
-    red = _node(fun, (red_inner,), term=Mu(gname, beta, j.term), ty=b_goal)
-    return exp, red, "mu"
+    fun = _node(d, (d,), term=Mu(alpha, beta, j.term), rule="UnionE_named",
+                ty=Arrow(Top, _F1))
+    exp = _app(fun, top_typed(j.gamma, rng.choice(_TOP_ARGS), j.delta))
+    red = _node(fun, (d,), term=Mu(gname, beta, j.term), ty=_F1)
+    return under(exp, j.gamma, delta), under(red, j.gamma, delta), "mu"
 
 
 def se_mu_self(d: Derivation, rng: random.Random,
@@ -539,14 +531,12 @@ def se_mu_self(d: Derivation, rng: random.Random,
     if arg is None:
         raise ConstructionMiss("no variable for the arrow source")
     alpha, gname = "m" + gen.fresh_name(), "g" + gen.fresh_name()
-    inner = under(d, j.gamma, {**j.delta, alpha: u})
-    fun = _node(d, (inner,), term=Mu(alpha, alpha, j.term), rule="UnionE_self")
-    exp = _app(fun, under(arg, j.gamma, j.delta))
-    d2 = {**j.delta, gname: u.right}
-    app = _app(under(d, j.gamma, d2), under(arg, j.gamma, d2))
+    fun = _node(d, (d,), term=Mu(alpha, alpha, j.term), rule="UnionE_self")
+    app = _app(d, arg)
     red = _node(fun, (app,), term=Mu(gname, gname, app.conclusion.term),
                 ty=u.right)
-    return exp, red, "mu"
+    return (under(_app(fun, arg), j.gamma, j.delta),
+            under(red, j.gamma, j.delta), "mu")
 
 
 def se_renaming(d: Derivation, rng: random.Random,
@@ -555,15 +545,11 @@ def se_renaming(d: Derivation, rng: random.Random,
     j = d.conclusion
     alpha, gname = "m" + gen.fresh_name(), "g" + gen.fresh_name()
     beta, delta = _covering_name(j.ty, j.delta, alpha)
-    b_goal = _F1
-    d_in = {**delta, alpha: b_goal}
-    inner_body = under(d, j.gamma, {**d_in, gname: j.ty})
-    inner = _node(d, (inner_body,), term=Mu(gname, beta, j.term),
-                  rule="UnionE_named", delta=d_in)
+    inner = _node(d, (d,), term=Mu(gname, beta, j.term), rule="UnionE_named")
     exp = _node(inner, (inner,), term=Mu(alpha, beta, inner.conclusion.term),
-                ty=b_goal, delta=delta)
-    red = _node(exp, (under(d, j.gamma, d_in),))
-    return exp, red, "renaming"
+                ty=_F1)
+    red = _node(exp, (d,))
+    return under(exp, j.gamma, delta), under(red, j.gamma, delta), "renaming"
 
 
 # -- suites -------------------------------------------------------------------

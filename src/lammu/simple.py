@@ -7,7 +7,7 @@ first-order unification, so a failure points at the first violated rule.
 
 from __future__ import annotations
 
-from .iu import Derivation, Judgment
+from .iu import Derivation, Judgment, under
 from .syntax import Abs, App, Mu, Term, Var, free_term_vars
 from .typelang import Arrow, TVar, TypeExpr, well_formed
 
@@ -129,27 +129,29 @@ def _finisher(s: _Solver, name):
 
 
 def _freeze(final, d: Derivation) -> Derivation:
-    """Resolve every type in ``d`` with ``final``, checking in pre-order that
-    each node's type is a curry type.  Each environment entry is the root's,
-    checked first, or part of the type of the ancestor that binds it."""
+    """Resolve each node's type in ``d`` with ``final``, checking in pre-order
+    that it is a curry type; the environments are left as ``_walk`` built
+    them, unsolved, for ``under`` to replace."""
     j = d.conclusion
-    out = Judgment({x: final(t) for x, t in j.gamma.items()}, j.term,
-                   final(j.ty), {a: final(t) for a, t in j.delta.items()})
-    if not well_formed(out.ty, "curry"):
+    ty = final(j.ty)
+    if not well_formed(ty, "curry"):
         raise CheckFailure("types", "bot may not appear left of an arrow")
-    return Derivation(d.rule, out, tuple(_freeze(final, p) for p in d.premises))
+    return Derivation(d.rule, Judgment(j.gamma, j.term, ty, j.delta),
+                      tuple(_freeze(final, p) for p in d.premises))
 
 
 def check_simple(j: SimpleJudgment) -> Derivation:
     """Check a fully given judgment; returns its single-premise
     intersection-union derivation or raises CheckFailure naming the first
-    violated rule."""
+    violated rule.  The derivation holds ``j.gamma`` and ``j.delta`` at the
+    root and shares dicts as ``under``'s does."""
     for t in [j.ty, *j.gamma.values(), *j.delta.values()]:
         if not well_formed(t, "curry"):
             raise CheckFailure("types", "judgment types must be curry types")
     s = _Solver()
-    return _freeze(_finisher(s, lambda i: TVar(f"T{i + 1}")),
-                   _walk(s, j.term, dict(j.gamma), dict(j.delta), j.ty, None))
+    d = _walk(s, j.term, j.gamma, j.delta, j.ty, None)
+    return under(_freeze(_finisher(s, lambda i: TVar(f"T{i + 1}")), d),
+                 j.gamma, j.delta)
 
 
 def infer_simple(m: Term):

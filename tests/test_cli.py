@@ -237,6 +237,23 @@ class TestCertificates:
         assert main(["verify", "-"]) == 0
         assert capsys.readouterr().out == f"valid: {judgment}\n"
 
+    @pytest.mark.parametrize("judgment", [
+        "x:B \\/ A |- x : A \\/ B |",
+        "|- mu d.[d](\\x.mu b.[d] x) : A \\/ (A -> B) |",
+    ])
+    def test_check_iu_prints_the_judgment_its_certificate_proves(
+            self, judgment, capsys, monkeypatch):
+        # the search works on canonical types, so the judgment it proves
+        # may print otherwise than the one given
+        assert main(["check-iu", "--cert", "-", judgment]) == 0
+        out, err = capsys.readouterr()
+        assert err.startswith("found: ")
+        monkeypatch.setattr("sys.stdin", io.StringIO(out))
+        assert main(["verify", "-"]) == 0
+        valid = capsys.readouterr().out
+        assert valid.startswith("valid: ")
+        assert err[len("found: "):] == valid[len("valid: "):]
+
     def test_missing_file(self):
         assert main(["verify", "/no/such/file.json"]) == 2
 
@@ -397,4 +414,4 @@ def test_output_is_pinned(capsys, monkeypatch, tmp_path):
             err = err.splitlines()[-1]
         digest.update(repr((argv, code, out, err)).encode())
     assert digest.hexdigest() == (
-        "154e2efdf53bda5fad3c509ae76eecedca58a9b9a6b6bfd6e1abf346678a9ef8")
+        "e7b80d45f0d8e6448219978f5bca7317832045b6c44b082528d6b24c97a8b187")

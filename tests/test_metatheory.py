@@ -396,6 +396,9 @@ class TestSuites:
         assert len(checked) == 348
         assert h.hexdigest() == ("9955b37bbfb8d04f7a8be4f0e9650df5"
                                  "18fc4f8e0fed586aeed3d0d347c86739")
+        # each construction's environments come from its root's alone
+        assert all(d == under(d, d.conclusion.gamma, d.conclusion.delta)
+                   for d in checked)
 
     def test_suite_budget_keeps_its_node_cap(self):
         report = suite_term_subst(seed=1, cases=5,

@@ -63,6 +63,26 @@ class TestCheck:
         with pytest.raises(CheckFailure):
             _check("x:A, y:A |- x y : A |")
 
+    def test_premises_share_their_conclusions_environments(self):
+        # the root holds the caller's dicts; a premise holds its conclusion's
+        # dict for each environment its rule does not extend
+        gamma, term, ty, delta = parse_judgment(
+            "w:B |- \\y.mu a.['b](y (\\x.mu d.[a] x)) "
+            ": ((A -> bot) -> bot) -> A | 'b:bot", language="curry")
+        d = check_simple(SimpleJudgment(gamma, term, ty, delta))
+        assert d.conclusion.gamma is gamma and d.conclusion.delta is delta
+        stack, rules = [d], set()
+        while stack:
+            n = stack.pop()
+            rules.add(n.rule)
+            for p in n.premises:
+                if n.rule != "ArrowI":
+                    assert p.conclusion.gamma is n.conclusion.gamma
+                if not n.rule.startswith("UnionE"):
+                    assert p.conclusion.delta is n.conclusion.delta
+            stack.extend(n.premises)
+        assert rules == {"ArrowI", "ArrowE", "InterE", "UnionE_named"}
+
 
 class TestInfer:
     def test_k_combinator(self):
