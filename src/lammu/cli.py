@@ -268,9 +268,8 @@ def main(argv: list[str] | None = None) -> int:
         _bad(str(e))
         return EXIT_USAGE
     except RecursionError:
-        # terms parse, print and reduce at any depth, but a certificate past
-        # json's depth limit, a type nested thousands deep, and typing or
-        # search on a deep term still recurse: neither accepted nor rejected
+        # terms and certificates are read at any depth, but a deep type, and
+        # checking, typing or search on deep input, still recurse: undecided
         _bad("undecided: input nested too deeply")
         return EXIT_BUDGET
 

@@ -261,57 +261,31 @@ def parse_judgment(text: str, language: str = "iu"):
 
 @lru_cache(maxsize=1 << 16)
 def _decode(text: str, kinds: tuple[str, ...]):
-    """Stripped environment text ``text`` as (name, type) pairs, each name a
-    token of ``kinds``; with no ``kinds``, the type ``text`` is.  The text is
-    cut at its commas, which no name or type holds, so each binding is parsed
-    once.  Only iu types enter the table; a text that does not decode raises."""
-    if kinds and "," in text:
-        parts = [_decode(b.strip(), kinds) for b in text.split(",")]
-        pairs = tuple(pair for part in parts for pair in part)
-        if len(dict(pairs)) != len(parts):   # an empty piece, or a name twice
-            raise ValueError(text)
-        return pairs
+    """Environment text ``text`` as (name, type) pairs, each name a token of
+    ``kinds``; with no ``kinds``, the type ``text`` is.  Only iu types enter
+    the table; a text that does not decode raises."""
     p = _Parser(text)
     env = p.env(*kinds) if kinds else {"": p.type()}
     p.expect("EOF")
     if not all(well_formed(t, "iu") for t in env.values()):
-        raise LanguageViolation(text)
+        raise LanguageViolation("not an intersection-union type")
     return tuple(env.items()) if kinds else env[""]
 
 
-def _once(memo: dict, f, x, *args):
-    """``f(x, *args)``, once per ``memo``, which ``x`` must outlive."""
-    if id(x) not in memo:
-        memo[id(x)] = f(x, *args)
-    return memo[id(x)]
-
-
-def _shared_judgment(text: str, memo: dict, sub: Term | None):
-    """parse_judgment(text) for the certificate decoder.  Environment and
-    goal-type texts are parsed once per process, by ``_decode``.  ``memo``,
-    an identity memo over one certificate, gives each environment text one
-    fresh dict and prints ``sub``, the term the rule above fixes, once: a
-    subterm of a parsed term, so a term text that is its print exactly is
-    ``sub`` itself.  Text whose pieces, cut at the first ``|-``, the last
-    ``|`` and the first ``:`` between them, do not decode goes to
-    parse_judgment whole, for its errors and spans; no failure is cached."""
-    def env(piece: str, *kinds: str) -> dict[str, TypeExpr]:
-        key = kinds, piece.strip()   # str.isspace is the tokenizer's \s
-        if key not in memo:
-            memo[key] = dict(_decode(key[1], kinds))
-        return memo[key]
-
+def _shared_judgment(text: str):
+    """parse_judgment(text) through the ``_decode`` tables, with fresh
+    dicts.  Text whose pieces, cut at the first ``|-``, the last ``|`` and
+    the first ``:`` between them, do not decode goes to parse_judgment whole,
+    for its errors and spans; no failure is cached."""
     try:
         i, k = text.index("|-"), text.rfind("|")
-        gamma = env(text[:i], "IDENT")
         m, _, t = text[i + 2:k].partition(":")   # no term or type holds ":"
-        fixed = sub is not None and m.strip() == _once(memo, print_term, sub)
-        term, ty = sub if fixed else parse_term(m), _decode(t.strip(), ())
-        delta = env(text[k + 1:], "IDENT", "TICK")
-        return gamma, term, ty, delta
-    except (ValueError, ParseError, LanguageViolation):   # ValueError: no |-,
-        pass                              # or an empty or repeated binding
-    return parse_judgment(text)
+        # str.strip removes what the tokenizer's \s skips
+        return (dict(_decode(text[:i].strip(), ("IDENT",))), parse_term(m),
+                _decode(t.strip(), ()),
+                dict(_decode(text[k + 1:].strip(), ("IDENT", "TICK"))))
+    except (ValueError, ParseError, LanguageViolation):   # ValueError: no |-
+        return parse_judgment(text)
 
 
 # -- printing ----------------------------------------------------------------
@@ -376,14 +350,10 @@ def print_type(t: TypeExpr) -> str:
     return go(t, "top")
 
 
-def print_env(env: dict[str, TypeExpr], show=print_type) -> str:
-    return ", ".join(f"{x}:{show(t)}" for x, t in sorted(env.items()))
+def print_env(env: dict[str, TypeExpr]) -> str:
+    return ", ".join(f"{x}:{print_type(t)}" for x, t in sorted(env.items()))
 
 
 def print_judgment(gamma, term, ty, delta) -> str:
-    return _print_judgment(print_env(gamma), print_term(term), print_type(ty),
-                           print_env(delta))
-
-
-def _print_judgment(gamma: str, term: str, ty: str, delta: str) -> str:
-    return f"{gamma} |- {term} : {ty} | {delta}".strip()
+    return (f"{print_env(gamma)} |- {print_term(term)} : {print_type(ty)} | "
+            f"{print_env(delta)}").strip()

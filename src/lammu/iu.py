@@ -13,7 +13,10 @@ Derivations are explicit trees over six rules:
 Types in a node are compared up to the equivalence induced by the preorder.
 Thinning and weakening are admissible, not rules: ``under`` rebuilds a
 derivation under thinner or stronger environments.  It is also where every
-derivation built after the fact gets its environments.
+derivation built after the fact gets its environments.  A premise's term and
+environments follow from its conclusion and rule, as ``_premise`` says, so a
+certificate holds the root's judgment and, per node, the rule, the premise
+count and the type where the parent's rule does not fix it.
 
 ``check_derivation`` is the one statement of these rules.  The search returns
 only derivations it accepts, and the constructions turn a derivation it
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import combinations, product
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -70,7 +72,7 @@ class PreconditionViolation(Exception):
 
 
 class MalformedCertificate(Exception):
-    """A certificate node lacks a field or has one of the wrong JSON type."""
+    """A certificate, or one of its nodes, is not of the written form."""
 
     def __init__(self, path: tuple[int, ...], reason: str):
         super().__init__(f"certificate node at {_where(path)}: {reason}")
@@ -248,10 +250,33 @@ def under(d: Derivation, gamma: dict[str, TypeExpr],
             j.ty, gamma.get(j.term.name, Top)):
         raise PreconditionViolation(
             f"the new entry of {j.term.name} has no component for its lookup")
-    g2 = {**gamma, j.term.var: j.ty.left} if d.rule == "ArrowI" else gamma
-    d2 = {**delta, j.term.bound: j.ty} if d.rule.startswith("UnionE") else delta
-    return Derivation(d.rule, Judgment(gamma, j.term, j.ty, delta),
-                      tuple(under(p, g2, d2) for p in d.premises))
+    j = Judgment(gamma, j.term, j.ty, delta)
+    return Derivation(d.rule, j, tuple(under(p, *_premise(d.rule, j, i)[::3])
+                                       for i, p in enumerate(d.premises)))
+
+
+def _premise(rule: str, j: Judgment, i: int,
+             fun_ty: TypeExpr | None = None) -> tuple:
+    """(gamma, term, type, delta) of premise ``i`` of a ``rule`` node at
+    ``j``: the environments as ``under`` says, the term, and the type where
+    the rule fixes it, else None.  ``fun_ty`` is the type of premise 0.  A
+    rule that does not fit ``j`` keeps the conclusion's term and dicts."""
+    gamma, m, ty, delta = j.gamma, j.term, j.ty, j.delta
+    fixed = None
+    if rule == "ArrowI" and type(ty) is Arrow:
+        fixed = ty.right
+        if type(m) is Abs:
+            gamma, m = {**gamma, m.var: ty.left}, m.body
+    elif rule == "InterI" and type(ty) is Inter and i < len(ty.parts):
+        fixed = ty.parts[i]
+    elif rule.startswith("UnionE") and type(m) is Mu:
+        m, delta = m.body, {**delta, m.bound: ty}
+    elif rule == "ArrowE":
+        arrow = union_parts(fun_ty)[i - 1:i] if i else ()
+        fixed = arrow[0].left if arrow and type(arrow[0]) is Arrow else None
+        if type(m) is App:
+            m = m.arg if i else m.fun
+    return gamma, m, fixed, delta
 
 
 # -- bounded search -----------------------------------------------------------
@@ -444,89 +469,95 @@ def derive(gamma: dict[str, TypeExpr], term: Term, ty: TypeExpr,
 # -- certificates -------------------------------------------------------------
 
 def derivation_to_json(d: Derivation) -> str:
-    """The certificate text of ``d``: what ``json.dumps`` gives, with
-    ``indent=2`` and ASCII escapes, for nested objects whose keys are
-    ``rule``, ``judgment`` and ``premises`` in that order, written without
-    building the objects.  One pass over an explicit stack, so any depth; one
-    identity memo prints each environment, term and type object once.
-    Raises ValueError for a variable or name that would not read back, such
-    as ``mu`` or ``Ab``; the root's are checked, as in a checked derivation
-    every node's term is a subterm of the root's."""
-    from .grammar import (_is_identifier, _once, _print_judgment, print_env,
-                          print_term, print_type)
+    """The certificate text of ``d``: a JSON object with the root's judgment,
+    as ``lammu`` prints it, and the nodes in preorder, one a line, each
+    ``[rule, premise count]``, with its type added where that is not ``==``
+    to the one its parent's rule fixes.  Premise terms and environments
+    follow from the rules, so they are not written.  Any depth.  Raises
+    ValueError for a variable or name that would not read back, such as
+    ``mu`` or ``Ab``."""
+    from .grammar import _is_identifier, print_judgment, print_type
     j = d.conclusion
     ids = all_identifiers(j.term).union(j.gamma, j.delta)
     if not all(map(_is_identifier, ids)):
         bad = min(x for x in ids if not _is_identifier(x))
         raise ValueError(f"{bad!r} cannot be written as a variable or name")
-    printed: dict[int, str] = {}
-    ty = partial(_once, printed, print_type)
-
-    chunks: list[str] = []
-    # a node as (the text before it, the node, its newline and indent); the
-    # text that closes a node as a string
-    stack: list = [("", d, "\n")]
+    nodes, stack = [], [(d, j.ty)]   # a node, the type its parent fixes
     while stack:
-        item = stack.pop()
-        if type(item) is str:
-            chunks.append(item)
-            continue
-        before, d, nl = item
-        j = d.conclusion
-        judgment = _print_judgment(
-            _once(printed, print_env, j.gamma, ty),
-            _once(printed, print_term, j.term), ty(j.ty),
-            _once(printed, print_env, j.delta, ty))
-        head = (f'{before}{{{nl}  "rule": {_json_str(d.rule)},{nl}  '
-                f'"judgment": {_json_str(judgment)},{nl}  "premises": ')
-        if not d.premises:
-            chunks.append(f"{head}[]{nl}}}")
-            continue
-        inner = nl + "    "
-        chunks.append(head + "[")
-        stack.append(f"{nl}  ]{nl}}}")
-        stack += [("," + inner, p, inner) for p in reversed(d.premises[1:])]
-        stack.append((inner, d.premises[0], inner))
-    return "".join(chunks)
+        d, fixed = stack.pop()
+        ty, ps = d.conclusion.ty, d.premises
+        typed = "" if ty is fixed or ty == fixed else ", " + _json_str(
+            print_type(ty))
+        nodes.append(f"[{_json_str(d.rule)}, {len(ps)}{typed}]")
+        stack += [(ps[i], _premise(d.rule, d.conclusion, i,
+                                   ps[0].conclusion.ty)[2])
+                  for i in reversed(range(len(ps)))]
+    root = _json_str(print_judgment(j.gamma, j.term, j.ty, j.delta))
+    return (f'{{\n  "judgment": {root},\n  "nodes": [\n    '
+            + ",\n    ".join(nodes) + "\n  ]\n}")
 
 
 def derivation_from_json(text: str) -> Derivation:
-    """Decode a certificate; keys other than ``rule``, ``judgment`` and
-    ``premises`` are ignored.  Raises MalformedCertificate when a node is not
-    an object with a string ``rule``, a string ``judgment`` and, if present,
-    a list of ``premises``."""
-    from .grammar import _shared_judgment
-    memo: dict = {}   # for _shared_judgment, over this certificate
+    """Decode a certificate that ``derivation_to_json`` wrote; other keys
+    are ignored.  The root's judgment fails as ``parse_judgment`` fails.  A
+    premise gets its term and environments from its parent's rule, and its
+    node's type or else the one that rule fixes.  Any depth.
+    MalformedCertificate names the node's path, for a text of the old format
+    (a judgment per node) or one that departs from the written form."""
+    from .grammar import (LanguageViolation, ParseError, _decode,
+                          _shared_judgment)
+    obj = json.loads(text)
+    if type(obj) is dict and "rule" in obj:
+        raise MalformedCertificate((), "old format, with a judgment per "
+                                   "node; re-create it with check-iu --cert")
+    if not (type(obj) is dict and type(obj.get("judgment")) is str
+            and type(obj.get("nodes")) is list):
+        raise MalformedCertificate((), "expected an object with a string "
+                                   "'judgment' and a list 'nodes'")
+    gamma, term, fixed, delta = _shared_judgment(obj["judgment"])
+    nodes, stack = obj["nodes"], []   # stack: open nodes, premises so far
 
-    def dec(obj, path: tuple[int, ...], sub: Term | None) -> Derivation:
-        if not isinstance(obj, dict):
+    def bad(reason: str):   # at the node that comes next
+        path = [len(kids) for _, kids, _ in stack]
+        raise MalformedCertificate(
+            tuple(n - 1 for n in path[:-1]) + tuple(path[-1:]), reason)
+
+    for k, node in enumerate(nodes):
+        # the root's fields come from its judgment, so it has no type
+        if not (type(node) is list and len(node) in ((2, 3) if stack else (2,))
+                and list(map(type, node)) == [str, int, str][:len(node)]
+                and node[1] >= 0):
+            bad("expected [rule, count] or, below the root, [rule, count, "
+                "type], with strings and a count of 0 or more")
+        rule, n, *ty = node
+        if stack:
+            up, kids, _ = stack[-1]
+            gamma, term, fixed, delta = _premise(
+                up.rule, up.conclusion, len(kids),
+                kids[0].conclusion.ty if kids else None)
+        if ty:
+            try:
+                fixed = _decode(ty[0], ())
+            except (ParseError, LanguageViolation) as e:
+                bad(f"type {ty[0]!r}: {e}")
+        elif fixed is None:
+            bad("no type, and the parent's rule fixes none")
+        d = Derivation(rule, Judgment(gamma, term, fixed, delta))
+        if stack:
+            kids.append(d)
+        stack.append((d, [], n))
+        while stack and len(stack[-1][1]) == stack[-1][2]:
+            done, kids, _ = stack.pop()
+            done.premises = tuple(kids)
+        if not stack and k + 1 < len(nodes):
             raise MalformedCertificate(
-                path, f"expected an object, not {type(obj).__name__}")
-        for key in ("rule", "judgment"):
-            if key not in obj:
-                raise MalformedCertificate(path, f"missing field {key!r}")
-            if not isinstance(obj[key], str):
-                raise MalformedCertificate(path, f"field {key!r} must be a string")
-        premises = obj.get("premises", [])
-        if not isinstance(premises, list):
-            raise MalformedCertificate(path, "field 'premises' must be a list")
-        rule = obj["rule"]
-        gamma, term, ty, delta = _shared_judgment(obj["judgment"], memo, sub)
-        # the premises' terms as the rule fixes them, for _shared_judgment
-        subs = [getattr(term, "body", None) if rule in (
-            "ArrowI", "UnionE_named", "UnionE_self") else term] * len(premises)
-        if rule == "ArrowE" and type(term) is App:
-            subs = [term.fun] + [term.arg] * len(premises)
-        return Derivation(rule, Judgment(gamma, term, ty, delta),
-                          tuple(dec(p, path + (i,), subs[i])
-                                for i, p in enumerate(premises)))
-
-    return dec(json.loads(text), (), None)
+                (), f"{len(nodes) - k - 1} entries past the end of the tree")
+    if stack or not nodes:
+        bad("missing: the node list ends before the counts do")
+    return done
 
 
 def embed_simple(d: Derivation) -> Derivation:
-    """The identity: ``check_simple`` already builds intersection-union
-    derivations with the n = 1 rules, so a simple derivation needs no
-    translation.  Kept so that code which embeds ``check_simple`` results
-    before checking or encoding them keeps working."""
+    """The identity, as ``check_simple`` builds iu derivations; kept for
+    code that embeds its results before checking or encoding them."""
     return d

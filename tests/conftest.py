@@ -1,17 +1,40 @@
-"""Shared random generators for the property tests, and the node contract."""
+"""Shared random generators for the property tests, the node contract, and
+the old certificate format (a judgment per node), which tests keep as a
+reference: a derivation's old text pins the derivation itself."""
 
 import copy
+import json
 import pickle
 import random
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
 
+from lammu.grammar import parse_judgment, print_judgment
+from lammu.iu import Derivation, Judgment
 from lammu.syntax import Abs, App, Mu, Term, Var
 from lammu.typelang import (Arrow, Bottom, Inter, Top, TVar, TypeExpr, Union,
                             well_formed)
 
 ATOMS = (TVar("A"), TVar("B"), TVar("C"), Top, Bottom)
+
+
+def _cert_dict(d):
+    """The object whose ``json.dumps(..., indent=2)`` was the certificate of
+    ``d`` in the old format: its rule, its judgment as ``lammu`` prints it
+    and its premises, at every node."""
+    j = d.conclusion
+    return {"rule": d.rule,
+            "judgment": print_judgment(j.gamma, j.term, j.ty, j.delta),
+            "premises": [_cert_dict(p) for p in d.premises]}
+
+
+def _reference_decode(text):
+    """An old-format certificate decoded by parsing every node's judgment."""
+    def dec(obj):
+        return Derivation(obj["rule"], Judgment(*parse_judgment(obj["judgment"])),
+                          tuple(dec(p) for p in obj.get("premises", [])))
+    return dec(json.loads(text))
 
 
 def random_type(rng: random.Random, depth: int = 3) -> TypeExpr:

@@ -156,14 +156,16 @@ class TestCertificates:
         assert str(path) in err and not path.exists()
 
     @pytest.mark.parametrize("text, field", [
-        ('{"rule": "InterE"}', "'judgment'"),
-        ('{"judgment": "x:A |- x : A |"}', "'rule'"),
-        ('{"rule": "InterI", "judgment": "x:A |- x : A |",'
-         ' "premises": [{"rule": "InterE"}]}', "'judgment'"),
-        ('{"rule": 1, "judgment": "x:A |- x : A |"}', "'rule'"),
-        ('{"rule": "InterE", "judgment": ["x:A |- x : A |"]}', "'judgment'"),
-        ('{"rule": "InterE", "judgment": "x:A |- x : A |", "premises": {}}',
-         "'premises'"),
+        ('{"nodes": [["InterE", 0]]}', "'judgment'"),
+        ('{"judgment": "x:A |- x : A |"}', "'nodes'"),
+        ('{"judgment": 1, "nodes": [["InterE", 0]]}', "'judgment'"),
+        ('{"judgment": "x:A |- x : A |", "nodes": {}}', "'nodes'"),
+        ('{"judgment": "x:A |- x : A |", "nodes": [["InterE"]]}',
+         "[rule, count]"),
+        ('{"judgment": "x:A |- x : A |", "nodes": [[1, 0]]}', "rule"),
+        ('{"judgment": "x:A |- x : A |", "nodes": [["InterE", -1]]}', "count"),
+        ('{"judgment": "x:A |- x : A |", "nodes": [["InterE", 0], []]}',
+         "past the end"),
         ("[1]", "object"),
     ])
     def test_verify_rejects_malformed_certificates(self, text, field, capsys,
@@ -173,8 +175,16 @@ class TestCertificates:
         err = capsys.readouterr().err
         assert "malformed certificate" in err and field in err
 
+    def test_verify_refuses_an_old_certificate(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            '{"rule": "InterE", "judgment": "x:A |- x : A |", "premises": []}'))
+        assert main(["verify", "-"]) == 2
+        assert capsys.readouterr().err == (
+            "malformed certificate: certificate node at root: old format, "
+            "with a judgment per node; re-create it with check-iu --cert\n")
+
     def test_verify_rejects_input_after_a_judgment(self, monkeypatch):
-        text = '{"rule": "InterE", "judgment": "x:A |- x : A | ) ("}'
+        text = '{"judgment": "x:A |- x : A | ) (", "nodes": [["InterE", 0]]}'
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert main(["verify", "-"]) == 2
 
@@ -194,7 +204,7 @@ class TestCertificates:
         search misses the judgment, and a lookup may not conclude it."""
         judgment = "x:A |- x : A \\/ B |"
         monkeypatch.setattr("sys.stdin", io.StringIO(
-            '{"rule": "InterE", "judgment": "x:A |- x : A \\\\/ B |"}'))
+            '{"judgment": "x:A |- x : A \\\\/ B |", "nodes": [["InterE", 0]]}'))
         assert main(["verify", "-"]) == 1
         assert "not a component" in capsys.readouterr().err
         assert main(["check-iu", judgment]) == 1
@@ -203,7 +213,8 @@ class TestCertificates:
     def test_verify_looks_up_a_component_up_to_equivalence(self, capsys,
                                                           monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(
-            '{"rule": "InterE", "judgment": "x:B \\\\/ A |- x : A \\\\/ B |"}'))
+            '{"judgment": "x:B \\\\/ A |- x : A \\\\/ B |",'
+            ' "nodes": [["InterE", 0]]}'))
         assert main(["verify", "-"]) == 0
         assert capsys.readouterr().out == "valid: x:B \\/ A |- x : A \\/ B |\n"
 
@@ -211,8 +222,8 @@ class TestCertificates:
     def test_verify_knows_no_wrapper_rule(self, rule, capsys, monkeypatch):
         # thinning and weakening are admissible, not rules of a derivation
         monkeypatch.setattr("sys.stdin", io.StringIO(
-            f'{{"rule": "{rule}", "judgment": "x:A |- x : A |", "premises":'
-            ' [{"rule": "InterE", "judgment": "x:A |- x : A |"}]}'))
+            '{"judgment": "x:A |- x : A |",'
+            f' "nodes": [["{rule}", 1], ["InterE", 0, "A"]]}}'))
         assert main(["verify", "-"]) == 1
         assert f"unknown rule {rule!r}" in capsys.readouterr().err
 
@@ -402,7 +413,7 @@ def test_output_is_pinned(capsys, monkeypatch, tmp_path):
     monkeypatch.delenv("LAMMU_COLOR", raising=False)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.json").write_text(
-        '{"rule": "InterE", "judgment": "x:A /\\\\ B |- x : C |"}')
+        '{"judgment": "x:A /\\\\ B |- x : C |", "nodes": [["InterE", 0]]}')
     digest = hashlib.sha256()
     for argv in PINNED_RUNS:
         try:
@@ -414,4 +425,4 @@ def test_output_is_pinned(capsys, monkeypatch, tmp_path):
             err = err.splitlines()[-1]
         digest.update(repr((argv, code, out, err)).encode())
     assert digest.hexdigest() == (
-        "e7b80d45f0d8e6448219978f5bca7317832045b6c44b082528d6b24c97a8b187")
+        "5d73a3bd8aa97f7e18ee90d9c528eaa5cdfda9f3e72370480882522582f1c4ef")

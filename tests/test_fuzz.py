@@ -4,7 +4,7 @@ Every exit code is one the README gives (0 ok, 1 invalid or not found, 2
 usage or parse error, 3 budget exhausted), and no exception escapes ``main``.
 Texts are built from the grammar's tokens, both as loose sequences and as
 judgments, terms and types in their places; certificates are random JSON
-with lammu's field names and judgments of the same kind.
+with lammu's field names, judgments of the same kind and node lists.
 """
 
 import contextlib
@@ -47,20 +47,20 @@ deltas = st.lists(st.tuples(st.sampled_from(("a", "'b")), types), max_size=2,
 judgments = st.builds("{} |- {} : {} | {}".format, gammas, terms, types, deltas)
 texts = soups | terms | types | judgments
 
-nodes = st.recursive(
-    st.fixed_dictionaries({"rule": st.sampled_from(RULES + ("Bogus",)),
-                           "judgment": judgments | soups}),
-    lambda kids: st.fixed_dictionaries({
-        "rule": st.sampled_from(RULES), "judgment": judgments,
-        "premises": st.lists(kids, max_size=3)}),
-    max_leaves=5)
+nodes = st.lists(st.tuples(st.sampled_from(RULES + ("Bogus",)),
+                           st.integers(-1, 3)).map(list)
+                 | st.tuples(st.sampled_from(RULES), st.integers(0, 3),
+                             types | soups).map(list),
+                 max_size=8)
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.sampled_from(RULES) | soups,
     lambda v: st.lists(v, max_size=3) | st.dictionaries(
-        st.sampled_from(("rule", "judgment", "premises", "x")), v,
+        st.sampled_from(("judgment", "nodes", "rule", "x")), v,
         max_size=4),
     max_leaves=6)
-certificates = nodes.map(json.dumps) | json_values.map(json.dumps) | soups
+certificates = (st.fixed_dictionaries({"judgment": judgments | soups,
+                                       "nodes": nodes}).map(json.dumps)
+                | json_values.map(json.dumps) | soups)
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=400,
                     database=None)

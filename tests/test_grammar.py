@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import random
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_iu_type, random_term
+from conftest import (_cert_dict, _reference_decode, random_iu_type,
+                      random_term)
 from lammu.grammar import (LanguageViolation, ParseError, SourceSpan,
                            _spans, _tokenize, parse_judgment, parse_term,
                            parse_type, print_judgment, print_term, print_type)
@@ -369,7 +371,7 @@ def test_corpus_outcomes_are_pinned():
         "ff3e8ad36c8aba1a03879c9624f6b043a1efe65a07f40dfe16aa9c0b119d476b")
 
 
-# -- pinned certificate decoding -----------------------------------------------
+# -- pinned certificate decoding and checking ----------------------------------
 
 def _iu_type_text(rng, d):
     """A ``_type_text`` that parses as an iu type."""
@@ -426,9 +428,10 @@ def _cert_tree(rng, gammas, deltas, depth):
 
 
 def _cert_corpus(n, seed=0):
-    """``n`` certificate texts: every third the encoding of a generated
-    derivation, the others trees whose judgments draw on a few environment
-    texts per certificate, so that texts repeat from node to node.  The texts
+    """``n`` certificate texts of the old format, a judgment per node: every
+    third the text of a generated derivation, the others trees whose
+    judgments draw on a few environment texts per certificate, so that texts
+    repeat from node to node.  The texts
     carry the grammar corpus's synonyms, repeated names and, now and then,
     non-iu types; a tenth of the judgments are damaged or taken from the
     corpus itself."""
@@ -436,7 +439,7 @@ def _cert_corpus(n, seed=0):
     gen_rng = random.Random(seed + 1)
     for i in range(n):
         if i % 3 == 0:
-            yield derivation_to_json(gen_typed_judgment(gen_rng))
+            yield json.dumps(_cert_dict(gen_typed_judgment(gen_rng)), indent=2)
             continue
         gammas = [_iu_env_text(rng, "xyf") for _ in range(rng.randint(1, 3))]
         deltas = [_iu_env_text(rng, ("a", "'b"))
@@ -447,32 +450,80 @@ def _cert_corpus(n, seed=0):
         yield json.dumps(_cert_tree(rng, gammas, deltas, 3))
 
 
+def _mutated_corpus(n, seed=0):
+    """``n`` certificate texts: encodings of generated derivations, all but
+    a tenth changed once.  The root judgment becomes a ``_judgment_text``; or
+    a node's rule, premise count or type is changed, dropped or added; or a
+    node is removed, repeated, put in or replaced by another JSON value."""
+    rng = random.Random(seed)
+    gen_rng = random.Random(seed + 1)
+    for _ in range(n):
+        obj = json.loads(derivation_to_json(gen_typed_judgment(gen_rng)))
+        nodes = obj["nodes"]
+        k = rng.randrange(len(nodes))
+        node = nodes[k]
+        r = rng.randrange(10)
+        if r == 1:
+            obj["judgment"] = _judgment_text(rng, [_iu_env_text(rng, "xyf")],
+                                             [_iu_env_text(rng, ("a", "'b"))])
+        elif r == 2:
+            node[0] = rng.choice(_CERT_RULES + (7,))
+        elif r == 3:
+            node[1] = rng.choice((node[1] - 1, node[1] + 1, -1, "1", 1.5,
+                                  None))
+        elif r == 4:
+            node[2:] = [] if node[2:] else [_type_text(rng, 2)]
+        elif r == 5:
+            node[2:] = [rng.choice((_iu_type_text(rng, 2), _type_text(rng, 2),
+                                    0))]
+        elif r == 6:
+            del nodes[k]
+        elif r == 7:
+            nodes.insert(k, list(node))
+        elif r == 8:
+            nodes.insert(k, [rng.choice(_CERT_RULES), rng.randrange(3)])
+        elif r == 9:
+            nodes[k] = rng.choice(("InterE", 0, [], ["InterE"],
+                                   {"rule": "InterE"}))
+        yield json.dumps(obj)
+
+
 def _decoded(text):
-    """Every node's rule and printed judgment, in preorder, or the error."""
+    """(kind, detail): the decoder's error, or every node's rule and printed
+    judgment, in preorder, and the checker's verdict."""
     try:
-        todo, out = [derivation_from_json(text)], []
-        while todo:
-            d = todo.pop()
-            j = d.conclusion
-            out.append(f"{d.rule} {print_judgment(j.gamma, j.term, j.ty, j.delta)}")
-            todo.extend(reversed(d.premises))
-        return "\n".join(out)
+        d = derivation_from_json(text)
     except ParseError as e:
-        return f"ParseError {e.message} {e.span.start} {e.span.end}"
+        return "ParseError", f"{e.message} {e.span.start} {e.span.end}"
     except (LanguageViolation, MalformedCertificate) as e:
-        return f"{type(e).__name__} {e}"
+        return type(e).__name__, str(e)
+    todo, out = [d], []
+    while todo:
+        n = todo.pop()
+        j = n.conclusion
+        out.append(f"{n.rule} {print_judgment(j.gamma, j.term, j.ty, j.delta)}")
+        todo.extend(reversed(n.premises))
+    try:
+        check_derivation(d)
+        return "valid", "\n".join(out)
+    except InvalidNode as e:
+        return "invalid", "\n".join(out + [f"{e.reason} {e.path}"])
 
 
-def test_decoder_outcomes_are_pinned():
-    """Every certificate of the corpus decodes to the nodes, or fails with
-    the error message and span, that a decoder parsing each judgment text on
-    its own gave (with a name bound twice in one environment rejected, where
-    it kept the last binding)."""
+def test_mutated_certificate_outcomes_are_pinned():
+    """Every certificate of the corpus decodes to the nodes, and gets the
+    checker's verdict, or fails with the error message and span, that the
+    decoder gave when it first read a root judgment and a flat node list."""
     h = hashlib.sha256()
-    for text in _cert_corpus(3_000):
-        h.update(f"{text}\0{_decoded(text)}\0".encode())
+    kinds = collections.Counter()
+    for text in _mutated_corpus(3_000):
+        kind, detail = _decoded(text)
+        kinds[kind] += 1
+        h.update(f"{text}\0{kind}\0{detail}\0".encode())
+    assert kinds == {"MalformedCertificate": 2_026, "valid": 337,
+                     "invalid": 554, "ParseError": 71, "LanguageViolation": 12}
     assert h.hexdigest() == (
-        "42a534ba6fdb82f610fe2464c23ce303126c21bd41a6f479a15db116ad9ef958")
+        "02ea0206e21991dcbae6885a0da53a9af8f1b16674f170f1df53924101a9cc1c")
 
 
 def test_checker_outcomes_are_pinned():
@@ -484,8 +535,8 @@ def test_checker_outcomes_are_pinned():
     decoded = rejected = 0
     for text in _cert_corpus(3_000):
         try:
-            d = derivation_from_json(text)
-        except (ParseError, LanguageViolation, MalformedCertificate):
+            d = _reference_decode(text)
+        except (ParseError, LanguageViolation):
             continue
         decoded += 1
         try:

@@ -6,10 +6,12 @@ from importlib import resources
 
 import pytest
 
-from conftest import random_iu_type, random_term, random_type
+from conftest import (_cert_dict, _reference_decode, random_iu_type,
+                      random_term, random_type)
 from lammu.grammar import (LanguageViolation, ParseError, parse_judgment,
-                           parse_term, parse_type, print_judgment, print_term)
-from lammu.iu import (Derivation, InvalidNode, Judgment,
+                           parse_term, parse_type, print_judgment, print_term,
+                           print_type)
+from lammu.iu import (Derivation, InvalidNode, Judgment, MalformedCertificate,
                       PreconditionViolation, SearchBudget, check_derivation,
                       derivation_from_json, derivation_to_json, derive,
                       embed_simple, under)
@@ -20,7 +22,7 @@ from lammu.simple import (SimpleJudgment, UntypableError, check_simple,
 from lammu.syntax import Abs, App, Mu, Var, free_names, free_term_vars
 from lammu.typelang import (Arrow, Inter, Top, TVar, Union, canonicalize,
                             inter_parts, subexpressions, type_equiv,
-                            well_formed)
+                            union_parts, well_formed)
 
 A, B = TVar("A"), TVar("B")
 AB = Inter((A, B))
@@ -31,13 +33,40 @@ def var_node(gamma, x, ty, delta=None):
                                          dict(delta or {})))
 
 
-def _cert_dict(d):
-    """The object whose ``json.dumps(..., indent=2)`` a certificate is: the
-    oracle for the writer."""
+def _compact(d):
+    """The certificate object of ``d``, built as the format describes it:
+    the oracle for the writer.  A premise's type is left out where it equals
+    the one its parent's rule fixes: the arrow's target below ``ArrowI``,
+    component i below ``InterI``, and the source of the function premise's
+    arrow i below an ``ArrowE`` argument premise i."""
+    def fixed(n, i):
+        ty = n.conclusion.ty
+        if n.rule == "ArrowI":
+            return ty.right
+        if n.rule == "InterI":
+            return ty.parts[i]
+        if n.rule == "ArrowE" and i:
+            return union_parts(n.premises[0].conclusion.ty)[i - 1].left
+        return None
+
     j = d.conclusion
-    return {"rule": d.rule,
-            "judgment": print_judgment(j.gamma, j.term, j.ty, j.delta),
-            "premises": [_cert_dict(p) for p in d.premises]}
+    nodes, todo = [], [(d, j.ty)]
+    while todo:
+        n, ty = todo.pop()
+        nodes.append([n.rule, len(n.premises)])
+        if n.conclusion.ty != ty:
+            nodes[-1].append(print_type(n.conclusion.ty))
+        todo += [(p, fixed(n, i))
+                 for i, p in reversed(list(enumerate(n.premises)))]
+    return {"judgment": print_judgment(j.gamma, j.term, j.ty, j.delta),
+            "nodes": nodes}
+
+
+def _layout(obj):
+    """The text of a certificate object: one node per line."""
+    return ('{\n  "judgment": ' + json.dumps(obj["judgment"])
+            + ',\n  "nodes": [\n    '
+            + ",\n    ".join(map(json.dumps, obj["nodes"])) + "\n  ]\n}")
 
 
 def _chain(n):
@@ -581,7 +610,7 @@ class TestSearch:
             budget = SearchBudget(max_depth=6, max_nodes=400)
             d = derive(gamma, term, ty, delta, budget)
             assert budget.nodes <= budget.max_nodes + 1
-            cert = None if d is None else derivation_to_json(d)
+            cert = None if d is None else json.dumps(_cert_dict(d), indent=2)
             h.update(f"{cert}\0{budget.nodes}\0{budget.exhausted}\0".encode())
             verdicts.update(f"{cert}\0{budget.exhausted}\0".encode())
         assert verdicts.hexdigest() == (
@@ -590,20 +619,12 @@ class TestSearch:
             "6ac51bd2f82a4a5c99fbde70efdee21a424b62faa219e51c1eea86f529db8f6a")
 
 
-def _reference_decode(text):
-    """The decoder's oracle: every node's judgment through parse_judgment."""
-    def dec(obj):
-        return Derivation(obj["rule"], Judgment(*parse_judgment(obj["judgment"])),
-                          tuple(dec(p) for p in obj.get("premises", [])))
-    return dec(json.loads(text))
-
-
 def _outcome(decode, text):
-    """The derivation ``decode`` gives, or the type and text of its error."""
+    """What ``decode`` gives, or the type, text and span of its error."""
     try:
         return decode(text)
     except (ParseError, LanguageViolation) as e:
-        return type(e), str(e)
+        return type(e), str(e), getattr(e, "span", None)
 
 
 def _fixed_terms(d):
@@ -629,10 +650,21 @@ def _subterms(m):
     return out
 
 
+def _cert(judgment, *nodes):
+    return json.dumps({"judgment": judgment, "nodes": list(nodes)})
+
+
+def _arrow_chain(n):
+    """The derivation of ``y:A |- \\x1. ... \\xn.y : A -> ... -> A |``."""
+    term, ty = Var("y"), A
+    for i in range(n, 0, -1):
+        term, ty = Abs(f"x{i}", term), Arrow(A, ty)
+    return check_simple(SimpleJudgment({"y": A}, term, ty, {}))
+
+
 @pytest.fixture(scope="module")
 def corpus():
-    """Certificate texts: 600 generated derivations, 200 check_simple ones,
-    the README's and the bundled files."""
+    """600 generated derivations, 200 check_simple ones and the README's."""
     rng = random.Random(22)
     ds = [gen_typed_judgment(rng) for _ in range(600)]
     simple = []
@@ -643,9 +675,7 @@ def corpus():
         except UntypableError:
             continue
         simple.append(check_simple(SimpleJudgment(gamma, term, ty, delta)))
-    texts = [derivation_to_json(d) for d in ds + simple + _readme_derivations()]
-    certs = resources.files("lammu").joinpath("certs")
-    return texts + [path.read_text() for path in certs.iterdir()]
+    return ds + simple + _readme_derivations()
 
 
 class TestCertificates:
@@ -675,19 +705,18 @@ class TestCertificates:
             with pytest.raises(ValueError, match=re.escape(repr(ident))):
                 derivation_to_json(d)
 
-    def test_equal_environment_texts_share_one_dict(self):
-        def node(rule, ty, *premises):
-            return {"rule": rule, "judgment": f"x:A /\\ B |- x : {ty} | 'b:A",
-                    "premises": list(premises)}
-
-        d = derivation_from_json(json.dumps(node(
-            "InterI", "A /\\ B", node("InterE", "A"), node("InterE", "B"))))
-        check_derivation(d)
-        root = d.conclusion
-        assert root.gamma == {"x": AB} and root.delta == {"b": A}
-        for p in d.premises:
-            assert p.conclusion.gamma is root.gamma
-            assert p.conclusion.delta is root.delta
+    def test_premises_share_their_conclusions_environments(self, corpus):
+        # as under gives them: each premise holds its conclusion's dicts,
+        # but for the binding an abstraction or a context switch adds
+        for d in corpus:
+            for n in TestAdmissible._nodes(
+                    derivation_from_json(derivation_to_json(d))):
+                j = n.conclusion
+                for p in n.premises:
+                    c = p.conclusion
+                    assert (c.gamma is j.gamma) == (n.rule != "ArrowI")
+                    assert (c.delta is j.delta) == (
+                        not n.rule.startswith("UnionE"))
 
     def test_decodes_share_no_environment_dict(self):
         text = derivation_to_json(
@@ -711,15 +740,17 @@ class TestCertificates:
         "y:B |- y : (A /\\ B) \\/ A |",        # a goal type outside iu
         "y:B, x:A, y:B |- y : B |",            # a name bound twice
         "y:B |- y : B | 'b:A, 'b:B",           # the same, on the right
+        "y:B |- y : B | ) (",                  # input after the judgment
+        "y:B |- y : B",                        # no right environment
     ])
-    def test_a_text_that_fails_fails_alike_every_time(self, bad):
+    def test_a_root_that_fails_fails_alike_every_time(self, bad):
         def outcome(decode, text):
             with pytest.raises((ParseError, LanguageViolation)) as e:
                 decode(text)
             return type(e.value), str(e.value), getattr(e.value, "span", None)
 
         def cert(judgment):
-            return json.dumps({"rule": "InterE", "judgment": judgment})
+            return _cert(judgment, ["InterE", 0])
 
         want = outcome(parse_judgment, bad)
         assert outcome(derivation_from_json, cert(bad)) == want
@@ -730,48 +761,56 @@ class TestCertificates:
 
     @pytest.mark.parametrize("ty", [
         "A", "A -> B", "(A \\/ B) /\\ (A -> B)", "top", "bot -> A"])
-    def test_a_goal_type_and_an_entry_of_one_text_decode_alike(self, ty):
+    def test_a_goal_type_a_node_type_and_an_entry_of_one_text_decode_alike(
+            self, ty):
         for judgment in (f"|- y : {ty} |", f"x:{ty} |- x : {ty} |"):
-            d = derivation_from_json(
-                json.dumps({"rule": "InterE", "judgment": judgment}))
+            d = derivation_from_json(_cert(judgment, ["InterE", 0]))
             assert d.conclusion.ty == parse_type(ty)
         assert d.conclusion.gamma == {"x": d.conclusion.ty}
+        d = derivation_from_json(_cert(f"x:{ty} |- mu a.[a] x : {ty} |",
+                                       ["UnionE_self", 1], ["InterE", 0, ty]))
+        assert d.premises[0].conclusion.ty == d.conclusion.ty
 
-    def test_decoder_matches_a_reference_that_parses_every_node(self, corpus):
-        for text in corpus:
-            d = derivation_from_json(text)
-            assert d == _reference_decode(text)
-            check_derivation(d)
+    def test_decoding_gives_back_the_derivation_the_old_text_gave(self,
+                                                                  corpus):
+        for d in corpus:
+            back = derivation_from_json(derivation_to_json(d))
+            assert back == d
+            assert back == _reference_decode(json.dumps(_cert_dict(d)))
+            check_derivation(back)
             # every premise holds the very term object its rule fixes
-            for premise_term, fixed in _fixed_terms(d):
+            for premise_term, fixed in _fixed_terms(back):
                 assert premise_term is fixed
 
-    def test_mutated_judgments_decode_as_the_reference_decodes(self, corpus):
+    def test_a_mutated_root_decodes_as_parse_judgment_reads_it(self, corpus):
+        def read(text):
+            return Judgment(*parse_judgment(text))
+
         rng = random.Random(2024)
         alphabet = "xyab AB().\\:,|->/'[]mu"
         mismatches = []
         for _ in range(2000):
-            obj = json.loads(rng.choice(corpus))
-            nodes, stack = [], [obj]
-            while stack:
-                nodes.append(stack.pop())
-                stack += nodes[-1].get("premises", [])
-            node = rng.choice(nodes)
-            j = node["judgment"]
+            obj = json.loads(derivation_to_json(rng.choice(corpus)))
+            j = obj["judgment"]
             k = rng.randrange(len(j) + 1)
             c = rng.choice(alphabet)
-            node["judgment"] = rng.choice([j[:k] + c + j[k:],
-                                           j[:k] + c + j[k + 1:],
-                                           j[:k] + j[k + 1:]])
-            text = json.dumps(obj)
-            got = _outcome(derivation_from_json, text)
-            if got != _outcome(_reference_decode, text):
-                mismatches.append(node["judgment"])
+            j = obj["judgment"] = rng.choice([j[:k] + c + j[k:],
+                                              j[:k] + c + j[k + 1:],
+                                              j[:k] + j[k + 1:]])
+            want = _outcome(read, j)
+            try:
+                got = _outcome(derivation_from_json, json.dumps(obj))
+            except MalformedCertificate:   # the nodes no longer fit the root
+                got = want if type(want) is Judgment else None
+            if type(got) is Derivation:
+                got = got.conclusion
+            if got != want:
+                mismatches.append(j)
         assert mismatches == []
 
     def test_a_printed_subterm_parses_back_to_itself(self):
-        # the decoder's fast path rests on this, structurally, not up to
-        # renaming; a subterm under a mu prints its free names with a tick
+        # structurally, not up to renaming; a subterm under a mu prints its
+        # free names with a tick
         rng = random.Random(5)
         ticked = 0
         for _ in range(600):
@@ -782,56 +821,100 @@ class TestCertificates:
                     assert parse_term(text) == m, text
         assert ticked
 
-    @pytest.mark.parametrize("written", ["( x )", "(x)", "x   ", "  ((x))"])
-    def test_a_premise_term_written_otherwise_is_parsed(self, written):
-        text = json.dumps({"rule": "InterI", "judgment": "x:A |- x : A /\\ A |",
-                           "premises": [
-                               {"rule": "InterE", "judgment": "x:A |- x : A |"},
-                               {"rule": "InterE",
-                                "judgment": f"x:A |- {written} : A |"}]})
-        d = derivation_from_json(text)
-        assert d == _reference_decode(text)
+    def test_premise_terms_come_from_the_root_term(self):
+        d = derivation_from_json(_cert("f:A -> B, y:A |- f  ( y ) : B |",
+                                       ["ArrowE", 2], ["InterE", 0, "A -> B"],
+                                       ["InterE", 0]))
         check_derivation(d)
-        first, second = (p.conclusion.term for p in d.premises)
-        assert first is d.conclusion.term
-        assert (second is d.conclusion.term) == (written.strip() == "x")
-
-    def test_an_application_with_extra_spaces_is_parsed(self):
-        judgment = "f:A -> B, y:A |- {} : {} |"
-        text = json.dumps({"rule": "ArrowE", "judgment": judgment.format(
-            "f  y", "B"), "premises": [
-                {"rule": "InterE", "judgment": judgment.format("f", "A -> B")},
-                {"rule": "InterE", "judgment": judgment.format(" y ", "A")}]})
-        d = derivation_from_json(text)
-        assert d == _reference_decode(text)
-        assert d.conclusion.term == App(Var("f"), Var("y"))
+        m = d.conclusion.term
+        assert m == App(Var("f"), Var("y"))
         fun, arg = (p.conclusion.term for p in d.premises)
-        assert fun == Var("f") and arg == Var("y")
-        check_derivation(d)
+        assert fun is m.fun and arg is m.arg
+        assert d.premises[1].conclusion.ty == A
 
-    @pytest.mark.parametrize("rule, conclusion, premise", [
-        ("ArrowI", "|- \\x.x : A -> A |", "x:A |- y : A |"),
-        ("ArrowI", "|- \\x.x : A -> A |", "x:A |- (x x) : A |"),
-        ("UnionE_self", "x:A |- mu a.[a] x : A |", "x:A |- y : A | 'a:A"),
+    @pytest.mark.parametrize("judgment, nodes, reason", [
+        ("x:A |- x : A -> A |", [["ArrowI", 1], ["InterE", 0]],
+         "arrow introduction applies to abstractions"),
+        ("|- \\x.x : A -> A |",
+         [["ArrowE", 2], ["ArrowI", 1, "A -> A"], ["InterE", 0],
+          ["InterE", 0]],
+         "arrow elimination applies to applications"),
+        ("x:A |- x : A |", [["UnionE_self", 1], ["InterE", 0, "A"]],
+         "union elimination applies to context switches"),
+        ("x:A |- x : A |", [["InterE", 1], ["InterE", 0, "A"]],
+         "variable lookup takes no premises"),
     ])
-    def test_a_premise_with_another_term_is_rejected_as_before(
-            self, rule, conclusion, premise):
-        text = json.dumps({"rule": rule, "judgment": conclusion, "premises": [
-            {"rule": "InterE", "judgment": premise}]})
-        d = derivation_from_json(text)
-        assert d == _reference_decode(text)
+    def test_a_rule_that_does_not_fit_the_term_is_rejected_as_before(
+            self, judgment, nodes, reason):
+        # its premises get the conclusion's term and dicts
+        d = derivation_from_json(_cert(judgment, *nodes))
+        for p in d.premises:
+            assert p.conclusion.term is d.conclusion.term
+            assert p.conclusion.gamma is d.conclusion.gamma
         with pytest.raises(InvalidNode) as e:
             check_derivation(d)
-        assert (e.value.path, e.value.reason) == ((), "premise must type the body")
+        assert (e.value.path, e.value.reason) == ((), reason)
 
-    def test_writer_matches_json_dumps(self):
+    @pytest.mark.parametrize("judgment, nodes, where, reason", [
+        ("x:A |- x : A /\\ A |", [["InterI", 2], ["InterE", 0], "InterE"],
+         "1", "shape"),
+        ("x:A |- x : A /\\ A |", [["InterI", 2], ["InterE", 0, "A", "A"]],
+         "0", "shape"),
+        ("x:A |- x : A /\\ A |", [["InterI", 2], ["InterE"]], "0", "shape"),
+        ("x:A |- x : A /\\ A |", [["InterI", 2], [7, 0]], "0", "shape"),
+        ("x:A |- x : A /\\ A |", [["InterI", -1]], "root", "shape"),
+        ("x:A |- x : A /\\ A |", [["InterI", "2"]], "root", "shape"),
+        ("x:A |- x : A /\\ A |", [["InterI", 2.0]], "root", "shape"),
+        ("x:A |- x : A /\\ A |", [["InterI", True]], "root", "shape"),
+        ("x:A |- x : A /\\ A |", [["InterI", 2], ["InterE", 0, ["A"]]],
+         "0", "shape"),
+        ("x:A |- x : A /\\ A |", [["InterI", 2, "A /\\ A"]], "root", "shape"),
+        ("x:A |- x : A /\\ A |",
+         [["InterI", 2], ["InterE", 0], ["InterE", 0, "A ->"]],
+         "1", "type 'A ->': expected a type at 4..4"),
+        ("x:A |- x : A /\\ A |",
+         [["InterI", 2], ["InterE", 0], ["InterE", 0, "(A /\\ B) \\/ A"]],
+         "1", "type '(A /\\\\ B) \\\\/ A': not an intersection-union type"),
+        ("x:A |- x : A /\\ A |", [["InterI", 2], ["InterE", 0]],
+         "1", "missing: the node list ends before the counts do"),
+        ("x:A |- x : A /\\ A |", [],
+         "root", "missing: the node list ends before the counts do"),
+        ("x:A |- x : A /\\ A |",
+         [["InterI", 2], ["InterE", 0], ["InterE", 0], ["InterE", 0], [1]],
+         "root", "2 entries past the end of the tree"),
+        ("f:A -> A, x:A |- f x : A |",
+         [["ArrowE", 2], ["InterE", 0], ["InterE", 0]],
+         "0", "no type, and the parent's rule fixes none"),
+        ("|- \\x.mu a.[a] x : A -> A |",
+         [["ArrowI", 1], ["UnionE_self", 1], ["InterE", 0]],
+         "0.0", "no type, and the parent's rule fixes none"),
+        ("|- \\x.\\y.x : A -> A -> A |",
+         [["ArrowI", 1], ["ArrowI", 1], ["InterE", 0, 7]], "0.0", "shape"),
+    ])
+    def test_a_malformed_node_is_named_by_its_path(self, judgment, nodes,
+                                                   where, reason):
+        if reason == "shape":   # not a list of a string, a count and a type
+            reason = ("expected [rule, count] or, below the root, [rule, "
+                      "count, type], with strings and a count of 0 or more")
+        with pytest.raises(MalformedCertificate) as e:
+            derivation_from_json(_cert(judgment, *nodes))
+        assert str(e.value) == f"certificate node at {where}: {reason}"
+
+    def test_an_old_certificate_is_refused(self):
+        text = json.dumps(_cert_dict(derive({"x": A}, Var("x"), A, {})),
+                          indent=2)
+        with pytest.raises(MalformedCertificate,
+                           match="old format.*check-iu --cert"):
+            derivation_from_json(text)
+
+    def test_writer_matches_its_oracle(self):
         rng = random.Random(13)
         ds = [gen_typed_judgment(rng) for _ in range(600)] + _readme_derivations()
         for d in ds + [_chain(150)]:
-            assert derivation_to_json(d) == json.dumps(_cert_dict(d), indent=2)
+            assert derivation_to_json(d) == _layout(_compact(d))
 
     def test_writer_escapes_like_json_dumps(self):
-        odd = 'q"\\ \x00\x1f\x7f\n\t é λ \u2028 \U0001d400'
+        odd = 'q"\\ \x00\x1f\x7f\n\t é λ   \U0001d400'
         leaf = Derivation(odd, Judgment({"x": TVar(odd)}, Var("x"), TVar(odd),
                                         {"b": TVar("é")}))
         ds = [leaf,
@@ -840,22 +923,35 @@ class TestCertificates:
               Derivation("Chain", leaf.conclusion,
                          (Derivation("Chain", leaf.conclusion, (leaf,)),))]
         for d in ds:
-            assert derivation_to_json(d) == json.dumps(_cert_dict(d), indent=2)
+            assert derivation_to_json(d) == _layout(_compact(d))
         # a variable so named would not read back, so it is refused
         with pytest.raises(ValueError):
             derivation_to_json(var_node({}, odd, A))
 
     def test_writer_reaches_as_deep_as_the_reader(self):
-        # json.loads stops at about 495 levels; the writer must get that far
-        text = derivation_to_json(_chain(400))
+        # past the 495 levels at which json.loads stopped on the old format
+        text = derivation_to_json(_chain(600))
         assert derivation_to_json(derivation_from_json(text)) == text
 
     def test_writer_needs_no_recursion(self):
         # a writer that recursed per premise would overflow the default
         # recursion limit here
         text = derivation_to_json(_chain(3000))
-        assert text.count('"rule": "Chain"') == 3000
-        assert text.count("]") == 3001 and text.endswith("\n  ]\n}")
+        assert text.count('["Chain", 1') == 3000
+        assert text.endswith('["InterE", 0, "A"]\n  ]\n}')
+
+    def test_reader_needs_no_recursion(self):
+        d = derivation_from_json(derivation_to_json(_chain(3000)))
+        depth = 0
+        while d.premises:
+            d, depth = d.premises[0], depth + 1
+        assert (depth, d.rule) == (3000, "InterE")
+
+    def test_an_arrow_chain_certificate_grows_linearly(self):
+        # the old format wrote each node's judgment: 218,564 bytes at 100
+        small, large = (len(derivation_to_json(_arrow_chain(n)))
+                        for n in (100, 200))
+        assert small < 5_000 and large < 2.2 * small
 
     def test_bundled_certificates_reencode_to_their_files(self):
         certs = resources.files("lammu").joinpath("certs")
@@ -866,11 +962,8 @@ class TestCertificates:
 
     def test_right_environment_text_is_no_left_environment(self):
         # 'b:A parses as a right environment, then fails as a left one
-        text = json.dumps({"rule": "Weaken", "judgment": "|-x : A|'b:A",
-                           "premises": [{"rule": "InterE",
-                                         "judgment": "'b:A|-x : A|"}]})
         with pytest.raises(ParseError):
-            derivation_from_json(text)
+            derivation_from_json(_cert("'b:A|-x : A|", ["InterE", 0]))
 
     def test_tampered_certificate_fails(self):
         d = derive({"x": A}, Var("x"), A, {})

@@ -1,14 +1,16 @@
 import hashlib
 import itertools
+import json
 import random
 import re
 
 import pytest
 
+from conftest import _cert_dict
 from lammu import metatheory
 from lammu.grammar import parse_judgment, parse_type, print_judgment
 from lammu.iu import (Derivation, Judgment, SearchBudget, check_derivation,
-                      derivation_to_json, derive, under)
+                      derivation_from_json, derivation_to_json, derive, under)
 from lammu.metatheory import (INTER_POOL, ConstructionMiss, Generator,
                               base_environments, demo_erasing_failure,
                               gen_typed_judgment, rename_var_derivation,
@@ -374,15 +376,18 @@ class TestSuites:
         assert report.fail == 0
 
     def test_output_is_pinned(self, monkeypatch):
-        """The certificates the four suites check at seed 3, their summaries
+        """The derivations the four suites check at seed 3, their summaries
         and the generated derivations for seeds 0-99 hash to a fixed value, so
-        a change to a construction or to the order of random draws fails."""
-        h = hashlib.sha256()
+        a change to a construction or to the order of random draws fails.
+        Each derivation is hashed as its text in the old certificate format,
+        which spells out every node's judgment; a second digest pins the
+        certificates ``derivation_to_json`` writes for them."""
+        h, certs = hashlib.sha256(), hashlib.sha256()
         checked = []
 
         def check_and_record(d):
             checked.append(d)
-            h.update(derivation_to_json(d).encode() + b"\n")
+            h.update(json.dumps(_cert_dict(d), indent=2).encode() + b"\n")
             check_derivation(d)
 
         monkeypatch.setattr(metatheory, "check_derivation", check_and_record)
@@ -390,15 +395,22 @@ class TestSuites:
                              (suite_subject_reduction, 60),
                              (suite_subject_expansion, 60)):
             h.update(suite(seed=3, cases=cases).summary().encode() + b"\n")
-        for seed in range(100):
-            d = gen_typed_judgment(random.Random(seed))
-            h.update(derivation_to_json(d).encode() + b"\n")
+        generated = [gen_typed_judgment(random.Random(seed))
+                     for seed in range(100)]
+        for d in generated:
+            h.update(json.dumps(_cert_dict(d), indent=2).encode() + b"\n")
         assert len(checked) == 348
         assert h.hexdigest() == ("9955b37bbfb8d04f7a8be4f0e9650df5"
                                  "18fc4f8e0fed586aeed3d0d347c86739")
         # each construction's environments come from its root's alone
         assert all(d == under(d, d.conclusion.gamma, d.conclusion.delta)
                    for d in checked)
+        for d in checked + generated:
+            text = derivation_to_json(d)
+            assert derivation_from_json(text) == d
+            certs.update(text.encode() + b"\n")
+        assert certs.hexdigest() == ("bf947386782dfffa803d321c867b418b"
+                                     "26a7be680782b0a4995b8f3088c0971b")
 
     def test_suite_budget_keeps_its_node_cap(self):
         report = suite_term_subst(seed=1, cases=5,
