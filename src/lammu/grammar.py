@@ -332,22 +332,26 @@ def print_term(m: Term) -> str:
 
 
 def print_type(t: TypeExpr) -> str:
-    def go(t: TypeExpr, pos: str) -> str:
-        if isinstance(t, TVar):
-            return t.name
-        if isinstance(t, (Inter, Union)):
-            empty, sep = (("top", " /\\ ") if isinstance(t, Inter)
-                          else ("bot", " \\/ "))
-            if not t.parts:
-                return empty
-            s = sep.join(go(p, "part") for p in t.parts)
-            return f"({s})" if pos == "part" and len(t.parts) > 1 else s
-        if isinstance(t, Arrow):
-            s = f"{go(t.left, 'arrow_left')} -> {go(t.right, 'top')}"
-            return f"({s})" if pos in ("arrow_left", "part") else s
-        raise TypeError(f"not a type: {t!r}")
+    """The text of ``t``, cached on ``t`` alone: a deep type holds one."""
+    if getattr(t, "_text", None) is None:   # also for what is not a type
+        TypeExpr._text.__set__(t, _type_text(t, "top"))
+    return t._text
 
-    return go(t, "top")
+
+def _type_text(t: TypeExpr, pos: str) -> str:
+    if isinstance(t, TVar):
+        return t.name
+    if isinstance(t, (Inter, Union)):
+        empty, sep = (("top", " /\\ ") if isinstance(t, Inter)
+                      else ("bot", " \\/ "))
+        if not t.parts:
+            return empty
+        s = sep.join(_type_text(p, "part") for p in t.parts)
+        return f"({s})" if pos == "part" and len(t.parts) > 1 else s
+    if isinstance(t, Arrow):
+        s = f"{_type_text(t.left, 'arrow_left')} -> {_type_text(t.right, 'top')}"
+        return f"({s})" if pos in ("arrow_left", "part") else s
+    raise TypeError(f"not a type: {t!r}")
 
 
 def print_env(env: dict[str, TypeExpr]) -> str:

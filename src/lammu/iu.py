@@ -89,25 +89,18 @@ def _is_component(t: TypeExpr, entry: TypeExpr) -> bool:
     return t in parts or any(type_equiv(t, p) for p in parts)
 
 
-def _is_iu(ok: dict, t: TypeExpr) -> bool:
-    """well_formed(t, "iu"), kept in ``ok`` by ``id(t)`` once it holds."""
-    if id(t) not in ok and not well_formed(t, "iu"):
-        return False
-    ok[id(t)] = t   # holding t keeps its id from being reused
-    return True
-
-
-def _check_node(d: Derivation, path: tuple[int, ...], ok: dict) -> None:
+def _check_node(d: Derivation, ok: dict) -> None:
+    """Check the node ``d``; InvalidNode with an empty path if it fails."""
     j = d.conclusion
 
     def bad(reason: str):
-        raise InvalidNode(path, reason)
+        raise InvalidNode((), reason)
 
-    if not _is_iu(ok, j.ty):
+    if not well_formed(j.ty, "iu"):
         bad("type outside the intersection-union language")
     for role, env in (("gamma", j.gamma), ("delta", j.delta)):
         if (role, id(env)) not in ok:
-            if not all(_is_iu(ok, t) for t in env.values()):
+            if not all(well_formed(t, "iu") for t in env.values()):
                 bad("type outside the intersection-union language")
             # an iu type is strict unless it is an intersection
             if role == "delta" and Inter in map(type, env.values()):
@@ -219,17 +212,22 @@ def _check_node(d: Derivation, path: tuple[int, ...], ok: dict) -> None:
 
 
 def check_derivation(d: Derivation) -> None:
-    """Validate every node; raises InvalidNode at the first violation.  One
-    identity memo per walk keeps the environment dicts (by role) and the types
-    that passed, so shared ones are checked once; no failure is kept."""
+    """Validate every node in preorder, on an explicit stack, so any depth;
+    raises InvalidNode at the first violation, with its path.  One identity
+    memo per walk keeps the environment dicts that passed, by role, so a
+    shared one is checked once; no failure is kept."""
     ok: dict = {}
-
-    def walk(d: Derivation, path: tuple[int, ...]) -> None:
-        _check_node(d, path, ok)
-        for i, p in enumerate(d.premises):
-            walk(p, path + (i,))
-
-    walk(d, ())
+    stack = [(d, None, 0)]   # a node, its parent's entry, its index there
+    while stack:
+        entry = d, _, _ = stack.pop()
+        try:
+            _check_node(d, ok)
+        except InvalidNode as e:
+            path = ()
+            while entry[1] is not None:
+                path, entry = (entry[2], *path), entry[1]
+            raise InvalidNode(path, e.reason) from None
+        stack += reversed([(p, entry, i) for i, p in enumerate(d.premises)])
 
 
 # -- admissible constructions -------------------------------------------------

@@ -16,11 +16,15 @@ from dataclasses import dataclass
 
 def slot_init(cls):
     """Give a frozen slotted dataclass an ``__init__`` that fills each slot by
-    its descriptor (``App.fun.__set__``), not by ``object.__setattr__``."""
+    its descriptor (``App.fun.__set__``), not by ``object.__setattr__``.
+    The base class's slots are caches, not fields (a type's printed text
+    and iu check); they start as None."""
     names = cls.__match_args__
-    scope = {f"_{n}": getattr(cls, n).__set__ for n in names}
+    caches = cls.__mro__[1].__slots__   # of Term or TypeExpr
+    scope = {f"_{n}": getattr(cls, n).__set__ for n in names + caches}
     exec(f"def __init__(self, {', '.join(names)}):\n"
-         + "".join(f"    _{n}(self, {n})\n" for n in names), scope)
+         + "".join(f"    _{n}(self, {n})\n" for n in names)
+         + "".join(f"    _{n}(self, None)\n" for n in caches), scope)
     cls.__init__ = scope["__init__"]
     return cls
 

@@ -9,6 +9,9 @@ One syntax tree serves three languages:
 
 ``top`` is the empty intersection and ``bot`` the empty union.  Types are
 slotted frozen dataclasses built by ``syntax.slot_init``, as terms are.
+A type caches its printed text and whether it is an iu type, each filled on
+first use, in slots of ``TypeExpr`` that are not fields: ``==``, ``hash``,
+``repr`` and ``match`` ignore them, and a copy starts without them.
 """
 
 from __future__ import annotations
@@ -21,9 +24,12 @@ from .syntax import slot_init
 
 
 class TypeExpr:
-    """Base class for type expressions."""
+    """Base class for type expressions; its slots are the cached facts."""
 
-    __slots__ = ()
+    __slots__ = ("_text", "_iu")
+
+    def __reduce__(self):   # rebuilt by __init__, so with empty caches
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
 
 
 @slot_init
@@ -116,7 +122,9 @@ def well_formed(t: TypeExpr, language: str) -> bool:
     if language == "strict":
         return _wf_iu_i(t, unions=False)
     if language == "iu":
-        return _wf_iu_i(t)
+        if isinstance(t, TypeExpr) and t._iu is None:
+            TypeExpr._iu.__set__(t, _wf_iu_i(t))
+        return isinstance(t, TypeExpr) and t._iu
     raise ValueError(f"unknown type language: {language!r}")
 
 
@@ -188,6 +196,8 @@ def subtype(a: TypeExpr, b: TypeExpr) -> bool:
 
 
 def type_equiv(a: TypeExpr, b: TypeExpr) -> bool:
+    if a is b:
+        return True
     ca, cb = canonicalize(a), canonicalize(b)
     return _leq(ca, cb) and _leq(cb, ca)
 

@@ -10,7 +10,9 @@ import pytest
 
 from lammu.cli import main
 from lammu.grammar import parse_judgment
-from lammu.iu import Derivation, Judgment, derivation_to_json
+from lammu.iu import Derivation, Judgment, derivation_to_json, under
+from lammu.syntax import Abs, Var
+from lammu.typelang import Arrow, TVar
 
 PEIRCE = "|- \\x.mu a.[a](x (\\y.mu b.[a] y)) : ((A -> B) -> A) -> A |"
 DNE = "|- \\y.mu a.['b](y (\\x.mu d.[a] x)) : ((A -> bot) -> bot) -> A | 'b:bot"
@@ -278,20 +280,37 @@ class TestCertificates:
 
 
 class TestDeepInput:
-    """Terms parse, print and reduce at any depth.  A certificate nested past
-    the recursion limit leaves the verdict undecided (exit 3), never a
-    definite "invalid"."""
+    """Terms parse, print and reduce at any depth, and derivations check at
+    any depth.  A certificate whose types nest past the recursion limit
+    leaves the verdict undecided (exit 3), never a definite "invalid"."""
 
     def test_verify_deep_certificate(self, monkeypatch):
-        # 900 intersection introductions of x : A /\ A, each over the next
+        # 2,000 intersection introductions of x : A /\ A, each over the next
         # and a lookup of x : A
         leaf = Derivation("InterE", Judgment(*parse_judgment("x:A |- x : A |")))
         j = Judgment(*parse_judgment("x:A |- x : A /\\ A |"))
         d = leaf
-        for _ in range(900):
+        for _ in range(2000):
             d = Derivation("InterI", j, (d, leaf))
         monkeypatch.setattr("sys.stdin", io.StringIO(derivation_to_json(d)))
-        assert main(["verify", "-"]) in (0, 3)
+        assert main(["verify", "-"]) == 0
+
+    def test_verify_a_type_400_arrows_deep(self, capsys, tmp_path):
+        # y:A |- \x1. ... \x400.y : A -> ... -> A |: the type and the term
+        # nest 400 levels; the cached text of a printed type must not lower
+        # the depth that verifies
+        a = TVar("A")
+        d = Derivation("InterE", Judgment({}, Var("y"), a, {}))
+        for k in range(400, 0, -1):
+            j = d.conclusion
+            d = Derivation("ArrowI", Judgment({}, Abs(f"x{k}", j.term),
+                                              Arrow(a, j.ty), {}), (d,))
+        cert = tmp_path / "arrows.json"
+        cert.write_text(derivation_to_json(under(d, {"y": a}, {})))
+        assert main(["verify", str(cert)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("valid: y:A |- \\x1.\\x2.")
+        assert out.count(" -> ") == 400
 
     def test_fmt_deep_application_chain(self, capsys):
         text = "f (" * 599 + "f x" + ")" * 599

@@ -375,6 +375,40 @@ class TestInvalidNodes:
             check_derivation(d)
         assert (e.value.reason, e.value.path) == (reason, path)
 
+    @pytest.mark.parametrize("ty", ["A", None, Var("A")])
+    def test_a_conclusion_type_that_is_not_a_type(self, ty):
+        with pytest.raises(InvalidNode) as e:
+            check_derivation(var_node({"x": A}, "x", ty))
+        assert (e.value.reason, e.value.path) == (
+            "type outside the intersection-union language", ())
+
+
+def _inter_chain(levels, bottom):
+    """``levels`` intersection introductions of x : A /\\ A, each over the
+    next and a lookup of x : A; the lowest over ``bottom`` and a lookup."""
+    leaf = var_node({"x": A}, "x", A)
+    j = Judgment(leaf.conclusion.gamma, Var("x"), Inter((A, A)), {})
+    d = Derivation("InterI", j, (leaf, bottom))
+    for _ in range(levels - 1):
+        d = Derivation("InterI", j, (d, leaf))
+    return d
+
+
+class TestDeepDerivations:
+    """The checker walks on an explicit stack, so depth is no limit."""
+
+    def test_a_2000_level_chain_checks(self):
+        check_derivation(_inter_chain(2000, var_node({"x": A}, "x", A)))
+
+    def test_a_bad_leaf_1500_levels_down_fails_with_its_full_path(self):
+        # its parent reads only its conclusion, which is right
+        bad = Derivation("InterE", Judgment({"x": A}, Var("x"), A, {}),
+                         (var_node({"x": A}, "x", A),))
+        with pytest.raises(InvalidNode) as e:
+            check_derivation(_inter_chain(1500, bad))
+        assert (e.value.reason, e.value.path) == (
+            "variable lookup takes no premises", (0,) * 1499 + (1,))
+
 
 class TestAdmissible:
     def test_project(self):

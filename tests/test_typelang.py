@@ -1,7 +1,12 @@
+import copy
+import pickle
 import random
 from dataclasses import make_dataclass
 
+import pytest
+
 from conftest import check_node_contract, random_iu_type, random_type
+from lammu.grammar import print_type
 from lammu.typelang import (Arrow, Bottom, Inter, Top, TVar, Union,
                             canonicalize, inter_parts, is_strict,
                             subexpressions, subtype, type_equiv, union_parts,
@@ -158,3 +163,51 @@ def test_types_keep_the_frozen_dataclass_contract():
     samples += [A, Arrow(A, B), Inter((A, B)), Union((A, B)), Top, Bottom,
                 Arrow(left=A, right=Inter(parts=(A,)))]
     check_node_contract(samples, _REFERENCE)
+
+
+def _fresh(t):
+    """An equal type built anew, node by node, so it holds no cached fact."""
+    if isinstance(t, TVar):
+        return TVar(t.name)
+    if isinstance(t, Arrow):
+        return Arrow(_fresh(t.left), _fresh(t.right))
+    return type(t)(tuple(map(_fresh, t.parts)))
+
+
+def _samples(seed):
+    rng = random.Random(seed)
+    return [random_type(rng) for _ in range(300)] + [Top, Bottom, A]
+
+
+class TestCachedFacts:
+    """A type keeps its printed text and its iu check once computed; no
+    answer may depend on whether it was asked before."""
+
+    def test_print_type_is_the_same_each_time_and_for_a_fresh_copy(self):
+        for t in _samples(23):
+            first = print_type(t)
+            assert print_type(t) == first == print_type(_fresh(t))
+
+    @pytest.mark.parametrize("language", ["curry", "strict", "iu"])
+    def test_well_formed_agrees_with_a_fresh_copy(self, language):
+        for t in _samples(31):
+            want = well_formed(_fresh(t), language)
+            assert well_formed(t, language) == want
+            assert well_formed(t, language) == want
+
+    def test_copies_start_empty_and_print_and_check_as_the_original(self):
+        for t in _samples(37):
+            text, iu = print_type(t), well_formed(t, "iu")
+            for c in (pickle.loads(pickle.dumps(t)), copy.copy(t),
+                      copy.deepcopy(t)):
+                assert c == t and c is not t
+                assert (c._text, c._iu) == (None, None)
+                assert (print_type(c), well_formed(c, "iu")) == (text, iu)
+
+    @pytest.mark.parametrize("thing", ["A", None, 3, ("A",), Arrow(A, "B")])
+    def test_what_is_not_a_type_is_in_no_language_and_does_not_print(
+            self, thing):
+        for language in ("curry", "strict", "iu"):
+            assert not well_formed(thing, language)
+        with pytest.raises(TypeError):
+            print_type(thing)
