@@ -268,8 +268,8 @@ def main(argv: list[str] | None = None) -> int:
         _bad(str(e))
         return EXIT_USAGE
     except RecursionError:
-        # terms and certificates are read at any depth, but a deep type, and
-        # checking, typing or search on deep input, still recurse: undecided
+        # terms and certificates are read and checked at any depth, but a deep
+        # type, ``under``, simple typing and search still recurse: undecided
         _bad("undecided: input nested too deeply")
         return EXIT_BUDGET
 

@@ -250,9 +250,22 @@ def parse_type(text: str, language: str = "iu") -> TypeExpr:
 
 
 def parse_judgment(text: str, language: str = "iu"):
-    """Parse ``G |- M : A | D``; returns (gamma, term, ty, delta)."""
-    p = _Parser(text)
-    gamma, term, ty, delta = p.judgment()
+    """Parse ``G |- M : A | D``; returns (gamma, term, ty, delta), with fresh
+    dicts.  The pieces cut at the first ``|-``, the last ``|`` and the first
+    ``:`` between them go through the ``_decode`` tables, so equal texts give
+    the same type objects; a text whose pieces do not decode is parsed
+    whole, for its errors and spans.  No failure is cached."""
+    try:
+        i, k = text.index("|-"), text.rfind("|")
+        m, _, t = text[i + 2:k].partition(":")   # no term or type holds ":"
+        # str.strip removes what the tokenizer's \s skips
+        return (dict(_decode(text[:i].strip(), ("IDENT",), language)),
+                parse_term(m), _decode(t.strip(), (), language),
+                dict(_decode(text[k + 1:].strip(), ("IDENT", "TICK"),
+                             language)))
+    except (ValueError, ParseError, LanguageViolation):   # ValueError: no |-
+        pass
+    gamma, term, ty, delta = _Parser(text).judgment()
     for t in [ty, *gamma.values(), *delta.values()]:
         if not well_formed(t, language):
             raise LanguageViolation(f"type not in the {language} language: {print_type(t)}")
@@ -260,32 +273,18 @@ def parse_judgment(text: str, language: str = "iu"):
 
 
 @lru_cache(maxsize=1 << 16)
-def _decode(text: str, kinds: tuple[str, ...]):
+def _decode(text: str, kinds: tuple[str, ...], language: str):
     """Environment text ``text`` as (name, type) pairs, each name a token of
-    ``kinds``; with no ``kinds``, the type ``text`` is.  Only iu types enter
-    the table; a text that does not decode raises."""
+    ``kinds``; with no ``kinds``, the type ``text`` is.  Only types of
+    ``language`` enter the table; a text that does not decode raises."""
     p = _Parser(text)
     env = p.env(*kinds) if kinds else {"": p.type()}
     p.expect("EOF")
-    if not all(well_formed(t, "iu") for t in env.values()):
-        raise LanguageViolation("not an intersection-union type")
+    if not all(well_formed(t, language) for t in env.values()):
+        raise LanguageViolation("not an intersection-union type"
+                                if language == "iu" else
+                                f"not a {language} type")
     return tuple(env.items()) if kinds else env[""]
-
-
-def _shared_judgment(text: str):
-    """parse_judgment(text) through the ``_decode`` tables, with fresh
-    dicts.  Text whose pieces, cut at the first ``|-``, the last ``|`` and
-    the first ``:`` between them, do not decode goes to parse_judgment whole,
-    for its errors and spans; no failure is cached."""
-    try:
-        i, k = text.index("|-"), text.rfind("|")
-        m, _, t = text[i + 2:k].partition(":")   # no term or type holds ":"
-        # str.strip removes what the tokenizer's \s skips
-        return (dict(_decode(text[:i].strip(), ("IDENT",))), parse_term(m),
-                _decode(t.strip(), ()),
-                dict(_decode(text[k + 1:].strip(), ("IDENT", "TICK"))))
-    except (ValueError, ParseError, LanguageViolation):   # ValueError: no |-
-        return parse_judgment(text)
 
 
 # -- printing ----------------------------------------------------------------

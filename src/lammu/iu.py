@@ -13,14 +13,15 @@ Derivations are explicit trees over six rules:
 Types in a node are compared up to the equivalence induced by the preorder.
 Thinning and weakening are admissible, not rules: ``under`` rebuilds a
 derivation under thinner or stronger environments.  It is also where every
-derivation built after the fact gets its environments.  A premise's term and
-environments follow from its conclusion and rule, as ``_premise`` says, so a
-certificate holds the root's judgment and, per node, the rule, the premise
-count and the type where the parent's rule does not fix it.
+derivation built after the fact gets its environments.
 
-``check_derivation`` is the one statement of these rules.  The search returns
-only derivations it accepts, and the constructions turn a derivation it
-accepts into another it accepts.
+``_premise`` states what each rule gives its premises: their terms and
+environments, and their types where the rule fixes them.  ``under``, the
+search, the checker and the certificate codec all read it, so a certificate
+holds the root's judgment and, per node, the rule, the premise count and the
+type where the parent's rule does not fix it.  ``check_derivation`` adds what
+each rule asks of its node.  The search returns only derivations it accepts,
+and the constructions turn a derivation it accepts into another it accepts.
 """
 
 from __future__ import annotations
@@ -89,14 +90,35 @@ def _is_component(t: TypeExpr, entry: TypeExpr) -> bool:
     return t in parts or any(type_equiv(t, p) for p in parts)
 
 
+# What a premise is told when its term, its type or its environments are
+# not those its rule gives it; ArrowE's premise 0 types the function.
+_PREMISE_REASONS = {
+    "InterI": ("premises must type the same term",
+               "premise type does not match its component",
+               "premises must share the conclusion environments"),
+    "ArrowI": ("premise must type the body",
+               "premise type must be the arrow target",
+               "premise environment must bind the abstracted variable"),
+    "ArrowE": ("argument premises must type the argument",
+               "argument premise does not match the arrow source",
+               "premises must share the conclusion environments"),
+    "UnionE_named": ("premise must type the body", None,
+                     "premise environment must bind the freed name"),
+}
+_PREMISE_REASONS["UnionE_self"] = _PREMISE_REASONS["UnionE_named"]
+
+
 def _check_node(d: Derivation, ok: dict) -> None:
-    """Check the node ``d``; InvalidNode with an empty path if it fails."""
-    j = d.conclusion
+    """Check the node ``d``; InvalidNode with an empty path if it fails.
+    Its shape comes first, then each premise against what ``_premise`` says
+    the rule gives it, then the rule's own conditions."""
+    j, rule, n = d.conclusion, d.rule, len(d.premises)
+    m, ty = j.term, j.ty
 
     def bad(reason: str):
         raise InvalidNode((), reason)
 
-    if not well_formed(j.ty, "iu"):
+    if not well_formed(ty, "iu"):
         bad("type outside the intersection-union language")
     for role, env in (("gamma", j.gamma), ("delta", j.delta)):
         if (role, id(env)) not in ok:
@@ -107,115 +129,93 @@ def _check_node(d: Derivation, ok: dict) -> None:
                 bad("right environment entries must be strict")
             ok[role, id(env)] = env
 
-    if d.rule == "InterE":
-        if not isinstance(j.term, Var):
+    if rule == "InterE":
+        if not isinstance(m, Var):
             bad("variable lookup applies to variables only")
-        if d.premises:
+        if n:
             bad("variable lookup takes no premises")
-        if j.term.name not in j.gamma:
-            bad(f"variable {j.term.name} not in environment")
-        if not _is_component(j.ty, j.gamma[j.term.name]):
-            bad("type is not a component of the environment entry")
-        return
-
-    if d.rule == "InterI":
-        parts = j.ty.parts if isinstance(j.ty, Inter) else None
-        if parts is None:
+    elif rule == "InterI":
+        if not isinstance(ty, Inter):
             bad("conclusion must be an intersection")
-        if len(parts) == 1:
+        if len(ty.parts) == 1:
             bad("intersection introduction excludes exactly one premise")
-        if len(d.premises) != len(parts):
+        if n != len(ty.parts):
             bad("one premise per component required")
-        for p, t in zip(d.premises, parts):
-            if not type_equiv(p.conclusion.ty, t):
-                bad("premise type does not match its component")
-            if p.conclusion.term != j.term:
-                bad("premises must type the same term")
-            if not (_env_equiv(p.conclusion.gamma, j.gamma)
-                    and _env_equiv(p.conclusion.delta, j.delta)):
-                bad("premises must share the conclusion environments")
-        return
-
-    if d.rule == "ArrowI":
-        if not isinstance(j.term, Abs):
+    elif rule == "ArrowI":
+        if not isinstance(m, Abs):
             bad("arrow introduction applies to abstractions")
-        if not isinstance(j.ty, Arrow):
+        if not isinstance(ty, Arrow):
             bad("conclusion must be an arrow")
-        if len(d.premises) != 1:
+        if n != 1:
             bad("arrow introduction takes one premise")
-        p = d.premises[0].conclusion
-        want_gamma = {**j.gamma, j.term.var: j.ty.left}
-        if p.term != j.term.body:
-            bad("premise must type the body")
-        if not type_equiv(p.ty, j.ty.right):
-            bad("premise type must be the arrow target")
-        if not (_env_equiv(p.gamma, want_gamma) and _env_equiv(p.delta, j.delta)):
-            bad("premise environment must bind the abstracted variable")
-        return
-
-    if d.rule == "ArrowE":
-        if not isinstance(j.term, App):
+    elif rule == "ArrowE":
+        if not isinstance(m, App):
             bad("arrow elimination applies to applications")
-        if len(d.premises) < 2:
+        if n < 2:
             bad("arrow elimination needs a function premise and n >= 1 argument premises")
-        fprem = d.premises[0].conclusion
-        if fprem.term != j.term.fun:
-            bad("first premise must type the function")
-        fparts = union_parts(fprem.ty)
+    elif rule in ("UnionE_named", "UnionE_self"):
+        if not isinstance(m, Mu):
+            bad("union elimination applies to context switches")
+        if n != 1:
+            bad("union elimination takes one premise")
+    else:
+        bad(f"unknown rule {rule!r}")
+
+    ty0 = d.premises[0].conclusion.ty if n else None
+    why_term, why_type, why_env = _PREMISE_REASONS.get(rule, (None,) * 3)
+    for i, p in enumerate(d.premises):
+        c = p.conclusion
+        gamma, term, fixed, delta = _premise(rule, j, i, ty0)
+        if c.term != term:
+            bad(why_term if i or rule != "ArrowE"
+                else "first premise must type the function")
+        if fixed is not None and not type_equiv(c.ty, fixed):
+            bad(why_type)
+        for role, got, want in (("gamma", c.gamma, gamma),
+                                ("delta", c.delta, delta)):
+            # a dict equal to the rule's holds checked types: the node's, an
+            # iu arrow's source or the strict type of a context switch
+            if got is want or got == want:
+                ok[role, id(got)] = got
+            elif not _env_equiv(got, want):
+                bad(why_env)
+
+    if rule == "InterE":
+        if m.name not in j.gamma:
+            bad(f"variable {m.name} not in environment")
+        if not _is_component(ty, j.gamma[m.name]):
+            bad("type is not a component of the environment entry")
+    elif rule == "ArrowE":
+        fparts = union_parts(ty0)
         if not fparts or not all(isinstance(p, Arrow) for p in fparts):
             bad("function premise must carry a union of arrows")
-        if len(d.premises) != len(fparts) + 1:
+        if n != len(fparts) + 1:
             bad("one argument premise per union branch required")
-        for arrow, ap in zip(fparts, d.premises[1:]):
-            a = ap.conclusion
-            if a.term != j.term.arg:
-                bad("argument premises must type the argument")
-            if not type_equiv(a.ty, arrow.left):
-                bad("argument premise does not match the arrow source")
-        rights = Union(tuple(p.right for p in fparts))
-        if not type_equiv(j.ty, rights):
+        if not type_equiv(ty, Union(tuple(p.right for p in fparts))):
             bad("conclusion must be the union of the arrow targets")
-        for p in d.premises:
-            c = p.conclusion
-            if not (_env_equiv(c.gamma, j.gamma) and _env_equiv(c.delta, j.delta)):
-                bad("premises must share the conclusion environments")
-        return
-
-    if d.rule in ("UnionE_named", "UnionE_self"):
-        if not isinstance(j.term, Mu):
-            bad("union elimination applies to context switches")
-        if len(d.premises) != 1:
-            bad("union elimination takes one premise")
-        p = d.premises[0].conclusion
-        if p.term != j.term.body:
-            bad("premise must type the body")
-        if isinstance(j.ty, Inter):
+    elif rule in ("UnionE_named", "UnionE_self"):
+        if isinstance(ty, Inter):
             bad("union elimination concludes a strict type")
-        if d.rule == "UnionE_named":
-            if j.term.named == j.term.bound:
+        if rule == "UnionE_named":
+            if m.named == m.bound:
                 bad("the named slot refers to the bound name; use the self variant")
-            if j.term.named not in j.delta:
-                bad(f"name {j.term.named} not in environment")
-            target = j.delta[j.term.named]
+            if m.named not in j.delta:
+                bad(f"name {m.named} not in environment")
+            target = j.delta[m.named]
         else:
-            if j.term.named != j.term.bound:
+            if m.named != m.bound:
                 bad("the named slot differs from the bound name; use the named variant")
-            target = j.ty
-        if not (_env_equiv(p.gamma, j.gamma)
-                and _env_equiv(p.delta, {**j.delta, j.term.bound: j.ty})):
-            bad("premise environment must bind the freed name")
-        if not subtype(p.ty, target):
+            target = ty
+        if not subtype(ty0, target):
             bad("premise type must lie below the target union")
-        return
-
-    bad(f"unknown rule {d.rule!r}")
 
 
 def check_derivation(d: Derivation) -> None:
     """Validate every node in preorder, on an explicit stack, so any depth;
     raises InvalidNode at the first violation, with its path.  One identity
     memo per walk keeps the environment dicts that passed, by role, so a
-    shared one is checked once; no failure is kept."""
+    shared one is checked once, and so does a premise's dict that equals the
+    one its rule gives it; no failure is kept."""
     ok: dict = {}
     stack = [(d, None, 0)]   # a node, its parent's entry, its index there
     while stack:
@@ -335,52 +335,38 @@ class _Searcher:
             self.budget.exhausted = True
             raise _NodeCap
         j = Judgment(gamma, term, ty, delta)
-
         if isinstance(ty, Inter):
-            prems = []
-            for part in ty.parts:
-                p = self.goal(gamma, term, part, delta, depth - 1)
-                if p is None:
-                    return None
-                prems.append(p)
-            return Derivation("InterI", j, tuple(prems))
-
+            return self._node("InterI", j, depth)
         if isinstance(term, Var):
             if term.name in gamma and ty in inter_parts(gamma[term.name]):
                 return Derivation("InterE", j)
-            return None
-
-        if isinstance(term, Abs):
-            if not isinstance(ty, Arrow):
-                return None
-            g2 = {**gamma, term.var: ty.left}
-            p = self.goal(g2, term.body, ty.right, delta, depth - 1)
-            if p is None:
-                return None
-            return Derivation("ArrowI", j, (p,))
-
-        if isinstance(term, App):
-            return self._app(j, depth)
-
-        if isinstance(term, Mu):
+        elif isinstance(term, Abs):
+            if isinstance(ty, Arrow):
+                return self._node("ArrowI", j, depth)
+        elif isinstance(term, App):
+            return self._node("ArrowE", j, depth, self._fun_candidates(j))
+        elif isinstance(term, Mu):
             return self._mu(j, depth)
-
         return None
 
-    def _app(self, j: Judgment, depth: int) -> Derivation | None:
-        for fun_ty in self._fun_candidates(j):
-            fp = self.goal(j.gamma, j.term.fun, fun_ty, j.delta, depth - 1)
-            if fp is None:
-                continue
-            aps = []
-            for arrow in union_parts(fun_ty):
-                ap = self.goal(j.gamma, j.term.arg, arrow.left, j.delta,
-                               depth - 1)
-                if ap is None:
+    def _node(self, rule: str, j: Judgment, depth: int,
+              types=(None,)) -> Derivation | None:
+        """The first ``rule`` node at ``j`` whose premises all have
+        derivations, trying each of ``types`` in turn as the type of premise
+        0 where the rule fixes none; each premise's goal is ``_premise``'s."""
+        for ty0 in types:
+            n = (len(j.ty.parts) if rule == "InterI" else
+                 1 + len(union_parts(ty0)) if rule == "ArrowE" else 1)
+            premises = []
+            for i in range(n):
+                gamma, term, fixed, delta = _premise(rule, j, i, ty0)
+                p = self.goal(gamma, term, ty0 if fixed is None else fixed,
+                              delta, depth - 1)
+                if p is None:
                     break
-                aps.append(ap)
+                premises.append(p)
             else:
-                return Derivation("ArrowE", j, (fp, *aps))
+                return Derivation(rule, j, tuple(premises))
         return None
 
     def _fun_candidates(self, j: Judgment):
@@ -425,15 +411,9 @@ class _Searcher:
             if m.named not in j.delta:
                 return None
             rule, target = "UnionE_named", j.delta[m.named]
-        d2 = {**j.delta, m.bound: j.ty}
         candidates = dict.fromkeys([target, *union_parts(target), *self.strict])
-        for t in candidates:
-            if not subtype(t, target):
-                continue
-            p = self.goal(j.gamma, m.body, t, d2, depth - 1)
-            if p is not None:
-                return Derivation(rule, j, (p,))
-        return None
+        return self._node(rule, j, depth,
+                          (t for t in candidates if subtype(t, target)))
 
 
 def derive(gamma: dict[str, TypeExpr], term: Term, ty: TypeExpr,
@@ -502,8 +482,7 @@ def derivation_from_json(text: str) -> Derivation:
     node's type or else the one that rule fixes.  Any depth.
     MalformedCertificate names the node's path, for a text of the old format
     (a judgment per node) or one that departs from the written form."""
-    from .grammar import (LanguageViolation, ParseError, _decode,
-                          _shared_judgment)
+    from .grammar import LanguageViolation, ParseError, _decode, parse_judgment
     obj = json.loads(text)
     if type(obj) is dict and "rule" in obj:
         raise MalformedCertificate((), "old format, with a judgment per "
@@ -512,7 +491,7 @@ def derivation_from_json(text: str) -> Derivation:
             and type(obj.get("nodes")) is list):
         raise MalformedCertificate((), "expected an object with a string "
                                    "'judgment' and a list 'nodes'")
-    gamma, term, fixed, delta = _shared_judgment(obj["judgment"])
+    gamma, term, fixed, delta = parse_judgment(obj["judgment"])
     nodes, stack = obj["nodes"], []   # stack: open nodes, premises so far
 
     def bad(reason: str):   # at the node that comes next
@@ -535,7 +514,7 @@ def derivation_from_json(text: str) -> Derivation:
                 kids[0].conclusion.ty if kids else None)
         if ty:
             try:
-                fixed = _decode(ty[0], ())
+                fixed = _decode(ty[0], (), "iu")
             except (ParseError, LanguageViolation) as e:
                 bad(f"type {ty[0]!r}: {e}")
         elif fixed is None:

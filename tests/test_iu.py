@@ -375,12 +375,91 @@ class TestInvalidNodes:
             check_derivation(d)
         assert (e.value.reason, e.value.path) == (reason, path)
 
+    def test_every_premise_fault_fails_at_its_node(self):
+        """One fault at a time in each premise of each node with premises,
+        over generated and searched derivations: the node fails at its own
+        path, with its rule's reason for that fault."""
+        rng = random.Random(28)
+        ds = [gen_typed_judgment(rng) for _ in range(200)]
+        ds += _readme_derivations() + [derive(*parse_judgment(text)) for text in (
+            "f:(A -> B) \\/ (B -> A), y:A /\\ B |- f y : A \\/ B |",
+            "x:A /\\ B /\\ C |- x : C /\\ B /\\ A |")]
+        seen = set()
+        for d in ds:
+            todo = [(d, ())]
+            while todo:
+                n, path = todo.pop()
+                todo += [(p, path + (i,)) for i, p in enumerate(n.premises)]
+                reasons = _PREMISE_FAULTS.get(n.rule, {})
+                for i, p in enumerate(n.premises):
+                    arrow_e0 = n.rule == "ArrowE" and i == 0
+                    for fault, reason in reasons.items():
+                        if fault == "type" and arrow_e0:
+                            continue
+                        if fault == "term" and arrow_e0:
+                            reason = "first premise must type the function"
+                        bad = _replaced(d, path + (i,), _with_fault(p, fault))
+                        with pytest.raises(InvalidNode) as e:
+                            check_derivation(bad)
+                        assert (e.value.reason, e.value.path) == (reason, path)
+                        seen.add((n.rule, i, fault))
+        faults = ("term", "env", "type")
+        assert seen >= {("InterI", i, f) for i in range(3) for f in faults}
+        assert seen >= {("ArrowE", i, f) for i in (1, 2) for f in faults}
+        assert seen >= {("ArrowI", 0, f) for f in faults} | {
+            (rule, 0, f) for rule in ("ArrowE", "UnionE_named", "UnionE_self")
+            for f in ("term", "env")}
+
     @pytest.mark.parametrize("ty", ["A", None, Var("A")])
     def test_a_conclusion_type_that_is_not_a_type(self, ty):
         with pytest.raises(InvalidNode) as e:
             check_derivation(var_node({"x": A}, "x", ty))
         assert (e.value.reason, e.value.path) == (
             "type outside the intersection-union language", ())
+
+
+# The reason a node gives when premise i's term, environments or type is not
+# the one its rule gives it.  ArrowE's premise 0 types the function; neither
+# it nor a context switch's premise has its type fixed by the rule.
+_PREMISE_FAULTS = {
+    "InterI": {"term": "premises must type the same term",
+               "env": "premises must share the conclusion environments",
+               "type": "premise type does not match its component"},
+    "ArrowI": {"term": "premise must type the body",
+               "env": "premise environment must bind the abstracted variable",
+               "type": "premise type must be the arrow target"},
+    "ArrowE": {"term": "argument premises must type the argument",
+               "env": "premises must share the conclusion environments",
+               "type": "argument premise does not match the arrow source"},
+    "UnionE_named": {"term": "premise must type the body",
+                     "env": "premise environment must bind the freed name"},
+}
+_PREMISE_FAULTS["UnionE_self"] = _PREMISE_FAULTS["UnionE_named"]
+
+
+def _with_fault(p, fault):
+    """``p`` over its own premises, at a judgment with one fault: a fresh
+    variable as its term, one binding fewer or a type no rule fixes here."""
+    j = p.conclusion
+    gamma, term, ty, delta = j.gamma, j.term, j.ty, j.delta
+    if fault == "term":
+        term = Var("fresh")
+    elif fault == "type":
+        ty = TVar("Fresh")
+    elif gamma:
+        gamma = dict(list(gamma.items())[1:])
+    else:
+        delta = dict(list(delta.items())[1:])
+    return Derivation(p.rule, Judgment(gamma, term, ty, delta), p.premises)
+
+
+def _replaced(d, path, new):
+    """``d`` with its node at ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    premises = list(d.premises)
+    premises[path[0]] = _replaced(premises[path[0]], path[1:], new)
+    return Derivation(d.rule, d.conclusion, tuple(premises))
 
 
 def _inter_chain(levels, bottom):
