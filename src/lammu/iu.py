@@ -13,7 +13,7 @@ Derivations are explicit trees over six rules:
 Types in a node are compared up to the equivalence induced by the preorder.
 Thinning and weakening are admissible, not rules: ``under`` rebuilds a
 derivation under thinner or stronger environments.  It is also where every
-derivation built after the fact gets its environments.
+derivation built after the fact gets its premises' terms and all environments.
 
 ``_premise`` states what each rule gives its premises: their terms and
 environments, and their types where the rule fixes them.  ``under``, the
@@ -234,23 +234,28 @@ def check_derivation(d: Derivation) -> None:
 
 def under(d: Derivation, gamma: dict[str, TypeExpr],
           delta: dict[str, TypeExpr]) -> Derivation:
-    """``d`` rebuilt top-down under ``gamma`` and ``delta``, whatever its own
-    environments: ``ArrowI`` adds its variable, a context switch its bound
-    name, and other premises share their conclusion's dicts.  So it thins
-    (the new environments may drop what ``d`` does not use), weakens (they
-    may add bindings, strengthen a left entry by components, reorder them and
-    widen a right entry) and gives a construction its environments.
-    PreconditionViolation if ``gamma`` leaves a looked-up variable unbound,
-    or its entry has no component equivalent to the lookup's type; ``delta``
-    must bind every switch target, no lower."""
-    j = d.conclusion
-    if d.rule == "InterE" and not _is_component(
-            j.ty, gamma.get(j.term.name, Top)):
-        raise PreconditionViolation(
-            f"the new entry of {j.term.name} has no component for its lookup")
-    j = Judgment(gamma, j.term, j.ty, delta)
-    return Derivation(d.rule, j, tuple(under(p, *_premise(d.rule, j, i)[::3])
-                                       for i, p in enumerate(d.premises)))
+    """``d`` rebuilt top-down at its root's term under ``gamma`` and
+    ``delta``, whatever its own environments and the terms below its root:
+    each premise gets the term and environments that ``_premise`` gives it.
+    So it thins (the new environments may drop what ``d`` does not use),
+    weakens (they may add bindings, strengthen a left entry by components,
+    reorder them and widen a right entry) and gives a construction its terms
+    and environments.  PreconditionViolation if a lookup gets a term that is
+    not a variable, or ``gamma`` leaves it unbound, or its entry has no
+    component equivalent to the lookup's type; ``delta`` must bind every
+    switch target, no lower."""
+    def go(d, gamma, term, _, delta):   # a _premise tuple; its type unused
+        ty = d.conclusion.ty
+        if d.rule == "InterE":
+            if type(term) is not Var:
+                raise PreconditionViolation("a lookup of a non-variable")
+            if not _is_component(ty, gamma.get(term.name, Top)):
+                raise PreconditionViolation(f"the new entry of {term.name} "
+                                            "has no component for its lookup")
+        j = Judgment(gamma, term, ty, delta)
+        return Derivation(d.rule, j, tuple(go(p, *_premise(d.rule, j, i))
+                                           for i, p in enumerate(d.premises)))
+    return go(d, gamma, d.conclusion.term, None, delta)
 
 
 def _premise(rule: str, j: Judgment, i: int,

@@ -594,11 +594,39 @@ class TestAdmissible:
         with pytest.raises(PreconditionViolation):
             under(var_node({"x": A}, "x", A), {"x": B}, {})
 
+    def test_under_refuses_a_lookup_of_a_term_that_is_not_a_variable(self):
+        """A premise takes its term from its parent, so a lookup can be
+        handed an application: at the root, or below an abstraction of
+        one."""
+        gamma = {"f": Arrow(A, A), "y": A}
+        f_y = App(Var("f"), Var("y"))
+        root = Derivation("InterE", Judgment(gamma, f_y, A, {}))
+        below = Derivation("ArrowI", Judgment(gamma, Abs("x", f_y),
+                                              Arrow(B, A), {}),
+                           (var_node(gamma, "y", A),))
+        for d in (root, below):
+            with pytest.raises(PreconditionViolation, match="non-variable"):
+                under(d, gamma, {})
+
     def test_under_shares_the_callers_environments(self):
         d = var_node({"x": A}, "x", A)
         gamma, delta = {"x": A, "y": B}, {"a": A}
         out = under(d, gamma, delta).conclusion
         assert out.gamma is gamma and out.delta is delta
+
+    def test_under_gives_each_premise_its_term(self):
+        """Below the root a term may be stale: each premise gets the subterm
+        that its parent's rule gives it."""
+        m = Abs("x", Mu("a", "a", Var("x")))
+        stale = Derivation("ArrowI", Judgment({}, m, Arrow(A, A), {}), (
+            Derivation("UnionE_self", Judgment({}, Var("z"), A, {}),
+                       (var_node({"y": B}, "y", A),)),))
+        out = under(stale, {}, {})
+        check_derivation(out)
+        switch = out.premises[0]
+        assert switch.conclusion.term is m.body
+        assert switch.premises[0].conclusion.term is m.body.body
+        assert switch.premises[0].conclusion.gamma == {"x": A}
 
 
 class TestSearch:

@@ -278,44 +278,44 @@ class TestTransforms:
         assert out.conclusion.term == Var("w")
         assert out.conclusion.gamma == {"w": TVar("A")}
 
-    def test_substitutions_run_only_at_premise_free_nodes(self, monkeypatch):
-        """Every call of the reducer's four substitutions made inside a
-        derivation transform is on the term of a node without premises."""
-        leaves = []   # per open transform, the ids of its input's leaf terms
-        called = set()
+    def test_each_transform_calls_the_reducer_once_for_its_root(self,
+                                                                 monkeypatch):
+        """Each of the four derivation transforms calls the reducer once, on
+        its input's root term, and its result's root term is that call's
+        output, so no transform works out a term node by node.  A transform
+        called inside another counts for itself."""
+        opened = []   # per open transform: its input's root term, its calls
+        done = set()
 
-        def transform(fn):
+        def transform(name, fn):
             def run(d, *args):
-                nodes, seen = [d], set()
-                while nodes:
-                    n = nodes.pop()
-                    nodes.extend(n.premises)
-                    if not n.premises:
-                        seen.add(id(n.conclusion.term))
-                leaves.append(seen)
+                opened.append((d.conclusion.term, []))
                 try:
-                    return fn(d, *args)
+                    out = fn(d, *args)
                 finally:
-                    leaves.pop()
+                    root, calls = opened.pop()
+                assert len(calls) == 1, (name, calls)
+                assert calls[0][0] is root, name
+                assert out.conclusion.term is calls[0][1], name
+                done.add(name)
+                return out
             return run
 
-        def substitution(name, fn):
+        def reducer(fn):
             def run(m, *args):
-                if leaves:
-                    called.add(name)
-                    if id(m) not in leaves[-1]:
-                        raise AssertionError(f"{name} on a node with premises")
-                return fn(m, *args)
+                out = fn(m, *args)
+                if opened:
+                    opened[-1][1].append((m, out))
+                return out
             return run
 
         for name in ("subst_derivation", "struct_subst_derivation",
                      "rename_var_derivation", "sr_step"):
             monkeypatch.setattr(metatheory, name,
-                                transform(getattr(metatheory, name)))
-        for name in ("subst_term", "subst_structural", "rename_name",
-                     "replace_at"):
+                                transform(name, getattr(metatheory, name)))
+        for name in ("subst_term", "subst_structural", "rename_name", "step"):
             monkeypatch.setattr(metatheory, name,
-                                substitution(name, getattr(metatheory, name)))
+                                reducer(getattr(metatheory, name)))
         budget = SearchBudget(max_depth=1)
         for suite, cases in ((suite_term_subst, 40), (suite_struct_subst, 40),
                              (suite_subject_reduction, 200),
@@ -325,8 +325,40 @@ class TestTransforms:
         # a redex inside an argument typed at top
         gamma, term, ty, delta = parse_judgment(r"w:A |- (\x.w) ((\z.z) w) : A |")
         metatheory.sr_step(derive(gamma, term, ty, delta), (1,), "beta")
-        assert called == {"subst_term", "subst_structural", "rename_name",
-                          "replace_at"}
+        assert done == {"subst_derivation", "struct_subst_derivation",
+                        "rename_var_derivation", "sr_step"}
+
+    @pytest.mark.parametrize("text, transform, want", [
+        # capture: the reducer renames a binder, and the result binds the new
+        # name
+        (r"x:A, y:A |- \y.x : B -> A |",
+         lambda d: subst_derivation(d, "x", _derive("y:A |- y : A |")),
+         r"y:A |- \y'.y : B -> A |"),
+        (r"y:A |- (\x.\y.x) y : B -> A |", lambda d: sr_step(d, (), "beta"),
+         r"y:A |- \y'.y : B -> A |"),
+        (r"y:A |- \x.y : B -> A |",
+         lambda d: rename_var_derivation(d, "y", "x"),
+         r"x:A, y:A |- \x'.x : B -> A |"),
+        (r"x:A |- mu b.['k] mu h.['k] x : A | k:A, h:A",
+         lambda d: struct_subst_derivation(d, "k", None, "h", None),
+         r"x:A |- mu b.['h] mu h'.['h] x : A | h:A"),
+        # shadowing: below a binder of the substituted variable or name,
+        # nothing changes
+        (r"x:B |- \x.x : A -> A |",
+         lambda d: subst_derivation(d, "x", _derive("w:B |- w : B |")),
+         r"|- \x.x : A -> A |"),
+        (r"x:A |- mu b.['k] mu k.[k] x : A | k:A, h:A",
+         lambda d: struct_subst_derivation(d, "k", None, "h", None),
+         r"x:A |- mu b.['h] mu k.[k] x : A | h:A"),
+    ], ids=["subst-capture", "sr-capture", "rename-capture", "struct-capture",
+            "subst-shadow", "struct-shadow"])
+    def test_transforms_take_the_reducers_term_across_binders(self, text,
+                                                               transform,
+                                                               want):
+        out = transform(_derive(text))
+        check_derivation(out)
+        j = out.conclusion
+        assert print_judgment(j.gamma, j.term, j.ty, j.delta) == want
 
     def test_renaming_a_switch_taken_under_more_bindings(self):
         # mu a.['g] x taken under y too; renaming g to b retargets the
