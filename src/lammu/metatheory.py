@@ -9,13 +9,13 @@ unless a budget is given.  A miss counts against the search budget if a limit
 cut the search short.  Any exception, in the draw, the rebuild or the search,
 and a miss that no limit explains are failures (the first 20 messages kept).
 
-The transforms take their result's term from the reducer, in one call on
-their input's root term, and build only rules and types; the subject
-expansion constructions build their roots' terms.  One ``iu.under`` call on
-each finished result gives every node below the root its term, and every node
-its environments.  So where the reducer renames a binder to avoid capture,
-``under`` binds the new name, and ``check_derivation`` on each result proves
-the lemma for the reducer's term.
+Two walks build rules and types only: ``_subst_rules`` (term substitution
+and a beta step) and ``_struct_rules`` (structural substitution and a mu
+step).  Only the public entry points root a result: one reducer call on the
+input's root term gives the result's term (the expansions build theirs), and
+one ``iu.under`` call gives every node below the root its term, and every
+node its environments.  So where the reducer renames a binder, ``under``
+binds the new name, and ``check_derivation`` proves the lemma for that term.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def project(d: Derivation, ty: TypeExpr) -> Derivation:
     """Narrow a derivation to the component ``ty`` of its conclusion: the
     ``InterI`` premise that concludes ``ty``."""
     j = d.conclusion
-    if j.ty == ty:
+    if type_equiv(j.ty, ty):
         return d
     if d.rule == "InterI":
         for p in d.premises:
@@ -302,29 +302,43 @@ def gen_typed_judgment(rng: random.Random) -> Derivation:
 
 # -- term substitution lemma --------------------------------------------------
 
+def _subst_rules(d: Derivation, x: str, dN: Derivation) -> Derivation:
+    """The rules and types of ``d`` with each lookup of x replaced by ``dN``
+    at its type, but under a binder of x."""
+    m = d.conclusion.term
+    if m == Var(x) and d.rule != "InterI":
+        return project(dN, d.conclusion.ty)
+    if isinstance(m, Abs) and m.var == x:
+        return d
+    return _node(d, (_subst_rules(p, x, dN) for p in d.premises))
+
+
 def subst_derivation(dM: Derivation, x: str, dN: Derivation) -> Derivation:
     """From G,x:C |- M : A | D and G |- N : C | D build G |- M[N/x] : A | D.
 
-    Each lookup of x becomes N's derivation at its type, but under a binder
-    of x.  The root's left environment is M's without x, plus N's binding of
-    x if any (G's x is shadowed in M, but N may use it)."""
+    The root's left environment is M's without x, plus N's binding of x if
+    any (G's x is shadowed in M, but N may use it)."""
     j = dM.conclusion
     gamma = {y: t for y, t in j.gamma.items() if y != x}
     gamma.update((y, t) for y, t in dN.conclusion.gamma.items() if y == x)
-
-    def go(d: Derivation) -> Derivation:
-        m = d.conclusion.term
-        if m == Var(x) and d.rule != "InterI":
-            return project(dN, d.conclusion.ty)
-        if isinstance(m, Abs) and m.var == x:
-            return d
-        return _node(d, map(go, d.premises))
-
-    return _rooted(go(dM), subst_term(j.term, x, dN.conclusion.term), gamma,
-                   j.delta)
+    return _rooted(_subst_rules(dM, x, dN),
+                   subst_term(j.term, x, dN.conclusion.term), gamma, j.delta)
 
 
 # -- structural substitution lemma --------------------------------------------
+
+def _struct_rules(d: Derivation, alpha: str,
+                  arg_for: dict[TypeExpr, Derivation] | None) -> Derivation:
+    """The rules and types of ``d`` with each switch aimed at alpha applied
+    to N (a copy if ``arg_for`` is None), but under a binder of alpha."""
+    m = d.conclusion.term
+    if isinstance(m, Mu) and m.bound == alpha:
+        return d
+    if d.rule.startswith("UnionE") and m.named == alpha and arg_for:
+        return _node(d, (_apply_arrows(
+            _struct_rules(d.premises[0], alpha, arg_for), arg_for),))
+    return _node(d, (_struct_rules(p, alpha, arg_for) for p in d.premises))
+
 
 def struct_subst_derivation(dM: Derivation, alpha: str,
                             arg_for: dict[TypeExpr, Derivation] | None, g: str,
@@ -341,27 +355,10 @@ def struct_subst_derivation(dM: Derivation, alpha: str,
     j = dM.conclusion
     delta = {b: t for b, t in j.delta.items() if b != alpha}
     delta |= {} if new_union is None else {g: new_union}
-
-    def go(d: Derivation) -> Derivation:
-        m = d.conclusion.term
-        if isinstance(m, Mu) and m.bound == alpha:
-            return d
-        if d.rule.startswith("UnionE") and m.named == alpha and arg_for:
-            return _node(d, (_apply_arrows(go(d.premises[0]), arg_for),))
-        return _node(d, map(go, d.premises))
-
     term = (rename_name(j.term, alpha, g) if arg_for is None else
             subst_structural(j.term, alpha,
                              next(iter(arg_for.values())).conclusion.term, g))
-    return _rooted(go(dM), term, j.gamma, delta)
-
-
-def rename_var_derivation(d: Derivation, y: str, x: str) -> Derivation:
-    """Give the free variable ``y`` the new name ``x`` (keeping y's binding
-    around unused, so environments only grow)."""
-    j = d.conclusion
-    gamma = {**j.gamma, x: j.gamma[y]} if y in j.gamma else j.gamma
-    return _rooted(d, subst_term(j.term, y, Var(x)), gamma, j.delta)
+    return _rooted(_struct_rules(dM, alpha, arg_for), term, j.gamma, delta)
 
 
 # -- subject reduction, constructively ----------------------------------------
@@ -373,7 +370,7 @@ def _sr_local_beta(d: Derivation, expected: Term) -> Derivation:
     fun = d.premises[0]
     if fun.rule != "ArrowI" or len(d.premises) != 2:
         raise ConstructionMiss("the function premise is not a single arrow")
-    out = subst_derivation(fun.premises[0], j.term.fun.var, d.premises[1])
+    out = _subst_rules(fun.premises[0], j.term.fun.var, d.premises[1])
     if not type_equiv(out.conclusion.ty, j.ty):
         raise ConstructionMiss("contractum type drifted")
     if out.conclusion.ty != j.ty:
@@ -390,23 +387,20 @@ def _sr_local_mu(d: Derivation, expected: Term) -> Derivation:
         raise ConstructionMiss("the function premise is not a context switch node")
     red = j.term.fun
     arg_for = dict(zip(union_parts(fun.conclusion.ty), d.premises[1:]))
-    g = expected.bound
-    hat = struct_subst_derivation(fun.premises[0], red.bound, arg_for, g, j.ty)
+    hat = _struct_rules(fun.premises[0], red.bound, arg_for)
     p = _apply_arrows(hat, arg_for) if red.named == red.bound else hat
-    return _node(d, (p,), term=expected, rule=fun.rule)
+    return _node(d, (p,), rule=fun.rule)
 
 
 def _sr_local_renaming(d: Derivation, expected: Term) -> Derivation:
-    j = d.conclusion
     if d.rule not in ("UnionE_named", "UnionE_self"):
         raise ConstructionMiss("not a context switch node")
     inner = d.premises[0]
     if inner.rule not in ("UnionE_named", "UnionE_self"):
         raise ConstructionMiss("the body is not a context switch node")
-    renamed = struct_subst_derivation(inner.premises[0], j.term.body.bound,
-                                      None, j.term.named, None)
+    # renaming the inner binder changes no rule or type below it
     rule = "UnionE_self" if expected.named == expected.bound else "UnionE_named"
-    return _node(d, (renamed,), rule=rule, term=expected)
+    return _node(d, inner.premises, rule=rule)
 
 
 _SR_LOCAL = {"beta": _sr_local_beta, "mu": _sr_local_mu,
@@ -471,8 +465,7 @@ def se_beta_var(d: Derivation, rng: random.Random,
     y = rng.choice(used)
     fresh = "b" + gen.fresh_var()
     c = j.gamma[y]
-    renamed = rename_var_derivation(d, y, fresh)
-    fun = _node(d, (renamed,), term=Abs(fresh, renamed.conclusion.term),
+    fun = _node(d, (d,), term=Abs(fresh, subst_term(j.term, y, Var(fresh))),
                 rule="ArrowI", ty=Arrow(c, j.ty))
     return under(_app(fun, _var_at(j.gamma, y, c, j.delta)), j.gamma,
                  j.delta), d, "beta"

@@ -13,8 +13,8 @@ from lammu.iu import (Derivation, Judgment, SearchBudget, check_derivation,
                       derivation_from_json, derivation_to_json, derive, under)
 from lammu.metatheory import (INTER_POOL, ConstructionMiss, Generator,
                               base_environments, demo_erasing_failure,
-                              gen_typed_judgment, rename_var_derivation,
-                              se_beta_vacuous, sr_step,
+                              gen_typed_judgment, se_beta_vacuous,
+                              se_beta_var, sr_step,
                               struct_subst_derivation, subst_derivation,
                               suite_struct_subst, suite_subject_expansion,
                               suite_subject_reduction, suite_term_subst,
@@ -86,11 +86,12 @@ def _structural_substitution_thinned_and_weakened():
             {"y": a_b}, {"g": new_union})
 
 
-def _renaming_a_variable_thinned():
+def _beta_expansion_of_a_thinned_variable():
     d = _thinned(_derive("y:A, z:B |- y : A |"))
-    a = parse_type("A")
-    return (d, lambda: rename_var_derivation(d, "y", "x"), Var("x"),
-            {"y": a, "x": a}, {})
+    rng = random.Random(0)
+    gamma, term, _, delta = parse_judgment(r"y:A |- (\bx1.bx1) y : A |")
+    return (d, lambda: se_beta_var(d, rng, Generator(rng))[0], term, gamma,
+            delta)
 
 
 def _mu_over_a_rederived_switch():
@@ -238,7 +239,7 @@ class TestTransforms:
         _beta_under_a_strengthened_entry,
         _substitution_of_a_lookup_taken_under_more_bindings,
         _structural_substitution_thinned_and_weakened,
-        _renaming_a_variable_thinned,
+        _beta_expansion_of_a_thinned_variable,
         _mu_over_a_rederived_switch,
         _renaming_over_a_rederived_switch,
     ])
@@ -267,6 +268,26 @@ class TestTransforms:
         assert out.conclusion.term == Var("y")
         assert out.conclusion.gamma == {"y": c}
 
+    @pytest.mark.parametrize("text", [
+        r"x:B \/ D, y:B \/ D |- x : D \/ B |",
+        r"x:B \/ D, y:B \/ D |- \z.x : A -> D \/ B |",
+    ])
+    def test_substitution_at_a_lookup_of_an_equivalent_type(self, text):
+        """x is looked up at D \\/ B (built by hand: ``derive`` would write
+        B \\/ D) and y at B \\/ D, an equivalent type, so N's derivation
+        takes the place of x's lookup as it is."""
+        gamma, term, ty, delta = parse_judgment(text)
+        b_or_d, d_or_b = parse_type(r"B \/ D"), parse_type(r"D \/ B")
+        dM = Derivation("InterE", Judgment(gamma, Var("x"), d_or_b, delta))
+        if term != Var("x"):
+            dM = Derivation("ArrowI", Judgment(gamma, term, ty, delta), (dM,))
+        dM = under(dM, gamma, delta)
+        check_derivation(dM)
+        dN = Derivation("InterE", Judgment({"y": b_or_d}, Var("y"), b_or_d, {}))
+        out = subst_derivation(dM, "x", dN)
+        check_derivation(out)
+        assert out.conclusion.term == subst_term(term, "x", Var("y"))
+
     def test_substitution_of_a_thinned_lookup(self):
         """x's lookup, derived under x alone and taken under w too, loses x
         and keeps N's free variable w."""
@@ -280,22 +301,27 @@ class TestTransforms:
 
     def test_each_transform_calls_the_reducer_once_for_its_root(self,
                                                                  monkeypatch):
-        """Each of the four derivation transforms calls the reducer once, on
-        its input's root term, and its result's root term is that call's
-        output, so no transform works out a term node by node.  A transform
-        called inside another counts for itself."""
-        opened = []   # per open transform: its input's root term, its calls
-        done = set()
+        """Each of the three derivation transforms calls the reducer once, on
+        its input's root term, and ``under`` once, and returns that ``under``
+        call's output, at that reducer call's output, counting the calls of
+        any transform run inside it; and none runs inside another.  So no
+        transform works out a term node by node, or roots a part of its
+        result."""
+        opened = []   # per open transform: its input's root term, its reducer
+        done = set()  # calls, its under calls
 
         def transform(name, fn):
             def run(d, *args):
-                opened.append((d.conclusion.term, []))
+                assert not opened, (name, "inside", len(opened))
+                opened.append((d.conclusion.term, [], []))
                 try:
                     out = fn(d, *args)
                 finally:
-                    root, calls = opened.pop()
+                    root, calls, rooted = opened.pop()
                 assert len(calls) == 1, (name, calls)
                 assert calls[0][0] is root, name
+                assert len(rooted) == 1, (name, len(rooted))
+                assert out is rooted[0], name
                 assert out.conclusion.term is calls[0][1], name
                 done.add(name)
                 return out
@@ -304,18 +330,25 @@ class TestTransforms:
         def reducer(fn):
             def run(m, *args):
                 out = fn(m, *args)
-                if opened:
-                    opened[-1][1].append((m, out))
+                for _, calls, _ in opened:
+                    calls.append((m, out))
                 return out
             return run
 
+        def rooting(d, gamma, delta):
+            out = under(d, gamma, delta)
+            for _, _, rooted in opened:
+                rooted.append(out)
+            return out
+
         for name in ("subst_derivation", "struct_subst_derivation",
-                     "rename_var_derivation", "sr_step"):
+                     "sr_step"):
             monkeypatch.setattr(metatheory, name,
                                 transform(name, getattr(metatheory, name)))
         for name in ("subst_term", "subst_structural", "rename_name", "step"):
             monkeypatch.setattr(metatheory, name,
                                 reducer(getattr(metatheory, name)))
+        monkeypatch.setattr(metatheory, "under", rooting)
         budget = SearchBudget(max_depth=1)
         for suite, cases in ((suite_term_subst, 40), (suite_struct_subst, 40),
                              (suite_subject_reduction, 200),
@@ -326,7 +359,7 @@ class TestTransforms:
         gamma, term, ty, delta = parse_judgment(r"w:A |- (\x.w) ((\z.z) w) : A |")
         metatheory.sr_step(derive(gamma, term, ty, delta), (1,), "beta")
         assert done == {"subst_derivation", "struct_subst_derivation",
-                        "rename_var_derivation", "sr_step"}
+                        "sr_step"}
 
     @pytest.mark.parametrize("text, transform, want", [
         # capture: the reducer renames a binder, and the result binds the new
@@ -336,9 +369,6 @@ class TestTransforms:
          r"y:A |- \y'.y : B -> A |"),
         (r"y:A |- (\x.\y.x) y : B -> A |", lambda d: sr_step(d, (), "beta"),
          r"y:A |- \y'.y : B -> A |"),
-        (r"y:A |- \x.y : B -> A |",
-         lambda d: rename_var_derivation(d, "y", "x"),
-         r"x:A, y:A |- \x'.x : B -> A |"),
         (r"x:A |- mu b.['k] mu h.['k] x : A | k:A, h:A",
          lambda d: struct_subst_derivation(d, "k", None, "h", None),
          r"x:A |- mu b.['h] mu h'.['h] x : A | h:A"),
@@ -350,8 +380,8 @@ class TestTransforms:
         (r"x:A |- mu b.['k] mu k.[k] x : A | k:A, h:A",
          lambda d: struct_subst_derivation(d, "k", None, "h", None),
          r"x:A |- mu b.['h] mu k.[k] x : A | h:A"),
-    ], ids=["subst-capture", "sr-capture", "rename-capture", "struct-capture",
-            "subst-shadow", "struct-shadow"])
+    ], ids=["subst-capture", "sr-capture", "struct-capture", "subst-shadow",
+            "struct-shadow"])
     def test_transforms_take_the_reducers_term_across_binders(self, text,
                                                                transform,
                                                                want):
