@@ -45,6 +45,7 @@ class LanguageViolation(Exception):
 # μ are word characters, so they go before words; \w also matches digits and
 # numerics such as '²', which may not start a word: _tokenize checks.
 _TOKEN = re.compile(r"\s*([λμ]|\\/|/\\|->|\|-|'?\w+'*|\S)")
+_WORD = re.compile(r"\w+'*")   # compiled once: forked processes share it
 
 _KINDS = {"\\/": "OR", "∪": "OR", "/\\": "AND", "∩": "AND",
           "\\": "LAMBDA", "λ": "LAMBDA", "μ": "MU", "mu": "MU",
@@ -80,11 +81,12 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 @lru_cache(maxsize=1 << 12)
 def _is_identifier(x: str) -> bool:
     """Whether ``_tokenize(x)`` is the one token IDENT ``x``, so ``x`` reads
-    back as a variable or name; cached for the certificate writer."""
-    try:
-        return _tokenize(x) == [("IDENT", x), ("EOF", "")]
-    except ParseError:
-        return False
+    back as a variable or name: a word, not a keyword, whose first character
+    is a letter or ``_`` that is neither λ nor μ, which are tokens of their
+    own, nor a capital.  Cached for the certificate writer."""
+    return (x not in _TOKENS and _WORD.fullmatch(x) is not None
+            and (x[0].isalpha() or x[0] == "_") and x[0] not in "λμ"
+            and not x[0].isupper())
 
 
 def _spans(text: str) -> list[tuple[int, int]]:
@@ -292,6 +294,7 @@ def _decode(text: str, kinds: tuple[str, ...], language: str):
 def print_term(m: Term) -> str:
     # One loop over a work stack of text to emit, (term, wrap_abs, wrap_app)
     # to print, and Mu nodes whose body is done, so its name leaves ``bound``.
+    # A variable child of an application is text where it is met.
     if type(m) is Var:
         return m.name
     out: list[str] = []
@@ -312,7 +315,12 @@ def print_term(m: Term) -> str:
             if wrap_app:
                 out.append("(")
                 work.append(")")
-            work += ((m.arg, True, True), " ", (m.fun, True, False))
+            f, a = m.fun, m.arg
+            work.append(a.name if type(a) is Var else (a, True, True))
+            if type(f) is Var:
+                out += (f.name, " ")
+            else:
+                work += (" ", (f, True, False))
         elif isinstance(m, (Abs, Mu)):
             if wrap_abs:
                 out.append("(")

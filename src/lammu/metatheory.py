@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from .grammar import print_judgment
 from .iu import (Derivation, Judgment, SearchBudget, check_derivation, derive,
                  under)
-from .reduction import (redexes, rename_name, step, subst_structural,
-                        subst_term, subterm_at)
+from .reduction import (redexes, step, subst_structural, subst_term,
+                        subterm_at)
 from .syntax import Abs, App, Mu, Term, Var, alpha_eq, free_term_vars
 from .typelang import (Arrow, Bottom, Inter, TVar, Top, TypeExpr, Union,
                        canonicalize, inter_parts, subtype, type_equiv,
@@ -328,36 +328,30 @@ def subst_derivation(dM: Derivation, x: str, dN: Derivation) -> Derivation:
 # -- structural substitution lemma --------------------------------------------
 
 def _struct_rules(d: Derivation, alpha: str,
-                  arg_for: dict[TypeExpr, Derivation] | None) -> Derivation:
+                  arg_for: dict[TypeExpr, Derivation]) -> Derivation:
     """The rules and types of ``d`` with each switch aimed at alpha applied
-    to N (a copy if ``arg_for`` is None), but under a binder of alpha."""
+    to N, but under a binder of alpha."""
     m = d.conclusion.term
     if isinstance(m, Mu) and m.bound == alpha:
         return d
-    if d.rule.startswith("UnionE") and m.named == alpha and arg_for:
+    if d.rule.startswith("UnionE") and m.named == alpha:
         return _node(d, (_apply_arrows(
             _struct_rules(d.premises[0], alpha, arg_for), arg_for),))
     return _node(d, (_struct_rules(p, alpha, arg_for) for p in d.premises))
 
 
 def struct_subst_derivation(dM: Derivation, alpha: str,
-                            arg_for: dict[TypeExpr, Derivation] | None, g: str,
-                            new_union: TypeExpr | None) -> Derivation:
+                            arg_for: dict[TypeExpr, Derivation], g: str,
+                            new_union: TypeExpr) -> Derivation:
     """From G |- M : C | a:U(Ai->Bi),D and G |- N : Ai | D for each i, build
     G |- M[N.g/a] : C | g:U(Bi),D.
 
     ``arg_for`` maps each arrow of the union to a derivation of N at its
-    source; ``new_union`` is the union of the targets.  With both None it is
-    the renaming M[g/a]: each switch aimed at a is retargeted to the g already
-    in D and a leaves the right environments; sound whenever a's type lies
-    below g's.  A retargeted switch stays ``UnionE_named``: where its binder
-    is g, the reducer renames it."""
+    source; ``new_union`` is the union of the targets."""
     j = dM.conclusion
-    delta = {b: t for b, t in j.delta.items() if b != alpha}
-    delta |= {} if new_union is None else {g: new_union}
-    term = (rename_name(j.term, alpha, g) if arg_for is None else
-            subst_structural(j.term, alpha,
-                             next(iter(arg_for.values())).conclusion.term, g))
+    delta = {b: t for b, t in j.delta.items() if b != alpha} | {g: new_union}
+    n = next(iter(arg_for.values())).conclusion.term
+    term = subst_structural(j.term, alpha, n, g)
     return _rooted(_struct_rules(dM, alpha, arg_for), term, j.gamma, delta)
 
 

@@ -27,6 +27,10 @@ Substitution is one walk over an explicit stack, so it takes terms of any
 depth.  It hands back every subterm in which the substituted variable or
 name is not free as it is, and scans the argument for identifiers a binder
 could capture only when it meets a binder.
+
+A variable holds no redex, binds nothing and has no children, so both walks
+handle a variable child where they meet it: substitution at its
+application, and the redex walk by going on to the argument.
 """
 
 from __future__ import annotations
@@ -134,14 +138,20 @@ def _subst(m: Term, x: str, n: Term | None, g: str | None = None) -> Term:
     while todo:
         t = todo.pop()
         kind = type(t)
-        if kind is Var:
-            out.append(n if t.name == var else t)
-        elif kind is App:
-            todo += (t, _DONE, t.arg, t.fun)
+        if kind is App:
+            # a variable function is substituted here, a variable argument
+            # at _DONE
+            f, a = t.fun, t.arg
+            if type(f) is Var:
+                out.append(n if f.name == var else f)
+                todo += (t, _DONE) if type(a) is Var else (t, _DONE, a)
+            else:
+                todo += (t, _DONE, f) if type(a) is Var else (t, _DONE, a, f)
         elif t is _DONE:
             t = todo.pop()
             kind = type(t)
-            last = out.pop()
+            last = (out.pop() if kind is not App or type(t.arg) is not Var
+                    else n if t.arg.name == var else t.arg)
             if kind is App:
                 f = out.pop()
                 out.append(t if f is t.fun and last is t.arg else App(f, last))
@@ -151,6 +161,8 @@ def _subst(m: Term, x: str, n: Term | None, g: str | None = None) -> Term:
                 out.append(Mu(t.bound, g, last if n is None else App(last, n)))
             else:
                 out.append(t if last is t.body else Mu(t.bound, t.named, last))
+        elif kind is Var:
+            out.append(n if t.name == var else t)
         elif kind is Abs:
             if t.var == var:
                 out.append(t)
@@ -257,14 +269,21 @@ class _Walk:
         checks, names, stale = self.checks, self.names, self.stale
         parents, path, t = self.parents, self.path, self.focus
         while True:
-            for rule, test in checks.get(type(t), ()):
+            kind = type(t)
+            if kind is App and type(t.fun) is Var:
+                # no rule matches here, nor in the variable: on to the argument
+                parents.append(t)
+                path.append(1)
+                t = t.arg
+                continue
+            for rule, test in checks.get(kind, ()):
                 if test(t, names):
                     self.focus, self.stale = t, stale
                     yield rule
-            if isinstance(t, (App, Abs, Mu)):
+            if kind is App or kind is Abs or kind is Mu:
                 parents.append(t)
                 path.append(0)
-                t = t.fun if isinstance(t, App) else t.body
+                t = t.fun if kind is App else t.body
                 continue
             # a leaf: up to the nearest App entered by its fun, rebuilding each
             # stale ancestor over the subterm t left, and on to its argument

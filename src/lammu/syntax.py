@@ -7,6 +7,9 @@ disjoint namespaces: a variable ``x`` and a name ``x`` never compare equal
 because they can only appear in distinct positions.  ``Mu(a, b, body)``
 is the fused form "mu a.[b] body"; the pseudo-terms "mu a.M" and "[b]M" are
 never materialized on their own.
+
+The walks below keep their own stacks and take an application spine in one
+loop turn, handling a variable child where they meet it.
 """
 
 from __future__ import annotations
@@ -74,9 +77,16 @@ def free_term_vars(m: Term) -> set[str]:
     while todo:
         t = todo.pop()
         kind = type(t)
-        if kind is App:
-            todo += (t.arg, t.fun)
-        elif kind is Var:
+        while kind is App:      # down the spine, to its head
+            a = t.arg
+            if type(a) is Var:
+                if a.name not in bound:
+                    out.add(a.name)
+            else:
+                todo.append(a)
+            t = t.fun
+            kind = type(t)
+        if kind is Var:
             if t.name not in bound:
                 out.add(t.name)
         elif kind is Abs:
@@ -127,9 +137,15 @@ def all_identifiers(*ms: Term) -> set[str]:
     while todo:
         t = todo.pop()
         kind = type(t)
-        if kind is App:
-            todo += (t.arg, t.fun)
-        elif kind is Var:
+        while kind is App:      # down the spine, to its head
+            a = t.arg
+            if type(a) is Var:
+                out.add(a.name)
+            else:
+                todo.append(a)
+            t = t.fun
+            kind = type(t)
+        if kind is Var:
             out.add(t.name)
         elif kind is Abs:
             out.add(t.var)

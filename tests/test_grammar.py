@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from conftest import (_cert_dict, _reference_decode, random_iu_type,
                       random_term)
 from lammu.grammar import (LanguageViolation, ParseError, SourceSpan,
-                           _spans, _tokenize, parse_judgment, parse_term,
-                           parse_type, print_judgment, print_term, print_type)
+                           _is_identifier, _spans, _tokenize, parse_judgment,
+                           parse_term, parse_type, print_judgment, print_term,
+                           print_type)
 from lammu.iu import (InvalidNode, MalformedCertificate, check_derivation,
                       derivation_from_json, derivation_to_json)
 from lammu.metatheory import gen_typed_judgment
@@ -269,6 +270,28 @@ class TestTokenizer:
     def test_random_texts_match_the_reference(self, text):
         assert (_tokens_or_error(_spanned_tokenize, text)
                 == _tokens_or_error(_reference_tokenize, text))
+
+    def test_identifiers_are_what_the_tokenizer_reads(self):
+        """``_is_identifier`` decides without the tokenizer; the reference is
+        the tokenizer reading ``x`` as the one token IDENT ``x``."""
+        def reference(x):
+            try:
+                return _tokenize(x) == [("IDENT", x), ("EOF", "")]
+            except ParseError:
+                return False
+
+        units = (*"abxyzAB_λμ²٣éÉǅß'0123456789 .()[]\\/-|:,#\t", "mu",
+                 "top", "bot")
+        rng = random.Random(31)
+        texts = ["", "x", "x'", "x''", "_", "_1", "mu", "mu'", "top", "bot",
+                 "topx", "λ", "λx", "xλ", "μa", "aμ", "²", "x²", "٣", "x٣",
+                 "é", "É", "ǅ", "ß", "'x", "x y"]
+        texts += ["".join(rng.choices(units, k=rng.randint(1, 5)))
+                  for _ in range(300_000)]
+        is_identifier = _is_identifier.__wrapped__    # not the cache
+        wrong = [x for x in texts if is_identifier(x) != reference(x)]
+        assert wrong == []
+        assert sum(map(is_identifier, texts)) > 10_000
 
 
 # -- pinned behaviour on a seeded corpus ---------------------------------------

@@ -3,6 +3,7 @@ import json
 import random
 import re
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -729,35 +730,60 @@ class TestSearch:
 
     def test_search_outcomes_are_pinned(self):
         """The certificate or miss, node count and exhaustion flag of 300
-        seeded searches, as the search with a separate application pass per
-        union split gave them, but with the 20 goals outside the
+        seeded searches (see ``search_outcomes``), one a line in
+        ``search_outcomes.tsv``, as the search with a separate application
+        pass per union split gave them, but with the 20 goals outside the
         intersection-union language refused after 0 nodes, and with every
         search stopped at the node cap.  The verdicts alone (certificate
         and exhaustion flag) are pinned apart, as the search gave them
-        before it stopped at the cap.  Environments are
-        random subsets of the base environments, so terms meet unbound
-        variable heads and mu named slots outside the right environment, and
-        the universes are small enough for pair intersections to join the
-        witness pool; every third goal need not be in the intersection-union
-        language."""
-        rng = random.Random(5)
-        gamma0, delta0 = base_environments()
+        before it stopped at the cap.  Both digests, over the whole
+        certificates, check the table."""
         h, verdicts = hashlib.sha256(), hashlib.sha256()
-        for i in range(300):
-            gamma = {x: t for x, t in gamma0.items() if rng.random() < 0.3}
-            delta = {a: t for a, t in delta0.items() if rng.random() < 0.5}
-            term = random_term(rng, 4, tuple(gamma0), tuple(delta0))
-            ty = random_type(rng, 2) if i % 3 == 2 else random_iu_type(rng, 2)
-            budget = SearchBudget(max_depth=6, max_nodes=400)
-            d = derive(gamma, term, ty, delta, budget)
-            assert budget.nodes <= budget.max_nodes + 1
-            cert = None if d is None else json.dumps(_cert_dict(d), indent=2)
-            h.update(f"{cert}\0{budget.nodes}\0{budget.exhausted}\0".encode())
-            verdicts.update(f"{cert}\0{budget.exhausted}\0".encode())
+        lines = []
+        for line, cert, nodes, exhausted in search_outcomes():
+            lines.append(line)
+            h.update(f"{cert}\0{nodes}\0{exhausted}\0".encode())
+            verdicts.update(f"{cert}\0{exhausted}\0".encode())
+        table = [line for line in SEARCH_TABLE.read_text("utf-8").splitlines()
+                 if not line.startswith("#")]
+        differ = [f"pinned {want!r}, got {got!r}"
+                  for want, got in zip(table, lines) if want != got]
+        assert differ[:3] == [] and len(table) == len(lines)
         assert verdicts.hexdigest() == (
             "45702b108c06483007dee8e05a596c4e7f831ae55d9bc65ae1a4ed194799fc70")
         assert h.hexdigest() == (
             "6ac51bd2f82a4a5c99fbde70efdee21a424b62faa219e51c1eea86f529db8f6a")
+
+
+SEARCH_TABLE = Path(__file__).with_name("search_outcomes.tsv")
+
+
+def search_outcomes():
+    """300 seeded searches, each as its table line (index, judgment,
+    certificate sha256 or ``miss``, nodes, exhaustion flag, tab-separated),
+    its certificate text or None, its node count and its exhaustion flag.
+    Environments are random subsets of the base environments, so terms
+    meet unbound variable heads and mu named slots outside the right
+    environment, and the universes are small enough for pair intersections
+    to join the witness pool; every third goal need not be in the
+    intersection-union language."""
+    rng = random.Random(5)
+    gamma0, delta0 = base_environments()
+    for i in range(300):
+        gamma = {x: t for x, t in gamma0.items() if rng.random() < 0.3}
+        delta = {a: t for a, t in delta0.items() if rng.random() < 0.5}
+        term = random_term(rng, 4, tuple(gamma0), tuple(delta0))
+        ty = random_type(rng, 2) if i % 3 == 2 else random_iu_type(rng, 2)
+        budget = SearchBudget(max_depth=6, max_nodes=400)
+        d = derive(gamma, term, ty, delta, budget)
+        assert budget.nodes <= budget.max_nodes + 1
+        cert = None if d is None else json.dumps(_cert_dict(d), indent=2)
+        digest = "miss" if cert is None else hashlib.sha256(
+            cert.encode()).hexdigest()
+        line = "\t".join((str(i), print_judgment(gamma, term, ty, delta),
+                          digest, str(budget.nodes),
+                          "exhausted" if budget.exhausted else "-"))
+        yield line, cert, budget.nodes, budget.exhausted
 
 
 def _outcome(decode, text):

@@ -345,7 +345,7 @@ class TestTransforms:
                      "sr_step"):
             monkeypatch.setattr(metatheory, name,
                                 transform(name, getattr(metatheory, name)))
-        for name in ("subst_term", "subst_structural", "rename_name", "step"):
+        for name in ("subst_term", "subst_structural", "step"):
             monkeypatch.setattr(metatheory, name,
                                 reducer(getattr(metatheory, name)))
         monkeypatch.setattr(metatheory, "under", rooting)
@@ -369,19 +369,19 @@ class TestTransforms:
          r"y:A |- \y'.y : B -> A |"),
         (r"y:A |- (\x.\y.x) y : B -> A |", lambda d: sr_step(d, (), "beta"),
          r"y:A |- \y'.y : B -> A |"),
-        (r"x:A |- mu b.['k] mu h.['k] x : A | k:A, h:A",
-         lambda d: struct_subst_derivation(d, "k", None, "h", None),
-         r"x:A |- mu b.['h] mu h'.['h] x : A | h:A"),
+        (r"x:A |- mu a.['k] mu g.[g] mu k.[g] x : A | k:A",
+         lambda d: sr_step(d, (), "renaming"),
+         r"x:A |- mu a.['k] mu k'.['k] x : A | k:A"),
         # shadowing: below a binder of the substituted variable or name,
         # nothing changes
         (r"x:B |- \x.x : A -> A |",
          lambda d: subst_derivation(d, "x", _derive("w:B |- w : B |")),
          r"|- \x.x : A -> A |"),
-        (r"x:A |- mu b.['k] mu k.[k] x : A | k:A, h:A",
-         lambda d: struct_subst_derivation(d, "k", None, "h", None),
-         r"x:A |- mu b.['h] mu k.[k] x : A | h:A"),
-    ], ids=["subst-capture", "sr-capture", "struct-capture", "subst-shadow",
-            "struct-shadow"])
+        (r"x:A |- mu a.['k] mu g.[g] mu g.[g] x : A | k:A",
+         lambda d: sr_step(d, (), "renaming"),
+         r"x:A |- mu a.['k] mu g.[g] x : A | k:A"),
+    ], ids=["subst-capture", "sr-capture", "renaming-capture", "subst-shadow",
+            "renaming-shadow"])
     def test_transforms_take_the_reducers_term_across_binders(self, text,
                                                                transform,
                                                                want):
@@ -391,21 +391,19 @@ class TestTransforms:
         assert print_judgment(j.gamma, j.term, j.ty, j.delta) == want
 
     def test_renaming_a_switch_taken_under_more_bindings(self):
-        # mu a.['g] x taken under y too; renaming g to b retargets the
-        # context switch under those environments
-        delta = {"g": A1, "b": A1}
-        node = Derivation(
-            "UnionE_named", Judgment({"x": A1}, Mu("a", "g", Var("x")), A2, delta),
-            (Derivation("InterE",
-                        Judgment({"x": A1}, Var("x"), A1, {**delta, "a": A2})),))
-        wider = under(node, {"x": A1, "y": A2}, delta)
-        out = struct_subst_derivation(wider, "g", None, "b", None)
+        # mu c.['b] mu g.[g] mu a.[g] x taken under y too; the renaming step
+        # retargets the context switch mu a.[g] x to b under those
+        # environments
+        d = _derive("x:A1 |- mu c.['b] mu g.[g] mu a.[g] x : A1 | b:A1")
+        wider = under(d, {"x": A1, "y": A2}, d.conclusion.delta)
+        out = sr_step(wider, (), "renaming")
         check_derivation(out)
         assert out.rule == "UnionE_named"
-        assert out.premises[0].rule == "InterE"
+        assert out.premises[0].rule == "UnionE_named"
+        assert out.premises[0].premises[0].rule == "InterE"
         assert out.conclusion.gamma == wider.conclusion.gamma
         assert out.conclusion.delta == {"b": A1}
-        assert out.conclusion.term == Mu("a", "b", Var("x"))
+        assert out.conclusion.term == Mu("c", "b", Mu("a", "b", Var("x")))
 
     def test_beta_expansion(self):
         rng = random.Random(5)

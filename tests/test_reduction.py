@@ -295,6 +295,36 @@ def test_eta_mu_traces_are_pinned():
                              "85047848d9853a58")
 
 
+def test_variable_child_shapes_are_pinned():
+    """Traces on the shapes whose variable children the walks handle in
+    place: mu chains, whose fresh names alternate between g and g', Church
+    arithmetic, whose numerals apply a variable f, application chains, and
+    an abstraction over a left spine of variables."""
+    def numeral(n):
+        return "(\\f.\\x." + "f (" * n + "x" + ")" * n + ")"
+
+    church = {"add": "\\m.\\n.\\f.\\x.m f (n f x)",
+              "mul": "\\m.\\n.\\f.m (n f)", "exp": "\\m.\\n.n m"}
+    texts = ["(mu a.[a] x (mu b.[a] (y (mu c.[a] z)))) "
+             + " ".join(f"w{i}" for i in range(k + 1)) for k in range(13)]
+    texts += [f"({church[op]}) {numeral(a)} {numeral(b)}"
+              for op, sizes in (("add", range(4)), ("mul", range(4)),
+                                ("exp", range(1, 4)))
+              for a in sizes for b in sizes]
+    texts += ["f (" * (d - 1) + "f x" + ")" * (d - 1) for d in range(1, 8)]
+    texts.append("(\\z.z " + " ".join(f"x{i}" for i in range(1, 51)) + ") f")
+    h = hashlib.sha256()
+    for text in texts:
+        trace = normalize(parse_term(text), {"beta", "mu", "renaming"})
+        h.update(format_trace(trace).encode())
+        h.update(b"\0")
+    assert h.hexdigest() == PINNED_VARIABLE_CHILD_SHAPES
+
+
+PINNED_VARIABLE_CHILD_SHAPES = ("f099cf32f4c74146c45cfaa09fa39408c263bf48ebd89cf6"
+                                "d32f5ccd3fed3135")
+
+
 def restarting_normalize(m, enabled, fuel):
     """The reference for ``normalize``: each step looks for the first redex
     from the root again.  Gives the trace, which records each contractum as
