@@ -23,10 +23,12 @@ rule and contractum, from which ``ReductionTrace.terms`` replays the whole
 terms.  Fresh names avoid the whole term's identifiers, read off the zipper
 as the redex's and each ancestor's own names and off-path child's.
 
-Substitution is one walk over an explicit stack, so it takes terms of any
-depth.  It hands back every subterm in which the substituted variable or
-name is not free as it is, and scans the argument for identifiers a binder
-could capture only when it meets a binder.
+Substitution walks one path at a time, down each chain of nodes with one
+child to walk, and rebuilds the chain bottom-up in one loop; only an
+application of two compound terms waits on its explicit stack, so it takes
+terms of any depth.  It hands back every subterm in which the substituted
+variable or name is not free as it is, and scans the argument for
+identifiers a binder could capture only when it meets a binder.
 
 A variable holds no redex, binds nothing and has no children, so both walks
 handle a variable child where they meet it: substitution at its
@@ -108,7 +110,7 @@ def _over(parent: Term, i: int, new: Term) -> Term:
     return Mu(parent.bound, parent.named, new)
 
 
-_DONE = object()    # on _subst's stack: the node under it has its children
+_DONE = object()    # on _subst's stack: the frame under it has its results
 
 
 def _subst(m: Term, x: str, n: Term | None, g: str | None = None) -> Term:
@@ -121,14 +123,19 @@ def _subst(m: Term, x: str, n: Term | None, g: str | None = None) -> Term:
     is not free come back as they are, so a walk that renames no binder
     costs time linear in M.
 
-    The walk is post-order over an explicit stack, so no depth of M is too
-    deep: a node goes back on the stack under ``_DONE`` and is rebuilt from
-    the results of its children.  The identifiers a binder must not keep
-    over x, N's free variables or N's free names and ``g``, are computed
-    when the walk first meets an abstraction or a mu that does not bind x;
-    a body without binders costs no scan of N.  A renamed binder's body is
-    renamed by a nested call, which meets no capture, since the new name
-    occurs nowhere in M."""
+    The walk goes down one path at a time, so no depth of M is too deep.
+    From a subterm it goes down while the node has one child to walk (an
+    abstraction, a mu, or an application with a variable child, which is
+    substituted when the path is rebuilt) and keeps the nodes in ``path``.
+    It stops at a variable, at a binder returned as it is, or at an
+    application of two compound terms, which alone goes on the stack: as
+    ``t, path, _DONE, arg, fun``, rebuilt from its children's results.  Then
+    the path is rebuilt bottom-up in one loop.  The identifiers a binder
+    must not keep over x, N's free variables or N's free names and ``g``,
+    are computed when the walk first meets an abstraction or a mu that does
+    not bind x; a body without binders costs no scan of N.  A renamed
+    binder's body is renamed by a nested call, which meets no capture,
+    since the new name occurs nowhere in M."""
     # x is a variable or a name; the None in the other slot matches nothing
     var, name = (x, None) if g is None else (None, x)
     free = free_term_vars if g is None else free_names
@@ -137,64 +144,76 @@ def _subst(m: Term, x: str, n: Term | None, g: str | None = None) -> Term:
     todo: list = [m]
     while todo:
         t = todo.pop()
-        kind = type(t)
-        if kind is App:
-            # a variable function is substituted here, a variable argument
-            # at _DONE
-            f, a = t.fun, t.arg
-            if type(f) is Var:
-                out.append(n if f.name == var else f)
-                todo += (t, _DONE) if type(a) is Var else (t, _DONE, a)
-            else:
-                todo += (t, _DONE, f) if type(a) is Var else (t, _DONE, a, f)
-        elif t is _DONE:
-            t = todo.pop()
-            kind = type(t)
-            last = (out.pop() if kind is not App or type(t.arg) is not Var
-                    else n if t.arg.name == var else t.arg)
-            if kind is App:
-                f = out.pop()
-                out.append(t if f is t.fun and last is t.arg else App(f, last))
-            elif kind is Abs:
-                out.append(t if last is t.body else Abs(t.var, last))
-            elif t.named == name:
-                out.append(Mu(t.bound, g, last if n is None else App(last, n)))
-            else:
-                out.append(t if last is t.body else Mu(t.bound, t.named, last))
-        elif kind is Var:
-            out.append(n if t.name == var else t)
-        elif kind is Abs:
-            if t.var == var:
-                out.append(t)
-                continue
-            if fvn is None:
-                fvn = free_term_vars(n) if n is not None else set()
-            if t.var in fvn:
-                # capture: rename the binder, but only where x occurs
-                if x not in free(t):
-                    out.append(t)
-                    continue
-                y2 = fresh(all_identifiers(t) | fvn | {x}, t.var)
-                t = Abs(y2, _subst(t.body, t.var, Var(y2)))
-            todo += (t, _DONE, t.body)
-        elif kind is Mu:
-            if t.bound == name:
-                out.append(t)
-                continue
-            if fnn is None:
-                fnn = free_names(n) if n is not None else set()
-                if g is not None:
-                    fnn.add(g)
-            if t.bound in fnn:
-                if x not in free(t):
-                    out.append(t)
-                    continue
-                d2 = fresh(all_identifiers(t) | fnn | {x}, t.bound)
-                named = d2 if t.named == t.bound else t.named
-                t = Mu(d2, named, _subst(t.body, t.bound, None, d2))
-            todo += (t, _DONE, t.body)
+        if t is _DONE:
+            path, t = todo.pop(), todo.pop()
+            a, f = out.pop(), out.pop()
+            cur = t if f is t.fun and a is t.arg else App(f, a)
         else:
-            raise TypeError(f"not a term: {t!r}")
+            path = []
+            while True:
+                kind = type(t)
+                if kind is App:
+                    if type(t.fun) is Var:
+                        below = t.arg
+                    elif type(t.arg) is Var:
+                        below = t.fun
+                    else:
+                        todo += (t, path, _DONE, t.arg, t.fun)
+                        break
+                elif kind is Var:
+                    break
+                elif kind is Abs:
+                    if t.var == var:
+                        break
+                    if fvn is None:
+                        fvn = free_term_vars(n) if n is not None else set()
+                    if t.var in fvn:
+                        # capture: rename the binder, but only where x occurs
+                        if x not in free(t):
+                            break
+                        y2 = fresh(all_identifiers(t) | fvn | {x}, t.var)
+                        t = Abs(y2, _subst(t.body, t.var, Var(y2)))
+                    below = t.body
+                elif kind is Mu:
+                    if t.bound == name:
+                        break
+                    if fnn is None:
+                        fnn = free_names(n) if n is not None else set()
+                        if g is not None:
+                            fnn.add(g)
+                    if t.bound in fnn:
+                        if x not in free(t):
+                            break
+                        d2 = fresh(all_identifiers(t) | fnn | {x}, t.bound)
+                        named = d2 if t.named == t.bound else t.named
+                        t = Mu(d2, named, _subst(t.body, t.bound, None, d2))
+                    below = t.body
+                else:
+                    raise TypeError(f"not a term: {t!r}")
+                path.append(t)
+                t = below
+            if kind is App:
+                continue
+            cur = n if kind is Var and t.name == var else t
+        for p in reversed(path):
+            kind = type(p)
+            if kind is App:
+                f, a = p.fun, p.arg
+                if type(f) is Var:
+                    if f.name == var:
+                        f = n
+                    cur = p if f is p.fun and cur is a else App(f, cur)
+                else:
+                    if a.name == var:
+                        a = n
+                    cur = p if cur is f and a is p.arg else App(cur, a)
+            elif kind is Abs:
+                cur = p if cur is p.body else Abs(p.var, cur)
+            elif p.named == name:
+                cur = Mu(p.bound, g, cur if n is None else App(cur, n))
+            else:
+                cur = p if cur is p.body else Mu(p.bound, p.named, cur)
+        out.append(cur)
     return out[0]
 
 

@@ -111,9 +111,12 @@ def free_names(m: Term) -> set[str]:
     while todo:
         t = todo.pop()
         kind = type(t)
-        if kind is App:
-            todo += (t.arg, t.fun)
-        elif kind is Mu:
+        while kind is App:      # down the spine, to its head
+            if type(t.arg) is not Var:
+                todo.append(t.arg)
+            t = t.fun
+            kind = type(t)
+        if kind is Mu:
             if t.named != t.bound and t.named not in bound:
                 out.add(t.named)
             if t.bound not in bound:

@@ -10,7 +10,8 @@ from lammu.reduction import (RULES, FreshnessViolation, NotARedex,
                              iter_redexes, normalize, redexes, rename_name,
                              replace_at, step, subst_structural, subst_term,
                              subterm_at)
-from lammu.syntax import Abs, App, Mu, Var, alpha_eq
+from lammu.syntax import (Abs, App, Mu, Var, alpha_eq, free_names,
+                          free_term_vars)
 
 
 class TestSubstitution:
@@ -461,3 +462,81 @@ def test_substitutions_are_pinned():
 
 PINNED_SUBSTITUTIONS = ("aa8518ff64d40e4d288e270761dd5ee4c4079c01cf5ca7ec5a2e78bf"
                         "8dd95afd")
+
+
+def assert_shared(m, out, variables, names, wrap=None):
+    """Every maximal subterm of ``m`` in which no substituted variable or
+    name is free is the very subterm at its place in ``out``.  The
+    substituted identifiers are the one given and the old name of each
+    binder renamed above, whose body a nested substitution renames;
+    ``wrap`` is the name whose named subterms gain an argument."""
+    todo = [(m, out, variables, names)]
+    while todo:
+        s, o, vs, ns = todo.pop()
+        if not (vs & free_term_vars(s) or ns & free_names(s)):
+            assert o is s
+        elif type(s) is App:
+            todo += ((s.fun, o.fun, vs, ns), (s.arg, o.arg, vs, ns))
+        elif type(s) is Abs:
+            renamed = {s.var} if o.var != s.var else set()
+            todo.append((s.body, o.body, vs - {s.var} | renamed, ns))
+        elif type(s) is Mu:
+            ns = ns - {s.bound} | ({s.bound} if o.bound != s.bound else set())
+            body = o.body.fun if s.named == wrap and wrap in ns else o.body
+            todo.append((s.body, body, vs, ns))
+
+
+def test_substitutions_share_what_they_leave():
+    """Over seeded random calls of the three substitutions: what no
+    substitution reaches comes back as the same object."""
+    rng = random.Random(32)
+    for _ in range(1000):
+        m = random_open_term(rng, 6, IDENTS, IDENTS)
+        n = random_open_term(rng, 3, IDENTS, IDENTS)
+        x, g = rng.choice(IDENTS), rng.choice(IDENTS)
+        assert_shared(m, subst_term(m, x, n), {x}, set())
+        assert_shared(m, rename_name(m, x, g), set(), {x})
+        try:
+            out = subst_structural(m, x, n, g)
+        except FreshnessViolation:
+            continue
+        assert_shared(m, out, set(), {x}, wrap=x)
+
+
+def test_beta_on_its_own_variable_shares_the_body():
+    """``parse_term`` shares one ``Var`` per identifier, so ``(\\f.M) f``
+    substitutes f by the very object M holds: the contractum is M."""
+    rng = random.Random(5)
+    texts = ["\\x.f (f x)", "m (n f)", "\\x.m f (n f x)"]
+    texts += [print_term(random_open_term(rng, 6, IDENTS, IDENTS))
+              for _ in range(300)]
+    for text in texts:
+        for f in ("f", "x", "a"):
+            m = parse_term(f"(\\{f}.{text}) {f}")
+            assert step(m, (), "beta") is m.fun.body
+
+
+DEEP = 20_000
+
+
+def test_subst_term_through_a_deep_nest_of_applications():
+    """(z z) ((z z) (... z)): every application but the last has two
+    compound children, each a frame of the walk, at the default recursion
+    limit."""
+    z = Var("z")
+    m = z
+    for _ in range(DEEP):
+        m = App(App(z, z), m)
+    out = subst_term(m, "z", Var("y"))
+    assert print_term(out) == "y y (" * (DEEP - 1) + "y y y" + ")" * (DEEP - 1)
+
+
+def test_subst_structural_through_a_deep_mu_chain():
+    """mu b0.[a] z (mu b1.[a] z (... x)): one path of the walk."""
+    m = Var("x")
+    for i in reversed(range(DEEP)):
+        m = Mu(f"b{i}", "a", App(Var("z"), m))
+    out = subst_structural(m, "a", Var("y"), "g")
+    assert print_term(out) == (
+        "".join(f"mu b{i}.['g] z (" for i in range(DEEP - 1))
+        + f"mu b{DEEP - 1}.['g] z x y" + ") y" * (DEEP - 1))
